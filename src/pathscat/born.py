@@ -28,6 +28,10 @@ __all__ = [
     "elastic_record",
 ]
 
+# "auto" takes closed-form transforms where a family has one; "quadrature"
+# forces the independent numerical transform.
+ROUTES = ("auto", "quadrature")
+
 
 @dataclass(frozen=True)
 class PlaneWaveState:
@@ -86,7 +90,7 @@ class CrossSectionRecord:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("ElasticBorn", "ChargeTransferBorn"):
+        if self.kind != "ElasticBorn":
             raise DomainError(f"unknown cross-section kind {self.kind!r}")
         if len(self.angles) != len(self.dsigma):
             raise DomainError("angles and dsigma must have equal length")
@@ -114,7 +118,7 @@ def _transform(pot, q, hbar, route):
         return fourier_transform_quadrature(
             pot, q, hbar=hbar, rel_tol=1e-9, abs_tol=1e-12
         )
-    raise DomainError(f"unknown transform route {route!r}")
+    raise DomainError(f"unknown transform route {route!r}; options: {ROUTES}")
 
 
 def born_amplitude(pot, p, mass, theta, hbar=1.0, route="auto"):

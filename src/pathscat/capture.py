@@ -52,6 +52,7 @@ __all__ = [
 
 INTERACTIONS = ("ProtonElectron", "Internuclear", "Sum")
 MODES = ("obk", "jacobi")
+FLUX_RATIO_POWERS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -290,7 +291,7 @@ def ct_differential_cross_section(
     Default power 2 squares the flux ratio; standard flux algebra gives
     power 1, hence the switch.
     """
-    if flux_ratio_power not in (1, 2):
+    if flux_ratio_power not in FLUX_RATIO_POWERS:
         raise DomainError("flux_ratio_power must be 1 or 2")
     A = capture_amplitude(spec, theta, lam, mode, quad)
     mu_b = spec.kin.mu_b

@@ -1,40 +1,50 @@
 """Config-driven command line front end.
 
-One YAML config describes one computation. Parsing is strict: unknown
-keys are rejected (with a nearest-key suggestion), physical parameters
-have no silent defaults, and only numerical knobs (quadrature nodes,
-scheme choices, tolerances) fall back to documented values.
+One YAML config describes one computation. `_COMMANDS` lists the keys
+each command accepts, and `_validate` checks a config against them.
+Physical parameters have no defaults; an optional numerical knob that a
+config leaves out is not passed on, so the library's default applies.
 
 Every run writes a plot-ready CSV and a JSON document with the echoed
-config, payload, and diagnostics. Outputs are byte-deterministic for a
-fixed config and seed: wall time goes to stderr, never into the files,
-and --threads only dispatches oracle sample blocks whose seeded means
-reduce in index order.
+config, payload, and diagnostics, each through a temporary file renamed
+into place. Outputs are byte-deterministic for a fixed config and seed:
+wall time goes to stderr, never into the files, and --threads only
+dispatches oracle sample blocks whose seeded means reduce in index
+order.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 domain
-error.
+error. Every invalid key, type or value in a config exits with code 2,
+naming the nearest valid key or value where one is close. Code 4 is
+left for well-formed configs that the computation rejects, such as a
+closed capture channel.
 """
 
 import argparse
+import contextlib
 import difflib
 import json
+import math
 import os
 import sys
 import time
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .born import elastic_record
+from .born import elastic_record, ROUTES
 from .capture import (
     brute_force_oracle,
     capture_amplitude,
     CaptureQuadrature,
     ct_differential_cross_section,
     ct_total_cross_section,
+    FLUX_RATIO_POWERS,
+    INTERACTIONS,
     make_capture_spec,
+    MODES,
 )
 from .errors import ConfigError, DomainError, NumericalError
 from .influence import FixedPath, influence_K1, influence_K2
@@ -54,142 +64,197 @@ from .propagator import (
     free_deviation_diagnostic,
     gaussian_packet,
     HardWall,
+    KINETIC_FACTORS,
     LatticeSpec,
     packet_width,
+    SAMPLING_MODES,
     TimeGrid,
     time_sliced_propagator,
 )
 
-COMMANDS = (
-    "propagator",
-    "evolve",
-    "born-elastic",
-    "influence",
-    "charge-transfer",
-    "oracle",
-)
-
-_REQUIRED = object()
+# Schema nodes: `float`, `int` and `str` are leaves (a float leaf takes
+# any finite number and yields a float); a tuple lists the allowed
+# values; a one-element list is a list of that node; a dict maps keys to
+# nodes, and a key ending in "?" is optional. `Built` and `Tagged` below
+# complete the set.
 
 
-def _unknown_key(key, allowed, context):
-    close = difflib.get_close_matches(str(key), list(allowed), n=1)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    return ConfigError(f"unknown key {key!r} in {context}{hint}")
+@dataclass(frozen=True)
+class Built:
+    """A node whose validated mapping is passed as keywords to `build`."""
+
+    schema: dict
+    build: object
 
 
-def _check_keys(mapping, allowed, context):
+@dataclass(frozen=True)
+class Tagged:
+    """A mapping whose `tag` key picks one `Built` of `variants`. Keys of
+    the other variants are rejected, or ignored if `lenient`."""
+
+    tag: str
+    variants: dict
+    lenient: bool = False
+
+
+def _hint(word, options):
+    close = isinstance(word, str) and difflib.get_close_matches(word, options, n=1)
+    return f"; did you mean {close[0]!r}?" if close else ""
+
+
+def _names(fields):
+    return {key.rstrip("?") for key in fields}
+
+
+def _reject_unknown(mapping, names, context):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a mapping")
     for key in mapping:
-        if key not in allowed:
-            raise _unknown_key(key, allowed, context)
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} in {context}{_hint(key, names)}")
 
 
-def _get(mapping, key, kind, context, default=_REQUIRED):
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r} in {context}")
-        return default
-    value = mapping[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
+def _built(context, build, *args, **kwargs):
+    """build(*args, **kwargs), with its DomainError reported as a config error."""
+    try:
+        return build(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+_LEAVES = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _leaf(value, kind, context):
+    types = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{context} must be {_LEAVES[kind]}, got {value!r}")
+    if kind is not float:
         return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{context}.{key} must be a string, got {value!r}")
-        return value
-    if kind is dict:
+    if not math.isfinite(value):
+        raise ConfigError(f"{context} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _validate(value, schema, context):
+    """Check value against schema; return plain values with builders applied."""
+    if isinstance(schema, Built):
+        return _built(context, schema.build, **_validate(value, schema.schema, context))
+    if isinstance(schema, Tagged):
+        tag, variants = schema.tag, schema.variants
         if not isinstance(value, dict):
-            raise ConfigError(f"{context}.{key} must be a mapping")
-        return value
-    if kind is list:
+            raise ConfigError(f"{context} must be a mapping")
+        if tag not in value:
+            raise ConfigError(f"missing required key {tag!r} in {context}")
+        variant = variants[_validate(value[tag], tuple(variants), f"{context}.{tag}")]
+        rest = {k: v for k, v in value.items() if k != tag}
+        if schema.lenient:
+            every = set().union(*(_names(b.schema) for b in variants.values()))
+            _reject_unknown(rest, every, context)
+            rest = {k: v for k, v in rest.items() if k in _names(variant.schema)}
+        return _validate(rest, variant, context)
+    if isinstance(schema, dict):
+        _reject_unknown(value, _names(schema), context)
+        out = {}
+        for key, node in schema.items():
+            name = key.rstrip("?")
+            if name in value:
+                out[name] = _validate(value[name], node, f"{context}.{name}")
+            elif name == key:
+                raise ConfigError(f"missing required key {name!r} in {context}")
+        return out
+    if isinstance(schema, list):
         if not isinstance(value, list):
-            raise ConfigError(f"{context}.{key} must be a list")
+            raise ConfigError(f"{context} must be a list")
+        return [_validate(v, schema[0], f"{context}[{i}]") for i, v in enumerate(value)]
+    if isinstance(schema, tuple):
+        # the type check first keeps True and 2.0 out of (1, 2)
+        value = _leaf(value, type(schema[0]), context)
+        if value not in schema:
+            hint = _hint(value, schema)
+            raise ConfigError(f"{context} must be one of {schema}, got {value!r}{hint}")
         return value
-    raise ConfigError(f"internal schema error for {context}.{key}")
+    return _leaf(value, schema, context)
 
 
-_POTENTIAL_FAMILIES = {
-    "none": (None, ()),
-    "yukawa": (Yukawa, ("V0", "alpha")),
-    "gaussian": (Gaussian, ("V0", "width")),
-    "soft-coulomb": (SoftCoulomb, ("Z", "soft")),
-    "screened-coulomb": (ScreenedCoulomb, ("Z", "screen")),
-    "square-well": (SquareWell, ("V0", "radius")),
+def _theta_list(n, spacing="linear", **span):
+    lo, hi = span["min"], span["max"]
+    if n < 2 or hi <= lo:
+        raise DomainError("need n >= 2 and max > min")
+    if spacing == "log":
+        if lo <= 0:
+            raise DomainError("log spacing needs min > 0")
+        return np.geomspace(lo, hi, n)
+    return np.linspace(lo, hi, n)
+
+
+_FAMILIES = {
+    "yukawa": Built({"V0": float, "alpha": float}, Yukawa),
+    "gaussian": Built({"V0": float, "width": float}, Gaussian),
+    "soft-coulomb": Built({"Z": float, "soft": float}, SoftCoulomb),
+    "screened-coulomb": Built({"Z": float, "screen": float}, ScreenedCoulomb),
+    "square-well": Built({"V0": float, "radius": float}, SquareWell),
+}
+_POTENTIAL = Tagged("family", {"none": Built({}, lambda: None), **_FAMILIES})
+_LATTICE = Built(
+    {
+        "x_min": float,
+        "x_max": float,
+        "points": int,
+        "boundary?": Tagged(
+            "type",
+            {
+                "hard": Built({}, HardWall),
+                "absorbing": Built({"width": float, "strength": float}, AbsorbingLayer),
+            },
+            lenient=True,
+        ),
+    },
+    LatticeSpec,
+)
+_TIME = Built(
+    {"t_a": float, "t_b": float, "slices": int},
+    lambda t_a, t_b, slices: TimeGrid(t_a, t_b, slices),
+)
+_SCHEME = {"kinetic?": KINETIC_FACTORS, "sampling?": SAMPLING_MODES}
+_ANGLES = Built(
+    {"min": float, "max": float, "n": int, "spacing?": ("linear", "log")}, _theta_list
+)
+# Each path kind builds a function of the sample count, which the time
+# grid fixes.
+_PATH = Tagged(
+    "kind",
+    {
+        "static": Built({"value": float}, lambda value: lambda n: np.full(n, value)),
+        "linear": Built(
+            {"start": float, "end": float},
+            lambda start, end: lambda n: np.linspace(start, end, n),
+        ),
+        "samples": Built({"values": [float]}, lambda values: lambda n: values),
+    },
+    lenient=True,
+)
+_KERNEL = {
+    "lattice": _LATTICE,
+    "time": _TIME,
+    "mass": float,
+    "potential": _POTENTIAL,
+    "scheme?": _SCHEME,
+}
+_CAPTURE = {
+    "system": {"A": float, "B": float, "Z_a": float, "Z_b": float},
+    "v": float,
+    "interaction": INTERACTIONS,
+    "mode": MODES,
+    "lam": float,
+    "quad?": Built(
+        {"nk?": int, "nmu?": int, "nphi?": int, "k_scale?": float}, CaptureQuadrature
+    ),
 }
 
 
-def build_potential(spec, context):
-    family = _get(spec, "family", str, context)
-    if family not in _POTENTIAL_FAMILIES:
-        raise _unknown_key(family, _POTENTIAL_FAMILIES, context + ".family")
-    cls, fields = _POTENTIAL_FAMILIES[family]
-    _check_keys(spec, ("family",) + fields, context)
-    if cls is None:
-        return None
-    kwargs = {name: _get(spec, name, float, context) for name in fields}
-    try:
-        return cls(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def build_lattice(spec, context):
-    _check_keys(spec, ("x_min", "x_max", "points", "boundary"), context)
-    boundary = HardWall()
-    if "boundary" in spec:
-        bspec = _get(spec, "boundary", dict, context)
-        _check_keys(bspec, ("type", "width", "strength"), context + ".boundary")
-        btype = _get(bspec, "type", str, context + ".boundary")
-        if btype == "hard":
-            pass
-        elif btype == "absorbing":
-            boundary = AbsorbingLayer(
-                width=_get(bspec, "width", float, context + ".boundary"),
-                strength=_get(bspec, "strength", float, context + ".boundary"),
-            )
-        else:
-            raise _unknown_key(btype, ("hard", "absorbing"), context + ".boundary.type")
-    try:
-        return LatticeSpec(
-            x_min=_get(spec, "x_min", float, context),
-            x_max=_get(spec, "x_max", float, context),
-            points=_get(spec, "points", int, context),
-            boundary=boundary,
-        )
-    except DomainError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def build_time_grid(spec, context):
-    _check_keys(spec, ("t_a", "t_b", "slices"), context)
-    try:
-        return TimeGrid(
-            t_a=_get(spec, "t_a", float, context),
-            t_b=_get(spec, "t_b", float, context),
-            N=_get(spec, "slices", int, context),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def build_scheme(cfg, context):
-    spec = cfg.get("scheme", {})
-    _check_keys(spec, ("kinetic", "sampling"), context + ".scheme")
-    return (
-        _get(spec, "kinetic", str, context + ".scheme", default="pade2"),
-        _get(spec, "sampling", str, context + ".scheme", default="endpoint"),
-    )
-
-
 def parse_config(text):
-    """YAML text to a validated (command, parameters) pair."""
+    """YAML text to a (command, parameters) pair; `run` validates the parameters."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -198,9 +263,9 @@ def parse_config(text):
         raise ConfigError(f"config is not valid YAML{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping at the top level")
-    command = _get(raw, "command", str, "config")
-    if command not in COMMANDS:
-        raise _unknown_key(command, COMMANDS, "config.command")
+    if "command" not in raw:
+        raise ConfigError("missing required key 'command' in config")
+    command = _validate(raw["command"], COMMANDS, "config.command")
     params = {k: v for k, v in raw.items() if k != "command"}
     return command, params
 
@@ -224,49 +289,31 @@ def apply_overrides(params, overrides):
     return params
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) for c in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path, document):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _optional(cfg, *keys):
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def _field_rows(field):
-    x = field.lattice.nodes
-    return [
-        (i, x[i], field.values[i].real, field.values[i].imag)
-        for i in range(field.lattice.points)
-    ]
+    v = field.values
+    return list(zip(range(field.lattice.points), field.lattice.nodes, v.real, v.imag))
 
 
-def _run_propagator(params, threads):
-    _check_keys(
-        params,
-        ("lattice", "time", "mass", "potential", "scheme", "source"),
-        "config",
+def _complex(z):
+    return {"re": z.real, "im": z.imag}
+
+
+def _kernel(cfg):
+    return time_sliced_propagator(
+        cfg["potential"], cfg["lattice"], cfg["time"], cfg["mass"],
+        **cfg.get("scheme", {}),
     )
-    lattice = build_lattice(_get(params, "lattice", dict, "config"), "lattice")
-    grid = build_time_grid(_get(params, "time", dict, "config"), "time")
-    mass = _get(params, "mass", float, "config")
-    pot = build_potential(_get(params, "potential", dict, "config"), "potential")
-    kinetic, sampling = build_scheme(params, "config")
-    source = _get(params, "source", float, "config")
-    K = time_sliced_propagator(
-        pot, lattice, grid, mass, kinetic=kinetic, sampling=sampling
-    )
+
+
+def _run_propagator(cfg, threads):
+    lattice, pot, mass = cfg["lattice"], cfg["potential"], cfg["mass"]
+    K = _kernel(cfg)
     nodes = lattice.nodes
-    j = int(np.argmin(np.abs(nodes - source)))
+    j = int(np.argmin(np.abs(nodes - cfg["source"])))
     column = ComplexField1D(lattice, K.entries[:, j])
     payload = {
         "kind": "propagator_column",
@@ -278,29 +325,9 @@ def _run_propagator(params, threads):
     return payload, ("index", "x", "Re", "Im"), _field_rows(column)
 
 
-def _run_evolve(params, threads):
-    _check_keys(
-        params,
-        ("lattice", "time", "mass", "potential", "scheme", "packet"),
-        "config",
-    )
-    lattice = build_lattice(_get(params, "lattice", dict, "config"), "lattice")
-    grid = build_time_grid(_get(params, "time", dict, "config"), "time")
-    mass = _get(params, "mass", float, "config")
-    pot = build_potential(_get(params, "potential", dict, "config"), "potential")
-    kinetic, sampling = build_scheme(params, "config")
-    pk = _get(params, "packet", dict, "config")
-    _check_keys(pk, ("x0", "p0", "sigma0"), "packet")
-    psi0 = gaussian_packet(
-        lattice,
-        _get(pk, "x0", float, "packet"),
-        _get(pk, "p0", float, "packet"),
-        _get(pk, "sigma0", float, "packet"),
-    )
-    K = time_sliced_propagator(
-        pot, lattice, grid, mass, kinetic=kinetic, sampling=sampling
-    )
-    psi = evolve(psi0, K)
+def _run_evolve(cfg, threads):
+    psi0 = _built("config.packet", gaussian_packet, cfg["lattice"], **cfg["packet"])
+    psi = evolve(psi0, _kernel(cfg))
     payload = {
         "kind": "evolved_field",
         "norm_initial": psi0.norm(),
@@ -311,36 +338,11 @@ def _run_evolve(params, threads):
     return payload, ("index", "x", "Re", "Im"), _field_rows(psi)
 
 
-def _theta_list(spec, context):
-    _check_keys(spec, ("min", "max", "n", "spacing"), context)
-    lo = _get(spec, "min", float, context)
-    hi = _get(spec, "max", float, context)
-    n = _get(spec, "n", int, context)
-    spacing = _get(spec, "spacing", str, context, default="linear")
-    if n < 2 or hi <= lo:
-        raise ConfigError(f"{context}: need n >= 2 and max > min")
-    if spacing == "linear":
-        return np.linspace(lo, hi, n)
-    if spacing == "log":
-        if lo <= 0:
-            raise ConfigError(f"{context}: log spacing needs min > 0")
-        return np.geomspace(lo, hi, n)
-    raise _unknown_key(spacing, ("linear", "log"), context + ".spacing")
-
-
-def _run_born(params, threads):
-    _check_keys(
-        params, ("potential", "mass", "p", "angles", "n_theta", "route"), "config"
+def _run_born(cfg, threads):
+    record = elastic_record(
+        cfg["potential"], cfg["p"], cfg["mass"], cfg["angles"],
+        **_optional(cfg, "n_theta", "route"),
     )
-    pot = build_potential(_get(params, "potential", dict, "config"), "potential")
-    if pot is None:
-        raise ConfigError("born-elastic needs a non-trivial potential")
-    mass = _get(params, "mass", float, "config")
-    p = _get(params, "p", float, "config")
-    thetas = _theta_list(_get(params, "angles", dict, "config"), "angles")
-    n_theta = _get(params, "n_theta", int, "config", default=64)
-    route = _get(params, "route", str, "config", default="auto")
-    record = elastic_record(pot, p, mass, thetas, n_theta=n_theta, route=route)
     payload = {
         "kind": "ElasticBorn",
         "sigma_total": record.sigma_total,
@@ -351,149 +353,43 @@ def _run_born(params, threads):
     return payload, ("theta_rad", "dsigma_dOmega_au"), rows
 
 
-def _build_pair_potentials(spec, context):
-    _check_keys(spec, ("V_A", "V_B", "V_AB"), context)
-    def member(name):
-        sub = _get(spec, name, dict, context, default={"family": "none"})
-        return build_potential(sub, f"{context}.{name}")
-    return PairPotentials(member("V_A"), member("V_B"), member("V_AB"))
-
-
-def _build_fixed_path(spec, grid, context):
-    _check_keys(spec, ("kind", "value", "start", "end", "values"), context)
-    kind = _get(spec, "kind", str, context)
-    if kind == "static":
-        value = _get(spec, "value", float, context)
-        samples = np.full(grid.N + 1, value)
-    elif kind == "linear":
-        samples = np.linspace(
-            _get(spec, "start", float, context),
-            _get(spec, "end", float, context),
-            grid.N + 1,
-        )
-    elif kind == "samples":
-        samples = np.asarray(_get(spec, "values", list, context), dtype=float)
-    else:
-        raise _unknown_key(kind, ("static", "linear", "samples"), context + ".kind")
-    try:
-        return FixedPath(grid, samples)
-    except DomainError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _run_influence(params, threads):
-    _check_keys(
-        params,
-        ("kind", "lattice", "time", "mass", "potentials", "path", "endpoints",
-         "scheme"),
-        "config",
-    )
-    kind = _get(params, "kind", str, "config")
-    if kind not in ("K1", "K2"):
-        raise _unknown_key(kind, ("K1", "K2"), "config.kind")
-    lattice = build_lattice(_get(params, "lattice", dict, "config"), "lattice")
-    grid = build_time_grid(_get(params, "time", dict, "config"), "time")
-    mass = _get(params, "mass", float, "config")
-    pots = _build_pair_potentials(_get(params, "potentials", dict, "config"),
-                                  "potentials")
-    path = _build_fixed_path(_get(params, "path", dict, "config"), grid, "path")
-    ep = _get(params, "endpoints", dict, "config")
-    _check_keys(ep, ("a", "b"), "endpoints")
-    a = _get(ep, "a", float, "endpoints")
-    b = _get(ep, "b", float, "endpoints")
-    kinetic, sampling = build_scheme(params, "config")
+def _run_influence(cfg, threads):
+    kind, grid, ends = cfg["kind"], cfg["time"], cfg["endpoints"]
+    path = _built("config.path", FixedPath, grid, cfg["path"](grid.N + 1))
     fn = influence_K1 if kind == "K1" else influence_K2
     result = fn(
-        pots, path, a, b, lattice, grid, mass, kinetic=kinetic, sampling=sampling
+        cfg["potentials"], path, ends["a"], ends["b"], cfg["lattice"], grid,
+        cfg["mass"], **cfg.get("scheme", {}),
     )
+    amp, phase = result.amplitude, result.effective_phase
     payload = {
         "kind": f"influence_{kind}",
         "endpoints": list(result.endpoints),
-        "amplitude": {"re": result.amplitude.real, "im": result.amplitude.imag},
-        "effective_phase": {
-            "re": result.effective_phase.real,
-            "im": result.effective_phase.imag,
-        },
-        "free_reference": {
-            "re": result.free_reference.real,
-            "im": result.free_reference.imag,
-        },
+        "amplitude": _complex(amp),
+        "effective_phase": _complex(phase),
+        "free_reference": _complex(result.free_reference),
     }
-    rows = [
-        (
-            result.amplitude.real,
-            result.amplitude.imag,
-            result.effective_phase.real,
-            result.effective_phase.imag,
-        )
-    ]
+    rows = [(amp.real, amp.imag, phase.real, phase.imag)]
     return payload, ("amplitude_re", "amplitude_im", "phase_re", "phase_im"), rows
 
 
-def _build_capture_spec(params):
-    system = _get(params, "system", dict, "config")
-    _check_keys(system, ("A", "B", "Z_a", "Z_b"), "system")
-    interaction = _get(params, "interaction", str, "config")
-    try:
-        return make_capture_spec(
-            A=_get(system, "A", float, "system"),
-            B=_get(system, "B", float, "system"),
-            Z_a=_get(system, "Z_a", float, "system"),
-            Z_b=_get(system, "Z_b", float, "system"),
-            v=_get(params, "v", float, "config"),
-            interaction=interaction,
-        )
-    except DomainError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-
-
-def _build_quadrature(params):
-    spec = params.get("quad", {})
-    _check_keys(spec, ("nk", "nmu", "nphi", "k_scale"), "quad")
-    return CaptureQuadrature(
-        nk=_get(spec, "nk", int, "quad", default=96),
-        nmu=_get(spec, "nmu", int, "quad", default=64),
-        nphi=_get(spec, "nphi", int, "quad", default=48),
-        k_scale=_get(spec, "k_scale", float, "quad", default=4.0),
+def _capture_spec(cfg):
+    return _built(
+        "config", make_capture_spec, **cfg["system"], v=cfg["v"],
+        interaction=cfg["interaction"],
     )
 
 
-def _run_charge_transfer(params, threads):
-    _check_keys(
-        params,
-        ("system", "v", "interaction", "mode", "lam", "angles", "quad",
-         "flux_ratio_power", "total"),
-        "config",
-    )
-    spec = _build_capture_spec(params)
-    mode = _get(params, "mode", str, "config")
-    lam = _get(params, "lam", float, "config")
-    quad = _build_quadrature(params)
-    power = _get(params, "flux_ratio_power", int, "config", default=2)
-    thetas = _theta_list(_get(params, "angles", dict, "config"), "angles")
-    tot = params.get("total", {})
-    _check_keys(tot, ("theta_min", "theta_split", "segments", "seg_nodes",
-                      "tail_nodes"), "total")
+def _run_charge_transfer(cfg, threads):
+    spec = _capture_spec(cfg)
+    mode, lam = cfg["mode"], cfg["lam"]
+    options = _optional(cfg, "quad", "flux_ratio_power")
     total = ct_total_cross_section(
-        spec,
-        lam=lam,
-        mode=mode,
-        quad=quad,
-        flux_ratio_power=power,
-        theta_min=_get(tot, "theta_min", float, "total", default=1e-7),
-        theta_split=_get(tot, "theta_split", float, "total", default=0.1),
-        n_segments=_get(tot, "segments", int, "total", default=12),
-        seg_nodes=_get(tot, "seg_nodes", int, "total", default=24),
-        tail_nodes=_get(tot, "tail_nodes", int, "total", default=64),
+        spec, lam=lam, mode=mode, **options, **cfg.get("total", {})
     )
     rows = [
-        (
-            t,
-            ct_differential_cross_section(
-                spec, t, lam=lam, mode=mode, quad=quad, flux_ratio_power=power
-            ),
-        )
-        for t in thetas
+        (t, ct_differential_cross_section(spec, t, lam=lam, mode=mode, **options))
+        for t in cfg["angles"]
     ]
     payload = {
         "kind": "ChargeTransferBorn",
@@ -510,25 +406,14 @@ def _run_charge_transfer(params, threads):
     return payload, ("theta_rad", "dsigma_dOmega_au"), rows
 
 
-def _run_oracle(params, threads):
-    _check_keys(
-        params,
-        ("system", "v", "interaction", "mode", "lam", "theta", "samples", "seed",
-         "quad"),
-        "config",
-    )
-    spec = _build_capture_spec(params)
-    mode = _get(params, "mode", str, "config")
-    lam = _get(params, "lam", float, "config")
-    theta = _get(params, "theta", float, "config")
-    samples = _get(params, "samples", int, "config")
-    seed = _get(params, "seed", int, "config")
-    quad = _build_quadrature(params)
+def _run_oracle(cfg, threads):
+    spec = _capture_spec(cfg)
+    mode, lam, theta, seed = cfg["mode"], cfg["lam"], cfg["theta"], cfg["seed"]
     est = brute_force_oracle(
-        spec, theta, samples=samples, lam=lam, mode=mode, seed=seed,
+        spec, theta, samples=cfg["samples"], lam=lam, mode=mode, seed=seed,
         n_threads=threads,
     )
-    route = capture_amplitude(spec, theta, lam=lam, mode=mode, quad=quad)
+    route = capture_amplitude(spec, theta, lam=lam, mode=mode, **_optional(cfg, "quad"))
     deviation = abs(est.value - route)
     payload = {
         "kind": "capture_oracle",
@@ -538,34 +423,94 @@ def _run_oracle(params, threads):
         "seed": seed,
         "samples": est.samples,
         "blocks": est.blocks,
-        "value": {"re": est.value.real, "im": est.value.imag},
+        "value": _complex(est.value),
         "statistical_error": est.error,
-        "route_value": {"re": route.real, "im": route.imag},
+        "route_value": _complex(route),
         "route_deviation": deviation,
     }
     rows = [(est.value.real, est.value.imag, est.error, deviation)]
     return payload, ("value_re", "value_im", "stat_error", "route_deviation"), rows
 
 
-_RUNNERS = {
-    "propagator": _run_propagator,
-    "evolve": _run_evolve,
-    "born-elastic": _run_born,
-    "influence": _run_influence,
-    "charge-transfer": _run_charge_transfer,
-    "oracle": _run_oracle,
+# Each command's runner and the config keys it accepts.
+_COMMANDS = {
+    "propagator": (_run_propagator, {**_KERNEL, "source": float}),
+    "evolve": (
+        _run_evolve,
+        {**_KERNEL, "packet": {"x0": float, "p0": float, "sigma0": float}},
+    ),
+    "born-elastic": (_run_born, {
+        "potential": Tagged("family", _FAMILIES),
+        "mass": float,
+        "p": float,
+        "angles": _ANGLES,
+        "n_theta?": int,
+        "route?": ROUTES,
+    }),
+    "influence": (_run_influence, {
+        "kind": ("K1", "K2"),
+        "lattice": _LATTICE,
+        "time": _TIME,
+        "mass": float,
+        "potentials": Built(
+            {"V_A?": _POTENTIAL, "V_B?": _POTENTIAL, "V_AB?": _POTENTIAL},
+            lambda V_A=None, V_B=None, V_AB=None: PairPotentials(V_A, V_B, V_AB),
+        ),
+        "path": _PATH,
+        "endpoints": {"a": float, "b": float},
+        "scheme?": _SCHEME,
+    }),
+    "charge-transfer": (_run_charge_transfer, {
+        **_CAPTURE,
+        "angles": _ANGLES,
+        "flux_ratio_power?": FLUX_RATIO_POWERS,
+        "total?": Built(
+            {"theta_min?": float, "theta_split?": float, "segments?": int,
+             "seg_nodes?": int, "tail_nodes?": int},
+            lambda **rule: {
+                ("n_segments" if k == "segments" else k): v for k, v in rule.items()
+            },
+        ),
+    }),
+    "oracle": (
+        _run_oracle, {**_CAPTURE, "theta": float, "samples": int, "seed": int}
+    ),
 }
+COMMANDS = tuple(_COMMANDS)
+
+
+def _write_outputs(base, header, rows, document):
+    """Write base.json, then base.csv, each through a renamed temporary file.
+
+    JSON first: a failure must never leave a new CSV without its JSON.
+    """
+    lines = [",".join(header)] + [",".join(f"{float(c):.17g}" for c in r) for r in rows]
+    texts = {
+        base + ".json": json.dumps(document, sort_keys=True, indent=2) + "\n",
+        base + ".csv": "\n".join(lines) + "\n",
+    }
+    try:
+        for path, text in texts.items():
+            with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for path in texts:
+            os.replace(path + ".tmp", path)
+    finally:
+        for path in texts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
 
 
 def run(command, params, out_dir, threads=1):
-    """Dispatch one validated config and write csv + json into out_dir."""
+    """Validate one config, run it, and write csv + json into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir!r} is not writable")
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        payload, header, rows = _RUNNERS[command](params, threads)
+        runner, schema = _COMMANDS[command]
+        payload, header, rows = runner(_validate(params, schema, "config"), threads)
     elapsed = time.perf_counter() - started
     document = {
         "schema_version": "1",
@@ -574,9 +519,7 @@ def run(command, params, out_dir, threads=1):
         "payload": payload,
         "diagnostics": {"warnings": sorted(str(w.message) for w in caught)},
     }
-    base = os.path.join(out_dir, command)
-    _write_csv(base + ".csv", header, rows)
-    _write_json(base + ".json", document)
+    _write_outputs(os.path.join(out_dir, command), header, rows, document)
     print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)
     return document
 
@@ -616,10 +559,7 @@ def main(argv=None):
             )
         params = apply_overrides(params, args.set)
         run(command, params, args.out, threads=max(1, args.threads))
-    except OSError as exc:
-        print(json.dumps({"error": {"type": "ConfigError", "message": str(exc)}}))
-        return 2
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(json.dumps({"error": {"type": "ConfigError", "message": str(exc)}}))
         return 2
     except NumericalError as exc:

@@ -33,8 +33,6 @@ __all__ = [
 class CentralPotential:
     """Base class; concrete families are frozen dataclasses below."""
 
-    short_range = True
-
     def __call__(self, r):
         return self.evaluate(r)
 
@@ -95,7 +93,6 @@ class SoftCoulomb(CentralPotential):
 
     Z: float
     soft: float
-    short_range = False
 
     def __post_init__(self):
         _check_positive(soft=self.soft)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from pathscat.born import elastic_record
 from pathscat.errors import ConfigError
 from pathscat.potentials import Yukawa
 
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs")
+                      .glob("*.yaml"))
 
 BORN_CONFIG = {
     "command": "born-elastic",
@@ -184,3 +187,127 @@ def test_set_override_reaches_the_computation(tmp_path):
     doc_bumped = json.loads((bumped / "born-elastic.json").read_text())
     assert doc_bumped["config"]["p"] == 2.0
     assert doc_bumped["payload"]["sigma_total"] != doc_base["payload"]["sigma_total"]
+
+
+def test_failed_write_leaves_no_csv_without_its_json(tmp_path, capsys):
+    cfg = _write_config(tmp_path, BORN_CONFIG)
+    out = tmp_path / "out"
+    (out / "born-elastic.json").mkdir(parents=True)
+    code = cli.main(["born-elastic", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+    assert sorted(p.name for p in out.iterdir()) == ["born-elastic.json"]
+
+
+def test_path_values_must_be_finite_numbers(tmp_path, capsys):
+    influence = next(p for p in DEMO_CONFIGS if p.stem == "influence")
+    for values, bad in (("[-2,-1,0,1,2,a,1,1,1]", "path.values[5]"),
+                        ("[-2,-1,.nan,1,2,0,1,1,1]", "path.values[2]")):
+        code = cli.main(
+            ["influence", "--config", str(influence), "--out", str(tmp_path / "o"),
+             "--set", "path.kind=samples", "--set", f"path.values={values}"]
+        )
+        assert code == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigError"
+        assert bad in error["message"]
+
+
+_DROP = object()
+
+# command, dotted key, value (_DROP deletes the key), text the message must hold
+INVALID_CONFIGS = [
+    ("propagator", "lattice.pointz", 512,
+     "unknown key 'pointz' in config.lattice; did you mean 'points'?"),
+    ("propagator", "time.slices", _DROP,
+     "missing required key 'slices' in config.time"),
+    ("propagator", "mass", "heavy",
+     "config.mass must be a number"),
+    ("propagator", "mass", math.nan,
+     "config.mass must be a finite number"),
+    ("propagator", "scheme.kinetic", "pade3",
+     "config.scheme.kinetic must be one of"),
+    ("evolve", "packet.x00", 0.0,
+     "unknown key 'x00' in config.packet; did you mean 'x0'?"),
+    ("evolve", "packet.sigma0", _DROP,
+     "missing required key 'sigma0' in config.packet"),
+    ("evolve", "lattice.points", 1.5,
+     "config.lattice.points must be an integer"),
+    ("evolve", "scheme.sampling", "endpont",
+     "config.scheme.sampling must be one of ('endpoint', 'midpoint', 'symmetric'), "
+     "got 'endpont'; did you mean 'endpoint'?"),
+    ("born-elastic", "potential.alpah", 1.0,
+     "unknown key 'alpah' in config.potential; did you mean 'alpha'?"),
+    ("born-elastic", "p", _DROP,
+     "missing required key 'p' in config"),
+    ("born-elastic", "angles", [0.0, 1.0],
+     "config.angles must be a mapping"),
+    ("born-elastic", "route", "quadratur",
+     "config.route must be one of ('auto', 'quadrature'), got 'quadratur'; "
+     "did you mean 'quadrature'?"),
+    ("influence", "endpoints.c", 0.0,
+     "unknown key 'c' in config.endpoints"),
+    ("influence", "path.kind", _DROP,
+     "missing required key 'kind' in config.path"),
+    ("influence", "path.start", "left",
+     "config.path.start must be a number"),
+    ("influence", "potentials.V_A.family", "gausian",
+     "config.potentials.V_A.family must be one of"),
+    ("charge-transfer", "quad.nkk", 96,
+     "unknown key 'nkk' in config.quad; did you mean 'nk'?"),
+    ("charge-transfer", "system.Z_b", _DROP,
+     "missing required key 'Z_b' in config.system"),
+    ("charge-transfer", "flux_ratio_power", True,
+     "config.flux_ratio_power must be an integer"),
+    ("charge-transfer", "flux_ratio_power", 3,
+     "config.flux_ratio_power must be one of (1, 2)"),
+    ("charge-transfer", "mode", "jacobbi",
+     "config.mode must be one of ('obk', 'jacobi'), got 'jacobbi'; "
+     "did you mean 'jacobi'?"),
+    ("oracle", "sed", 7,
+     "unknown key 'sed' in config; did you mean 'seed'?"),
+    ("oracle", "theta", _DROP,
+     "missing required key 'theta' in config"),
+    ("oracle", "samples", 262144.0,
+     "config.samples must be an integer"),
+    ("oracle", "v", math.inf,
+     "config.v must be a finite number"),
+    ("oracle", "interaction", "Internuclaer",
+     "config.interaction must be one of ('ProtonElectron', 'Internuclear', 'Sum'), "
+     "got 'Internuclaer'; did you mean 'Internuclear'?"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,key,value,message", INVALID_CONFIGS,
+    ids=[f"{c}-{k}-{'drop' if v is _DROP else v}" for c, k, v, _ in INVALID_CONFIGS],
+)
+def test_invalid_config_is_a_config_error(tmp_path, capsys, command, key, value,
+                                         message):
+    demo = next(p for p in DEMO_CONFIGS if p.stem == command)
+    config = yaml.safe_load(demo.read_text())
+    *parents, last = key.split(".")
+    target = config
+    for name in parents:
+        target = target.setdefault(name, {})
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(_write_config(tmp_path, config)),
+                     "--out", str(out)])
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert message in error["message"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_configs_run_and_echo_their_config(tmp_path, capsys, path):
+    config = yaml.safe_load(path.read_text())
+    command = config.pop("command")
+    code = cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().out
+    assert json.loads((tmp_path / f"{command}.json").read_text())["config"] == config
