@@ -131,9 +131,13 @@ def _leaf(value, kind, context):
         raise ConfigError(f"{context} must be {_LEAVES[kind]}, got {value!r}")
     if kind is not float:
         return value
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{context} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _validate(value, schema, context):
@@ -253,6 +257,24 @@ _CAPTURE = {
 }
 
 
+def _require_json(value, context):
+    """Reject what YAML loads but the JSON config echo cannot hold, such as
+    dates, binary strings, sets and non-string keys, wherever it sits."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise ConfigError(f"{context} has key {key!r}; keys must be strings")
+            _require_json(item, f"{context}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_json(item, f"{context}[{i}]")
+    elif value is not None and not isinstance(value, (str, int, float)):
+        raise ConfigError(
+            f"{context} must be a string, number, boolean, list, mapping or null, "
+            f"got {type(value).__name__} {value!r}"
+        )
+
+
 def parse_config(text):
     """YAML text to a (command, parameters) pair; `run` validates the parameters."""
     try:
@@ -263,6 +285,7 @@ def parse_config(text):
         raise ConfigError(f"config is not valid YAML{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping at the top level")
+    _require_json(raw, "config")
     if "command" not in raw:
         raise ConfigError("missing required key 'command' in config")
     command = _validate(raw["command"], COMMANDS, "config.command")
@@ -279,6 +302,7 @@ def apply_overrides(params, overrides):
             value = yaml.safe_load(raw_value)
         except yaml.YAMLError as exc:
             raise ConfigError(f"--set value {raw_value!r} is not YAML") from exc
+        _require_json(value, f"config.{path}")
         keys = path.split(".")
         target = params
         for key in keys[:-1]:

@@ -2,8 +2,11 @@
 
 With the companion trajectory frozen, each time slice sees a different
 potential, so the contraction is an ordered product of slice-specific
-transfer matrices rather than a matrix power. The extracted quantity is
-the total accumulated phase against the free reference,
+transfer matrices rather than a matrix power. An endpoint element is
+found by pushing one delta column through the slices with the
+propagator's split-step engine; no dense product is formed. The
+extracted quantity is the total accumulated phase against the free
+reference,
 
     amplitude = free_reference * exp(-(i/hbar) * effective_phase),
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .propagator import TimeGrid, _kinetic_kernel, _one_slice
+from .propagator import _kinetic_kernel, _propagate, _slice, TimeGrid
 
 __all__ = [
     "FixedPath",
@@ -73,17 +76,6 @@ def _node_index(lattice, pos, name):
     return i
 
 
-def _chain(slice_potentials, lattice, grid, mass, hbar, kinetic, sampling):
-    """Ordered product T_N dx T_(N-1) ... dx T_1 of one-slice kernels."""
-    dx = lattice.dx
-    eps = grid.epsilon
-    K = None
-    for pot_j in slice_potentials:
-        T = _one_slice(pot_j, lattice, eps, mass, hbar, kinetic, sampling)
-        K = T if K is None else T @ (dx * K)
-    return K
-
-
 def _phase_from(amplitude, reference, hbar):
     if amplitude == 0 or reference == 0:
         raise NumericalError("vanishing amplitude; phase extraction undefined")
@@ -93,10 +85,12 @@ def _phase_from(amplitude, reference, hbar):
 def _endpoint_element(slice_pots, a, b, lattice, grid, mass, hbar, kinetic, sampling):
     ia = _node_index(lattice, a, "start endpoint")
     ib = _node_index(lattice, b, "final endpoint")
-    K = _chain(slice_pots, lattice, grid, mass, hbar, kinetic, sampling)
-    K0 = _chain([None] * grid.N, lattice, grid, mass, hbar, kinetic, sampling)
-    amp = complex(K[ib, ia])
-    ref = complex(K0[ib, ia])
+    delta = np.zeros(lattice.points)
+    delta[ia] = 1.0 / lattice.dx
+    scheme = (lattice, grid.epsilon, mass, hbar, kinetic, sampling)
+    slices = (_slice(pot, *scheme) for pot in slice_pots)
+    amp = complex(_propagate(delta, slices)[ib])
+    ref = complex(_propagate(delta, (_slice(None, *scheme),) * grid.N)[ib])
     return InfluenceResult(
         amplitude=amp,
         effective_phase=_phase_from(amp, ref, hbar),
@@ -193,10 +187,13 @@ def reconstruct_full_amplitude(
     """Two-particle kernel element by direct product-lattice contraction.
 
     The joint field psi(r, R) starts as a delta pair and is pushed
-    through N slices of kinetic kernels and the full coupled phase
-    exp(-i eps (V_A(r) + V_AB(R) + V_B(r - R)) / hbar). The returned
-    value is the kernel density K(r_b, R_b; r_a, R_a); it serves as the
-    oracle for factorization and influence-functional identities.
+    through N slices: the electron's kinetic kernel along axis 0, the
+    ion's along axis 1, and the full coupled phase exp(-i eps (V_A(r) +
+    V_AB(R) + V_B(r - R)) / hbar). The returned value is the kernel
+    density K(r_b, R_b; r_a, R_a); it serves as the oracle for
+    factorization and influence-functional identities. The kinetic
+    kernels are dense matrices: under the max_product cap a batched
+    matrix product is cheaper than a DST-I pair along each axis.
     """
     if lattice_e.points * lattice_i.points > max_product:
         raise DomainError(
@@ -213,8 +210,8 @@ def reconstruct_full_amplitude(
     ib_i = _node_index(lattice_i, R_b, "ion end")
 
     eps = grid.epsilon
-    G_e = _kinetic_kernel(lattice_e, eps, m, hbar, kinetic)
-    G_i = _kinetic_kernel(lattice_i, eps, M, hbar, kinetic)
+    G_e = lattice_e.dx * _kinetic_kernel(lattice_e, eps, m, hbar, kinetic)
+    G_i = lattice_i.dx * _kinetic_kernel(lattice_i, eps, M, hbar, kinetic)
     xe = lattice_e.nodes
     xi = lattice_i.nodes
     V = np.zeros((lattice_e.points, lattice_i.points))
@@ -225,15 +222,11 @@ def reconstruct_full_amplitude(
     if pots.V_B is not None:
         V += pots.V_B.evaluate(np.abs(xe[:, None] - xi[None, :]))
 
-    measure = lattice_e.dx * lattice_i.dx
-    psi = np.zeros((lattice_e.points, lattice_i.points), dtype=complex)
-    psi[ia_e, ia_i] = 1.0 / measure
     if sampling == "endpoint":
-        ph = np.exp(-1j * eps * V / hbar)
-        for _ in range(grid.N):
-            psi = ph * ((G_e @ psi) @ G_i.T) * measure
+        pre, post = 1.0, np.exp(-1j * eps * V / hbar)
     else:
-        h = np.exp(-0.5j * eps * V / hbar)
-        for _ in range(grid.N):
-            psi = h * ((G_e @ (h * psi)) @ G_i.T) * measure
+        pre = post = np.exp(-0.5j * eps * V / hbar)
+    psi = np.zeros((lattice_e.points, lattice_i.points))
+    psi[ia_e, ia_i] = 1.0 / (lattice_e.dx * lattice_i.dx)
+    psi = _propagate(psi, ((pre, (G_e, G_i), post),) * grid.N)
     return complex(psi[ib_e, ib_i])

@@ -1,10 +1,20 @@
 """Time-sliced propagators on a 1-D lattice.
 
 The broken-line path sum with time step eps becomes an ordered product
-of one-slice transfer matrices. This module builds those matrices,
-contracts them, and applies them to sampled wavefunctions. A radial
-grid starting one spacing away from r = 0 gives the s-wave reduction
-u(r) = r psi(r) of the 3-D problem with the wall at the origin.
+of one-slice transfer matrices. This module builds those slices and
+pushes sampled wavefunctions through them. A radial grid starting one
+spacing away from r = 0 gives the s-wave reduction u(r) = r psi(r) of
+the 3-D problem with the wall at the origin.
+
+Every mode-factor scheme (kinetic pade2, pade4 or exact, with endpoint
+or symmetric sampling) makes a slice separable: diagonal potential and
+absorber factors around a kinetic factor that is diagonal in the DST-I
+sine basis. Such a slice is kept as its factors and applied by
+split-step in O(n log n), two orthonormal DSTs per slice (Feit, Fleck &
+Steiger, J. Comput. Phys. 47, 412, 1982). The dense n x n kernel is
+formed only when its entries are read. Midpoint sampling and the
+sampled chirp are not separable: their kinetic step is a dense matrix,
+and their N-slice kernels are formed densely when built.
 
 Conventions, fixed here and relied on everywhere else:
 
@@ -30,6 +40,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 from .errors import AccuracyWarning, DomainError
 
@@ -158,18 +169,40 @@ class ComplexField1D:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.lattice.dx))
 
 
-@dataclass
 class PropagatorMatrix:
-    """Kernel densities K(x_i, t_b; x_j, t_a), rows = arrival point."""
+    """Kernel densities K(x_i, t_b; x_j, t_a), rows = arrival point.
 
-    lattice: LatticeSpec
-    grid: TimeGrid
-    entries: np.ndarray
+    Holds either dense `entries` or `step`, the factors (pre, (f,), post)
+    of one separable slice that the kernel repeats grid.N times. A kernel
+    held as `step` applies itself by split-step and forms `entries`, by
+    dense matrix powers, on first read.
+    """
 
-    def __post_init__(self):
-        n = self.lattice.points
-        if self.entries.shape != (n, n):
+    def __init__(self, lattice, grid, entries=None, step=None):
+        if (entries is None) == (step is None):
+            raise DomainError("propagator needs exactly one of entries and step")
+        self.lattice = lattice
+        self.grid = grid
+        self.step = step
+        self._entries = entries
+        n = lattice.points
+        if entries is not None and entries.shape != (n, n):
             raise DomainError("propagator matrix must be square over the lattice")
+
+    @property
+    def entries(self):
+        """Dense kernel densities, formed on first read if held as `step`."""
+        if self._entries is None:
+            self._entries = _power(
+                _dense(self.step, self.lattice), self.grid.N, self.lattice.dx
+            )
+        return self._entries
+
+    def apply(self, values):
+        """sum_j K_ij values_j dx for values sampled on the lattice."""
+        if self.step is None:
+            return (self.entries @ values) * self.lattice.dx
+        return _propagate(values, (self.step,) * self.grid.N)
 
     def symmetry_defect(self):
         """Max |K - K^T| over max |K|; zero for symmetric sampling."""
@@ -246,14 +279,24 @@ def free_propagator_matrix(lattice, grid, mass, hbar=1.0):
     return PropagatorMatrix(lattice, grid, entries)
 
 
+def _wavenumbers(lattice):
+    """Hard-wall box modes k_j = pi j / box, walls one spacing outside."""
+    box = (lattice.x_max - lattice.x_min) + 2.0 * lattice.dx
+    return np.pi * np.arange(1, lattice.points + 1) / box
+
+
 def _sine_modes(lattice):
-    """DST-I basis of the hard-wall box; S is its own inverse up to dx."""
-    x = lattice.nodes
-    dx = lattice.dx
-    box = (x[-1] - x[0]) + 2.0 * dx
-    k = np.pi * np.arange(1, lattice.points + 1) / box
-    S = np.sqrt(2.0 / box) * np.sin(np.outer(k, x - (x[0] - dx)))
-    return k, S
+    """DST-I basis S of the hard-wall box; S is its own inverse up to dx.
+
+    S_jm = sqrt(2/box) sin(pi j m / (n + 1)), the phase reduced mod 2 pi
+    in integers, so S is the orthonormal DST-I matrix over sqrt(dx) to
+    rounding and dense kernels agree with split-step ones.
+    """
+    n = lattice.points
+    box = (lattice.x_max - lattice.x_min) + 2.0 * lattice.dx
+    j = np.arange(1, n + 1)
+    phase = np.outer(j, j) % (2 * (n + 1))
+    return np.sqrt(2.0 / box) * np.sin(np.pi * phase / (n + 1))
 
 
 def _kinetic_factor(k, epsilon, mass, hbar, kinetic):
@@ -270,15 +313,20 @@ def _kinetic_factor(k, epsilon, mass, hbar, kinetic):
     raise DomainError(f"unknown kinetic factor {kinetic!r}; options: {KINETIC_FACTORS}")
 
 
+def _mode_kernel(lattice, f):
+    """Dense kernel density S^T diag(f) S of a per-mode factor f."""
+    S = _sine_modes(lattice)
+    return (S.T * f) @ S
+
+
 def _kinetic_kernel(lattice, epsilon, mass, hbar, kinetic):
     if kinetic == "sampled":
         x = lattice.nodes
         sep = x[:, None] - x[None, :]
         pref = np.sqrt(mass / (2.0 * np.pi * hbar * epsilon)) * np.exp(-0.25j * np.pi)
         return pref * np.exp(1j * mass * sep**2 / (2.0 * hbar * epsilon))
-    k, S = _sine_modes(lattice)
-    f = _kinetic_factor(k, epsilon, mass, hbar, kinetic)
-    return (S.T * f) @ S
+    k = _wavenumbers(lattice)
+    return _mode_kernel(lattice, _kinetic_factor(k, epsilon, mass, hbar, kinetic))
 
 
 def potential_on_axis(pot, x):
@@ -301,67 +349,118 @@ def potential_on_axis(pot, x):
 
 
 def _absorber_profile(lattice, epsilon, hbar):
-    """Half-slice edge damping factors, or None for hard walls."""
+    """Half-slice edge damping factors; all ones for hard walls."""
     b = lattice.boundary
     if isinstance(b, HardWall):
-        return None
+        return np.ones(lattice.points)
     x = lattice.nodes
     d = np.minimum(x - lattice.x_min, lattice.x_max - x)
     W = np.where(d < b.width, b.strength * ((b.width - d) / b.width) ** 2, 0.0)
     return np.exp(-0.5 * epsilon * W / hbar)
 
 
-def _one_slice(pot, lattice, epsilon, mass, hbar, kinetic, sampling):
+def _slice(pot, lattice, epsilon, mass, hbar, kinetic, sampling):
+    """One slice T = diag(post) G diag(pre) as factors (pre, (op,), post).
+
+    pre and post are the potential phase and absorber damping on the
+    nodes. For a separable scheme op is the kinetic factor per sine mode
+    f, so that G = S^T diag(f) S. Otherwise op is the dense matrix dx G:
+    the sampled chirp, or for midpoint sampling the kinetic kernel times
+    the phase of the potential at each pair's midpoint.
+    """
     if epsilon <= 0:
         raise DomainError("slice width must be positive")
-    G = _kinetic_kernel(lattice, epsilon, mass, hbar, kinetic)
     x = lattice.nodes
+    damp = _absorber_profile(lattice, epsilon, hbar)
+    if sampling == "midpoint":
+        Vm = potential_on_axis(pot, 0.5 * (x[:, None] + x[None, :]))
+        G = _kinetic_kernel(lattice, epsilon, mass, hbar, kinetic)
+        return damp, (lattice.dx * G * np.exp(-1j * epsilon * Vm / hbar),), damp
     if sampling == "endpoint":
         # one potential factor per slice, taken at the arrival node
         V = potential_on_axis(pot, x)
-        T = np.exp(-1j * epsilon * V / hbar)[:, None] * G
+        pre, post = damp, damp * np.exp(-1j * epsilon * V / hbar)
     elif sampling == "symmetric":
         V = potential_on_axis(pot, x)
-        h = np.exp(-0.5j * epsilon * V / hbar)
-        T = h[:, None] * G * h[None, :]
-    elif sampling == "midpoint":
-        Vm = potential_on_axis(pot, 0.5 * (x[:, None] + x[None, :]))
-        T = G * np.exp(-1j * epsilon * Vm / hbar)
+        pre = post = damp * np.exp(-0.5j * epsilon * V / hbar)
     else:
         raise DomainError(
             f"unknown sampling mode {sampling!r}; options: {SAMPLING_MODES}"
         )
-    damp = _absorber_profile(lattice, epsilon, hbar)
-    if damp is not None:
-        T = damp[:, None] * T * damp[None, :]
-    return T
+    if kinetic == "sampled":
+        op = lattice.dx * _kinetic_kernel(lattice, epsilon, mass, hbar, kinetic)
+    else:
+        op = _kinetic_factor(_wavenumbers(lattice), epsilon, mass, hbar, kinetic)
+    return pre, (op,), post
+
+
+def _dense(step, lattice):
+    """Kernel density T of a one-slice step."""
+    pre, (op,), post = step
+    G = _mode_kernel(lattice, op) if op.ndim == 1 else op / lattice.dx
+    return post[:, None] * G * pre[None, :]
+
+
+def _power(T, N, dx):
+    """Dense N-slice kernel T (dx T)^(N-1) of one repeated slice."""
+    return T if N == 1 else T @ np.linalg.matrix_power(dx * T, N - 1)
+
+
+def _dst(values, axis):
+    return scipy.fft.dst(values, type=1, axis=axis, norm="ortho")
+
+
+def _propagate(values, slices):
+    """Push values through the ordered slices, the first slice first.
+
+    A slice (pre, ops, post) maps v to post * A (pre * v), where A
+    applies one kinetic operator along each axis of v in turn: a
+    per-mode factor f by split-step, DST(f * DST(v)) with the
+    orthonormal DST-I, or a dense matrix by a matrix product.
+    """
+    for pre, ops, post in slices:
+        values = pre * values
+        for axis, op in enumerate(ops):
+            if op.ndim == 1:
+                f = np.expand_dims(op, tuple(range(1, values.ndim - axis)))
+                values = _dst(f * _dst(values, axis), axis)
+            else:
+                values = np.moveaxis(np.tensordot(op, values, (1, axis)), 0, axis)
+        values = post * values
+    return values
 
 
 def short_time_kernel(
     pot, lattice, epsilon, mass, hbar=1.0, kinetic="pade2", sampling="endpoint"
 ):
     """One-slice transfer kernel for time step epsilon."""
-    T = _one_slice(pot, lattice, epsilon, mass, hbar, kinetic, sampling)
-    return PropagatorMatrix(lattice, TimeGrid(0.0, epsilon, 1), T)
+    return time_sliced_propagator(
+        pot, lattice, TimeGrid(0.0, epsilon, 1), mass, hbar, kinetic, sampling
+    )
 
 
 def time_sliced_propagator(
     pot, lattice, grid, mass, hbar=1.0, kinetic="pade2", sampling="endpoint"
 ):
-    """N-fold ordered product of one-slice kernels over grid."""
-    T = _one_slice(pot, lattice, grid.epsilon, mass, hbar, kinetic, sampling)
-    if grid.N == 1:
-        K = T
-    else:
-        K = T @ np.linalg.matrix_power(lattice.dx * T, grid.N - 1)
-    return PropagatorMatrix(lattice, grid, K)
+    """N-fold ordered product of one-slice kernels over grid.
+
+    Separable schemes keep the slice factors and build the dense product
+    only when `entries` is read; midpoint sampling and the sampled chirp
+    build it here.
+    """
+    step = _slice(pot, lattice, grid.epsilon, mass, hbar, kinetic, sampling)
+    _, (op,), _ = step
+    if op.ndim == 2:
+        T = _dense(step, lattice)
+        return PropagatorMatrix(lattice, grid, _power(T, grid.N, lattice.dx))
+    return PropagatorMatrix(lattice, grid, step=step)
 
 
 def evolve(psi_a, K, leak_tolerance=1e-3):
     """psi_b(x_i) = sum_j K_ij psi_a(x_j) dx."""
     if psi_a.lattice != K.lattice:
         raise DomainError("field and propagator live on different lattices")
-    out = ComplexField1D(K.lattice, (K.entries @ psi_a.values) * K.lattice.dx)
+    out = ComplexField1D(K.lattice, K.apply(psi_a.values))
     _warn_on_leak(out, leak_tolerance)
     return out
 
@@ -406,7 +505,7 @@ def free_deviation_diagnostic(K, mass, hbar=1.0):
     worst = 0.0
     for x0, p0, sigma0 in battery:
         psi = gaussian_packet(lat, x0, p0, sigma0, hbar=hbar).values
-        got = (K.entries @ psi) * lat.dx
+        got = K.apply(psi)
         want = (exact @ psi) * lat.dx
         dev = np.max(np.abs(got - want)[keep]) / np.max(np.abs(want))
         worst = max(worst, float(dev))

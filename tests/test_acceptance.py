@@ -189,6 +189,25 @@ def test_weak_coupling_first_order():
     assert l2(doubled - 2.0 * scattered) / l2(doubled) <= 0.01
 
 
+def test_scattered_component_matches_dense_products():
+    # independent of the DST reference above: the same weak-coupling
+    # case through the dense N-slice kernels
+    lat = WIDE
+    grid = TimeGrid(0.0, 6.0, 256)
+    psi0 = gaussian_packet(lat, -6.0, 2.0, 1.5)
+
+    def pot(x):
+        return 1e-3 * np.exp(-np.abs(x))
+
+    K = time_sliced_propagator(pot, lat, grid, 1.0)
+    K0 = time_sliced_propagator(None, lat, grid, 1.0)
+    want = ((K.entries - K0.entries) @ psi0.values) * lat.dx
+    got = scattered_component(psi0, pot, lat, grid, 1.0).values
+    assert np.sqrt(np.sum(np.abs(got - want) ** 2)) <= 1e-10 * np.sqrt(
+        np.sum(np.abs(want) ** 2)
+    )
+
+
 def test_influence_functional_reductions():
     lat = LatticeSpec(-10.0, 10.0, 101)
     grid = TimeGrid(0.0, 1.0, 8)

@@ -1,6 +1,7 @@
 """Config parsing, output files, exit codes, and run-to-run determinism."""
 
 import csv
+import datetime
 import json
 import math
 from pathlib import Path
@@ -213,6 +214,41 @@ def test_path_values_must_be_finite_numbers(tmp_path, capsys):
         assert bad in error["message"]
 
 
+@pytest.mark.parametrize("where", ["override", "file"])
+def test_values_json_cannot_hold_are_config_errors(tmp_path, capsys, where):
+    # path.start is ignored by the static path kind, so only this check sees it
+    influence = next(p for p in DEMO_CONFIGS if p.stem == "influence")
+    config, sets = influence, ["path.kind=static", "path.value=0.0"]
+    if where == "override":
+        sets.append("path.start=2020-01-01")
+    else:
+        mapping = yaml.safe_load(influence.read_text())
+        mapping["path"] = {"kind": "static", "value": 0.0,
+                           "start": datetime.date(2020, 1, 1)}
+        config = _write_config(tmp_path, mapping)
+    out = tmp_path / "out"
+    argv = ["influence", "--config", str(config), "--out", str(out)]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert "config.path.start must be a string, number" in error["message"]
+    assert not out.exists()
+
+
+def test_only_json_types_pass_parsing():
+    for text, where in (("command: oracle\nseed: !!binary aGk=\n", "config.seed"),
+                        ("command: oracle\nquad: !!set {a, b}\n", "config.quad"),
+                        ("command: oracle\nsystem: {1: 2}\n", "config.system")):
+        with pytest.raises(ConfigError, match=where):
+            cli.parse_config(text)
+    params = cli.apply_overrides({}, ["a.b=[1, x, {c: null}]", "d=true"])
+    assert params == {"a": {"b": [1, "x", {"c": None}]}, "d": True}
+    with pytest.raises(ConfigError, match=r"config.a\[1\]"):
+        cli.apply_overrides({}, ["a=[1, 2001-02-03]"])
+
+
 _DROP = object()
 
 # command, dotted key, value (_DROP deletes the key), text the message must hold
@@ -224,6 +260,8 @@ INVALID_CONFIGS = [
     ("propagator", "mass", "heavy",
      "config.mass must be a number"),
     ("propagator", "mass", math.nan,
+     "config.mass must be a finite number"),
+    ("propagator", "mass", 10**400,
      "config.mass must be a finite number"),
     ("propagator", "scheme.kinetic", "pade3",
      "config.scheme.kinetic must be one of"),

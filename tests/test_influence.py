@@ -36,6 +36,48 @@ def _static_path(value, grid=GRID):
     return FixedPath(grid, np.full(grid.N + 1, value))
 
 
+def _chain(slice_potentials, lattice, grid, mass, hbar, kinetic, sampling):
+    """Dense ordered product T_N dx T_(N-1) ... dx T_1 of one-slice kernels."""
+    dx = lattice.dx
+    K = None
+    for pot_j in slice_potentials:
+        T = short_time_kernel(
+            pot_j, lattice, grid.epsilon, mass, hbar, kinetic, sampling
+        ).entries
+        K = T if K is None else T @ (dx * K)
+    return K
+
+
+@pytest.mark.parametrize(
+    "kinetic,sampling",
+    [("pade2", "endpoint"), ("pade4", "symmetric"), ("exact", "endpoint"),
+     ("pade2", "midpoint"), ("sampled", "endpoint"), ("sampled", "symmetric")],
+)
+def test_endpoint_elements_match_dense_chain(kinetic, sampling):
+    # the dense product of slice kernels is the oracle for the engine,
+    # including its dense-slice branch (midpoint, sampled chirp)
+    V_A, V_B = Gaussian(-0.35, 1.0), Gaussian(0.2, 0.7)
+    path = FixedPath(GRID, np.linspace(-1.5, 2.5, GRID.N + 1))
+    ia = int(np.argmin(np.abs(LAT.nodes + 2.0)))
+    ib = int(np.argmin(np.abs(LAT.nodes - 2.0)))
+    slices = path.samples[1:]
+    cases = [
+        (influence_K2, PairPotentials(V_A, V_B, None), 1.0,
+         [lambda r, R=R: V_A.evaluate(np.abs(r)) + V_B.evaluate(np.abs(r - R))
+          for R in slices]),
+        (influence_K1, PairPotentials(None, V_B, V_A), 10.0,
+         [lambda X, r=r: V_B.evaluate(np.abs(r - X)) + V_A.evaluate(np.abs(X))
+          for r in slices]),
+    ]
+    for fn, pots, mass, slice_pots in cases:
+        res = fn(pots, path, -2.0, 2.0, LAT, GRID, mass, kinetic=kinetic,
+                 sampling=sampling)
+        K = _chain(slice_pots, LAT, GRID, mass, 1.0, kinetic, sampling)
+        K0 = _chain([None] * GRID.N, LAT, GRID, mass, 1.0, kinetic, sampling)
+        assert res.amplitude == pytest.approx(K[ib, ia], rel=1e-10)
+        assert res.free_reference == pytest.approx(K0[ib, ia], rel=1e-10)
+
+
 def test_zero_coupling_phase_is_path_independent():
     rng = np.random.default_rng(3)
     phases, amps = [], []

@@ -9,6 +9,8 @@ what the object is for, and there the scheme converges.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from pathscat import (
@@ -31,6 +33,9 @@ from pathscat import (
     time_sliced_propagator,
 )
 from pathscat.propagator import short_time_kernel
+
+# n + 1 prime makes the DST-I transform length 2(n + 1) a prime times two
+PRIME_PLUS_ONE = (12, 16, 22, 96, 100, 126)
 
 LAT = LatticeSpec(-20.0, 20.0, 512)
 PACKETS = [(0.0, 0.0, 1.0), (-3.0, 1.5, 1.2), (2.0, -2.0, 0.8)]
@@ -243,6 +248,35 @@ def test_sampled_chirp_kernel_products_alias():
     K = time_sliced_propagator(None, LAT, TimeGrid(0.0, 1.0, 4), 1.0, kinetic="sampled")
     psi1 = evolve(gaussian_packet(LAT, 0.0, 0.0, 1.0), K, leak_tolerance=None)
     assert psi1.norm() > 2.0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    kinetic=st.sampled_from(["pade2", "pade4", "exact"]),
+    sampling=st.sampled_from(["endpoint", "symmetric"]),
+    absorbing=st.booleans(),
+    n=st.one_of(st.sampled_from(PRIME_PLUS_ONE), st.integers(8, 160)),
+    N=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_step_apply_matches_dense_product(
+    kinetic, sampling, absorbing, n, N, seed
+):
+    # the dense matrix power stays the oracle for the split-step engine
+    rng = np.random.default_rng(seed)
+    boundary = AbsorbingLayer(width=2.0, strength=rng.uniform(0.5, 5.0)) if absorbing \
+        else HardWall()
+    lat = LatticeSpec(-8.0, 8.0, n, boundary=boundary)
+    a, b = rng.uniform(-1.0, 1.0, 2)
+    pot = lambda x: a * np.cos(x) + 0.05 * b * x**2
+    K = time_sliced_propagator(
+        pot, lat, TimeGrid(0.0, rng.uniform(0.1, 2.0), N), rng.uniform(0.5, 2.0),
+        kinetic=kinetic, sampling=sampling,
+    )
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    want = (K.entries @ psi) * lat.dx
+    got = K.apply(psi)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_scattered_component_vanishes_without_potential():
