@@ -9,8 +9,8 @@ electron transfer between two moving attractive centers. Every closed
 form is backed by an independent numerical route (quadrature or
 quasirandom integration) so results can be cross-checked in one call.
 
-Atomic units throughout: hbar = m_e = e = a_0 = 1 unless a function
-exposes an explicit hbar argument.
+Atomic units throughout: hbar = m_e = e = a_0 = 1. No function takes
+a unit argument; heavy masses enter as multiples of PROTON_MASS_RATIO.
 """
 
 from .born import (
@@ -84,7 +84,6 @@ from .propagator import (
     time_sliced_propagator,
 )
 from .units import (
-    ATOMIC_UNITS,
     channel_energetics,
     ChannelEnergetics,
     CLOSED,
@@ -92,13 +91,11 @@ from .units import (
     OPEN,
     PROTON_MASS_RATIO,
     reduced_masses,
-    UnitSystem,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ATOMIC_UNITS",
     "AbsorbingLayer",
     "AccuracyWarning",
     "CLOSED",
@@ -131,7 +128,6 @@ __all__ = [
     "SquareWell",
     "TimeGrid",
     "TotalCrossSection",
-    "UnitSystem",
     "Yukawa",
     "born_amplitude",
     "born_differential_cross_section",

@@ -1,9 +1,10 @@
 """First-order Born elastic scattering for central potentials.
 
-The amplitude is the potential's momentum-space transform at the
-transferred momentum, f(theta) = -(m / 2 pi hbar^2) v(q), so every
-cross section here reduces to evaluations of potentials.fourier_transform
-plus kinematic factors and angular quadrature.
+In atomic units (hbar = 1) the amplitude is the potential's
+momentum-space transform at the transferred momentum,
+f(theta) = -(m / 2 pi) v(q), so every cross section here reduces to
+evaluations of potentials.fourier_transform plus kinematic factors and
+angular quadrature. A momentum p is also the wavenumber.
 """
 
 import math
@@ -31,6 +32,9 @@ __all__ = [
 # "auto" takes closed-form transforms where a family has one; "quadrature"
 # forces the independent numerical transform.
 ROUTES = ("auto", "quadrature")
+# The far-field form holds only where r_b dwarfs the potential range; this
+# multiplier of the range is a heuristic threshold, not physics.
+FAR_FIELD_RANGES = 100.0
 
 
 @dataclass(frozen=True)
@@ -107,41 +111,39 @@ def momentum_transfer(p, theta):
     return 2.0 * p * np.sin(0.5 * theta)
 
 
-def _transform(pot, q, hbar, route):
+def _transform(pot, q, route):
     if route == "auto":
-        return fourier_transform(pot, q, hbar=hbar)
+        return fourier_transform(pot, q)
     if route == "quadrature":
         # The cross-check route certifies 1e-9 relative rather than the
         # transform default: at small q the oscillatory rule's error
         # estimate is conservative by a couple of digits and would
         # otherwise reject values that are in fact converged.
-        return fourier_transform_quadrature(
-            pot, q, hbar=hbar, rel_tol=1e-9, abs_tol=1e-12
-        )
+        return fourier_transform_quadrature(pot, q, rel_tol=1e-9, abs_tol=1e-12)
     raise DomainError(f"unknown transform route {route!r}; options: {ROUTES}")
 
 
-def born_amplitude(pot, p, mass, theta, hbar=1.0, route="auto"):
+def born_amplitude(pot, p, mass, theta, route="auto"):
     """f(theta); real for real central potentials at this order."""
     q = momentum_transfer(p, theta)
-    return -mass / (2.0 * np.pi * hbar**2) * _transform(pot, q, hbar, route)
+    return -mass / (2.0 * np.pi) * _transform(pot, q, route)
 
 
-def born_differential_cross_section(pot, p, mass, theta, hbar=1.0, route="auto"):
-    """dsigma/dOmega = (m / 2 pi hbar^2)^2 |v(q)|^2."""
+def born_differential_cross_section(pot, p, mass, theta, route="auto"):
+    """dsigma/dOmega = (m / 2 pi)^2 |v(q)|^2."""
     if p <= 0:
         raise DomainError("incident momentum must be positive")
-    f = born_amplitude(pot, p, mass, theta, hbar=hbar, route=route)
+    f = born_amplitude(pot, p, mass, theta, route=route)
     return abs(f) ** 2
 
 
-def _gl_total(pot, p, mass, hbar, n, route):
+def _gl_total(pot, p, mass, n, route):
     nodes, weights = np.polynomial.legendre.leggauss(n)
     theta = 0.5 * np.pi * (nodes + 1.0)
     w = 0.5 * np.pi * weights
     vals = np.array(
         [
-            born_differential_cross_section(pot, p, mass, t, hbar=hbar, route=route)
+            born_differential_cross_section(pot, p, mass, t, route=route)
             for t in theta
         ]
     )
@@ -150,7 +152,7 @@ def _gl_total(pot, p, mass, hbar, n, route):
     return float(2.0 * np.pi * np.sum(w * vals * np.sin(theta)))
 
 
-def born_total_cross_section(pot, p, mass, n_theta=64, hbar=1.0, route="auto"):
+def born_total_cross_section(pot, p, mass, n_theta=64, route="auto"):
     """sigma = 2 pi int dsigma sin(theta) dtheta, Gauss-Legendre.
 
     The error estimate is the change under node doubling; the returned
@@ -158,18 +160,15 @@ def born_total_cross_section(pot, p, mass, n_theta=64, hbar=1.0, route="auto"):
     """
     if n_theta < 16:
         raise DomainError("need at least 16 quadrature nodes")
-    coarse = _gl_total(pot, p, mass, hbar, n_theta, route)
-    fine = _gl_total(pot, p, mass, hbar, 2 * n_theta, route)
+    coarse = _gl_total(pot, p, mass, n_theta, route)
+    fine = _gl_total(pot, p, mass, 2 * n_theta, route)
     return TotalCrossSection(value=fine, error=abs(fine - coarse), nodes=2 * n_theta)
 
 
-def far_field_scattered_wave(
-    pot, p_a, mass, r_b, n_b, hbar=1.0, range_factor=100.0, route="auto"
-):
-    """Scattered wave f(theta) exp(i p r_b / hbar) / r_b far from the source.
+def far_field_scattered_wave(pot, p_a, mass, r_b, n_b, route="auto"):
+    """Scattered wave f(theta) exp(i p r_b) / r_b far from the source.
 
-    Valid only when r_b dwarfs the potential range; the threshold
-    multiplier is a heuristic knob, not physics.
+    Valid only when r_b is at least FAR_FIELD_RANGES potential ranges.
     """
     p_a = np.asarray(p_a, dtype=float)
     n_b = np.asarray(n_b, dtype=float)
@@ -179,41 +178,38 @@ def far_field_scattered_wave(
     if abs(n_norm - 1.0) > 1e-8:
         raise DomainError("n_b must be a unit vector")
     reach = pot.range_estimate() if hasattr(pot, "range_estimate") else 1.0
-    if r_b < range_factor * reach:
+    if r_b < FAR_FIELD_RANGES * reach:
         raise DomainError(
-            f"far field requires r_b >= {range_factor} x potential range "
-            f"({range_factor * reach:.3g}); got {r_b:.3g}"
+            f"far field requires r_b >= {FAR_FIELD_RANGES} x potential range "
+            f"({FAR_FIELD_RANGES * reach:.3g}); got {r_b:.3g}"
         )
     p = np.linalg.norm(p_a)
     q = np.linalg.norm(p_a - p * n_b)
-    v = _transform(pot, q, hbar, route)
-    f = -mass / (2.0 * np.pi * hbar**2) * v
-    return f * np.exp(1j * p * r_b / hbar) / r_b
+    v = _transform(pot, q, route)
+    f = -mass / (2.0 * np.pi) * v
+    return f * np.exp(1j * p * r_b) / r_b
 
 
-def radial_flux(psi, mass, hbar=1.0):
-    """j(r) = (hbar/m) Im(psi* dpsi/dr) by central differences."""
+def radial_flux(psi, mass):
+    """j(r) = (1/m) Im(psi* dpsi/dr) by central differences."""
     if psi.lattice.points < 3:
         raise DomainError("radial flux needs at least 3 samples")
     dpsi = np.gradient(psi.values, psi.lattice.dx)
-    return hbar / mass * np.imag(np.conj(psi.values) * dpsi)
+    return 1.0 / mass * np.imag(np.conj(psi.values) * dpsi)
 
 
-def elastic_record(pot, p, mass, thetas, hbar=1.0, n_theta=64, route="auto"):
+def elastic_record(pot, p, mass, thetas, n_theta=64, route="auto"):
     """Assemble the plot-ready record for an angle sweep."""
     angles = [ScatteringAngles(float(t)) for t in thetas]
     dsigma = [
-        born_differential_cross_section(pot, p, mass, a.theta, hbar=hbar, route=route)
+        born_differential_cross_section(pot, p, mass, a.theta, route=route)
         for a in angles
     ]
-    total = born_total_cross_section(
-        pot, p, mass, n_theta=n_theta, hbar=hbar, route=route
-    )
+    total = born_total_cross_section(pot, p, mass, n_theta=n_theta, route=route)
     params = {
         "potential": repr(pot),
         "p": p,
         "mass": mass,
-        "hbar": hbar,
         "n_theta": total.nodes,
         "quadrature_error": total.error,
         "route": route,

@@ -33,7 +33,7 @@ import scipy.special
 import scipy.stats.qmc
 
 from .errors import DomainError, NumericalError
-from .units import ATOMIC_UNITS, OPEN, channel_energetics, reduced_masses
+from .units import OPEN, channel_energetics, reduced_masses
 
 __all__ = [
     "HydrogenicState",
@@ -53,6 +53,8 @@ __all__ = [
 INTERACTIONS = ("ProtonElectron", "Internuclear", "Sum")
 MODES = ("obk", "jacobi")
 FLUX_RATIO_POWERS = (1, 2)
+# Sobol points per oracle block; each block is one independent error sample.
+ORACLE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,11 @@ class CaptureTotal:
     evaluations: int
 
 
-def make_capture_spec(A, B, Z_a, Z_b, v, interaction="ProtonElectron", units=None):
+def make_capture_spec(A, B, Z_a, Z_b, v, interaction="ProtonElectron"):
     """Spec for A-center 1s -> B-center 1s capture at relative speed v."""
     if v <= 0:
         raise DomainError("relative speed must be positive")
-    kin = reduced_masses(A, B, units or ATOMIC_UNITS)
+    kin = reduced_masses(A, B)
     initial = HydrogenicState(Z_a)
     final = HydrogenicState(Z_b)
     E_a = 0.5 * kin.mu_a * v**2
@@ -295,7 +297,9 @@ def ct_differential_cross_section(
         raise DomainError("flux_ratio_power must be 1 or 2")
     A = capture_amplitude(spec, theta, lam, mode, quad)
     mu_b = spec.kin.mu_b
-    ratio = spec.energetics.p_b / spec.energetics.p_a
+    # p_a is 0 where the incoming energy underflows; numpy's division then
+    # gives inf or nan, which ct_total_cross_section reports as non-finite
+    ratio = np.divide(spec.energetics.p_b, spec.energetics.p_a)
     return (mu_b / (2.0 * np.pi)) ** 2 * ratio**flux_ratio_power * abs(A) ** 2
 
 
@@ -441,14 +445,14 @@ def _oracle_integrand(spec, lam, mode, interaction, p_a_vec, p_b_vec, s, w):
     return phi_b(r_b_r) * phi_a(s_r) * V * phase
 
 
-def _oracle_single(spec, theta, interaction, samples, lam, mode, seed, block, threads):
+def _oracle_single(spec, theta, interaction, samples, lam, mode, seed, threads):
     kappa_s, kappa_w = _oracle_plan(spec, lam, mode, interaction)
     p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
-    n_blocks = max(2, math.ceil(samples / block))
+    n_blocks = max(2, math.ceil(samples / ORACLE_BLOCK))
 
     def block_mean(b):
         sob = scipy.stats.qmc.Sobol(d=6, scramble=True, seed=seed + b)
-        U = sob.random(block)
+        U = sob.random(ORACLE_BLOCK)
         s, _, ps = _sample_iso_exp(U[:, :3], kappa_s)
         w, _, pw = _sample_iso_exp(U[:, 3:], kappa_w)
         vals = _oracle_integrand(
@@ -466,7 +470,7 @@ def _oracle_single(spec, theta, interaction, samples, lam, mode, seed, block, th
     err = math.sqrt(
         (np.var(means.real, ddof=1) + np.var(means.imag, ddof=1)) / n_blocks
     )
-    return OracleEstimate(value, err, n_blocks * block, n_blocks)
+    return OracleEstimate(value, err, n_blocks * ORACLE_BLOCK, n_blocks)
 
 
 def brute_force_oracle(
@@ -476,7 +480,6 @@ def brute_force_oracle(
     lam=1.0,
     mode="obk",
     seed=7,
-    block_size=1 << 15,
     n_threads=1,
 ):
     """Direct Sobol evaluation of the capture integral, value and error.
@@ -493,12 +496,10 @@ def brute_force_oracle(
         raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
     if spec.interaction == "Sum":
         pe = _oracle_single(
-            spec, theta, "ProtonElectron", samples, lam, mode, seed, block_size,
-            n_threads,
+            spec, theta, "ProtonElectron", samples, lam, mode, seed, n_threads
         )
         nn = _oracle_single(
-            spec, theta, "Internuclear", samples, lam, mode, seed, block_size,
-            n_threads,
+            spec, theta, "Internuclear", samples, lam, mode, seed, n_threads
         )
         return OracleEstimate(
             pe.value + nn.value,
@@ -507,5 +508,5 @@ def brute_force_oracle(
             pe.blocks + nn.blocks,
         )
     return _oracle_single(
-        spec, theta, spec.interaction, samples, lam, mode, seed, block_size, n_threads
+        spec, theta, spec.interaction, samples, lam, mode, seed, n_threads
     )

@@ -123,12 +123,16 @@ def _built(context, build, *args, **kwargs):
 
 
 _LEAVES = {float: "a number", int: "an integer", str: "a string"}
+# Integer keys size grids and sample counts, which numpy holds as int64.
+_INT64 = range(-(2**63), 2**63)
 
 
 def _leaf(value, kind, context):
     types = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{context} must be {_LEAVES[kind]}, got {value!r}")
+    if kind is int and value not in _INT64:
+        raise ConfigError(f"{context} must be an integer within int64, got {value!r}")
     if kind is not float:
         return value
     try:

@@ -6,9 +6,9 @@ transfer matrices rather than a matrix power. An endpoint element is
 found by pushing one delta column through the slices with the
 propagator's split-step engine; no dense product is formed. The
 extracted quantity is the total accumulated phase against the free
-reference,
+reference, an action in atomic units (hbar = 1),
 
-    amplitude = free_reference * exp(-(i/hbar) * effective_phase),
+    amplitude = free_reference * exp(-i * effective_phase),
 
 taken on the principal log branch. The free reference is the same
 discretized product with all potentials off, which makes zero-coupling
@@ -31,6 +31,10 @@ __all__ = [
     "influence_K2",
     "reconstruct_full_amplitude",
 ]
+
+# Cap on electron x ion points of the product lattice, a small-lattice
+# oracle: each slice costs n_e n_i (n_e + n_i) operations.
+MAX_PRODUCT_POINTS = 256 * 256
 
 
 @dataclass(frozen=True)
@@ -76,24 +80,24 @@ def _node_index(lattice, pos, name):
     return i
 
 
-def _phase_from(amplitude, reference, hbar):
+def _phase_from(amplitude, reference):
     if amplitude == 0 or reference == 0:
         raise NumericalError("vanishing amplitude; phase extraction undefined")
-    return 1j * hbar * complex(np.log(amplitude / reference))
+    return 1j * complex(np.log(amplitude / reference))
 
 
-def _endpoint_element(slice_pots, a, b, lattice, grid, mass, hbar, kinetic, sampling):
+def _endpoint_element(slice_pots, a, b, lattice, grid, mass, kinetic, sampling):
     ia = _node_index(lattice, a, "start endpoint")
     ib = _node_index(lattice, b, "final endpoint")
     delta = np.zeros(lattice.points)
     delta[ia] = 1.0 / lattice.dx
-    scheme = (lattice, grid.epsilon, mass, hbar, kinetic, sampling)
+    scheme = (lattice, grid.epsilon, mass, kinetic, sampling)
     slices = (_slice(pot, *scheme) for pot in slice_pots)
     amp = complex(_propagate(delta, slices)[ib])
     ref = complex(_propagate(delta, (_slice(None, *scheme),) * grid.N)[ib])
     return InfluenceResult(
         amplitude=amp,
-        effective_phase=_phase_from(amp, ref, hbar),
+        effective_phase=_phase_from(amp, ref),
         endpoints=(a, b),
         grid=grid,
         free_reference=ref,
@@ -108,7 +112,6 @@ def influence_K1(
     lattice,
     grid,
     M,
-    hbar=1.0,
     kinetic="pade2",
     sampling="endpoint",
 ):
@@ -130,9 +133,7 @@ def influence_K1(
         return V
 
     slice_pots = (slice_pot(j) for j in range(1, grid.N + 1))
-    return _endpoint_element(
-        slice_pots, R_a, R_b, lattice, grid, M, hbar, kinetic, sampling
-    )
+    return _endpoint_element(slice_pots, R_a, R_b, lattice, grid, M, kinetic, sampling)
 
 
 def influence_K2(
@@ -143,7 +144,6 @@ def influence_K2(
     lattice,
     grid,
     m,
-    hbar=1.0,
     kinetic="pade2",
     sampling="endpoint",
 ):
@@ -165,9 +165,7 @@ def influence_K2(
         return V
 
     slice_pots = (slice_pot(j) for j in range(1, grid.N + 1))
-    return _endpoint_element(
-        slice_pots, r_a, r_b, lattice, grid, m, hbar, kinetic, sampling
-    )
+    return _endpoint_element(slice_pots, r_a, r_b, lattice, grid, m, kinetic, sampling)
 
 
 def reconstruct_full_amplitude(
@@ -179,26 +177,24 @@ def reconstruct_full_amplitude(
     grid,
     m,
     M,
-    hbar=1.0,
     kinetic="pade2",
     sampling="endpoint",
-    max_product=256 * 256,
 ):
     """Two-particle kernel element by direct product-lattice contraction.
 
     The joint field psi(r, R) starts as a delta pair and is pushed
     through N slices: the electron's kinetic kernel along axis 0, the
     ion's along axis 1, and the full coupled phase exp(-i eps (V_A(r) +
-    V_AB(R) + V_B(r - R)) / hbar). The returned value is the kernel
-    density K(r_b, R_b; r_a, R_a); it serves as the oracle for
-    factorization and influence-functional identities. The kinetic
-    kernels are dense matrices: under the max_product cap a batched
-    matrix product is cheaper than a DST-I pair along each axis.
+    V_AB(R) + V_B(r - R))). The returned value is the kernel density
+    K(r_b, R_b; r_a, R_a); it serves as the oracle for factorization and
+    influence-functional identities. The kinetic kernels are dense
+    matrices: under the MAX_PRODUCT_POINTS cap a batched matrix product
+    is cheaper than a DST-I pair along each axis.
     """
-    if lattice_e.points * lattice_i.points > max_product:
+    if lattice_e.points * lattice_i.points > MAX_PRODUCT_POINTS:
         raise DomainError(
             f"product lattice {lattice_e.points} x {lattice_i.points} exceeds "
-            f"the cap of {max_product} points"
+            f"the cap of {MAX_PRODUCT_POINTS} points"
         )
     if sampling not in ("endpoint", "symmetric"):
         raise DomainError("product-lattice contraction supports endpoint/symmetric")
@@ -210,8 +206,8 @@ def reconstruct_full_amplitude(
     ib_i = _node_index(lattice_i, R_b, "ion end")
 
     eps = grid.epsilon
-    G_e = lattice_e.dx * _kinetic_kernel(lattice_e, eps, m, hbar, kinetic)
-    G_i = lattice_i.dx * _kinetic_kernel(lattice_i, eps, M, hbar, kinetic)
+    G_e = lattice_e.dx * _kinetic_kernel(lattice_e, eps, m, kinetic)
+    G_i = lattice_i.dx * _kinetic_kernel(lattice_i, eps, M, kinetic)
     xe = lattice_e.nodes
     xi = lattice_i.nodes
     V = np.zeros((lattice_e.points, lattice_i.points))
@@ -223,9 +219,9 @@ def reconstruct_full_amplitude(
         V += pots.V_B.evaluate(np.abs(xe[:, None] - xi[None, :]))
 
     if sampling == "endpoint":
-        pre, post = 1.0, np.exp(-1j * eps * V / hbar)
+        pre, post = 1.0, np.exp(-1j * eps * V)
     else:
-        pre = post = np.exp(-0.5j * eps * V / hbar)
+        pre = post = np.exp(-0.5j * eps * V)
     psi = np.zeros((lattice_e.points, lattice_i.points))
     psi[ia_e, ia_i] = 1.0 / (lattice_e.dx * lattice_i.dx)
     psi = _propagate(psi, ((pre, (G_e, G_i), post),) * grid.N)

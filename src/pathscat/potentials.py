@@ -2,11 +2,12 @@
 
 Each family evaluates V(r) pointwise and knows its momentum-space form
 
-    v(q) = int d^3r V(|r|) exp(i q.r / hbar),
+    v(q) = int d^3r V(|r|) exp(i q.r),
 
-real for central potentials. Closed forms are used where they exist; a
-radial oscillatory quadrature serves as fallback and as the cross-check
-oracle for the analytic paths.
+in atomic units (hbar = 1, so the momentum transfer q is also the
+wavenumber), real for central potentials. Closed forms are used where
+they exist; a radial oscillatory quadrature serves as fallback and as
+the cross-check oracle for the analytic paths.
 """
 
 from dataclasses import dataclass
@@ -202,10 +203,10 @@ def _r_times_v(pot, r):
     return f
 
 
-def fourier_transform_quadrature(pot, q, hbar=1.0, rel_tol=1e-10, abs_tol=1e-14):
+def fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14):
     """Radial oscillatory quadrature of v(q).
 
-    Uses (4 pi hbar / q) int_0^inf r V(r) sin(q r / hbar) dr for q > 0
+    Uses (4 pi / q) int_0^inf r V(r) sin(q r) dr for q > 0
     (scipy's oscillatory-weight integrator, with an infinite upper limit
     for long-range tails) and the q -> 0 limit 4 pi int r^2 V(r) dr.
     The returned value passed the error gate; when the integrator cannot
@@ -215,12 +216,11 @@ def fourier_transform_quadrature(pot, q, hbar=1.0, rel_tol=1e-10, abs_tol=1e-14)
     """
     if q < 0:
         raise DomainError("momentum transfer must be non-negative")
-    k = q / hbar
     if isinstance(pot, SquareWell):
         R_cut = pot.radius
     else:
         R_cut = _cutoff_radius(pot)
-    if k == 0:
+    if q == 0:
         if R_cut is None:
             raise NumericalError(
                 "q = 0 radial moment diverges for long-range potentials",
@@ -235,12 +235,12 @@ def fourier_transform_quadrature(pot, q, hbar=1.0, rel_tol=1e-10, abs_tol=1e-14)
             limit=200,
         )
         return _checked(val, est, rel_tol, abs_tol)
-    if R_cut is not None and k * R_cut < 4.0 * np.pi:
+    if R_cut is not None and q * R_cut < 4.0 * np.pi:
         # Fewer than two sine cycles fit inside the support, where the
         # oscillatory rule degenerates. The integrand rewritten through
         # sinc is smooth and a plain adaptive rule estimates it well.
         val, est = scipy.integrate.quad(
-            lambda r: 4.0 * np.pi * r * _r_times_v(pot, r) * np.sinc(k * r / np.pi),
+            lambda r: 4.0 * np.pi * r * _r_times_v(pot, r) * np.sinc(q * r / np.pi),
             0.0,
             R_cut,
             epsabs=abs_tol,
@@ -250,13 +250,13 @@ def fourier_transform_quadrature(pot, q, hbar=1.0, rel_tol=1e-10, abs_tol=1e-14)
         return _checked(val, est, rel_tol, abs_tol)
     upper = R_cut if R_cut is not None else np.inf
     val, est = scipy.integrate.quad(
-        lambda r: (4.0 * np.pi / k) * _r_times_v(pot, r),
+        lambda r: (4.0 * np.pi / q) * _r_times_v(pot, r),
         0.0,
         upper,
         epsabs=abs_tol,
         epsrel=rel_tol,
         weight="sin",
-        wvar=k,
+        wvar=q,
         limit=400,
     )
     return _checked(val, est, rel_tol, abs_tol)
@@ -273,11 +273,10 @@ def _checked(val, est, rel_tol, abs_tol):
     return val
 
 
-def fourier_transform(pot, q, hbar=1.0):
+def fourier_transform(pot, q):
     """v(q), closed form where available, quadrature otherwise."""
     if q < 0:
         raise DomainError("momentum transfer must be non-negative")
-    k = q / hbar
     if hasattr(pot, "analytic_ft"):
-        return pot.analytic_ft(k)
-    return fourier_transform_quadrature(pot, q, hbar=hbar)
+        return pot.analytic_ft(q)
+    return fourier_transform_quadrature(pot, q)

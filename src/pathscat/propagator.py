@@ -18,6 +18,9 @@ and their N-slice kernels are formed densely when built.
 
 Conventions, fixed here and relied on everywhere else:
 
+* Atomic units, hbar = 1: a slice of width eps carries the phase
+  exp(-i eps V) and the free kernel reads (m / 2 pi i t)^(1/2)
+  exp(i m (x_b - x_a)^2 / 2t).
 * Matrix entries are kernel densities K(x_b, x_a), directly comparable
   with closed-form propagators. Every contraction carries one explicit
   dx, so an N-slice product is T (dx T)^(N-1) and evolving a field is
@@ -30,9 +33,9 @@ The literal position-sampled chirp kernel (kinetic="sampled") is kept
 for fidelity but is useless for N > 1 on any grid that underresolves
 the chirp: modes beyond the resolvable band alias onto amplified ones
 and the product diverges exponentially. The default replaces the mode
-phases exp(-i eps hbar k^2 / 2m) with a diagonal Pade factor of the
-same accuracy order as the sliced action, keeping every mode on the
-unit circle. kinetic="exact" gives the full phase, useful when the
+phases exp(-i eps k^2 / 2m) with a diagonal Pade factor of the same
+accuracy order as the sliced action, keeping every mode on the unit
+circle. kinetic="exact" gives the full phase, useful when the
 time-step error should vanish and only potential sampling remain.
 """
 
@@ -65,6 +68,8 @@ __all__ = [
 
 KINETIC_FACTORS = ("pade2", "pade4", "exact", "sampled")
 SAMPLING_MODES = ("endpoint", "midpoint", "symmetric")
+# End nodes on each side that boundary_leak_fraction inspects.
+EDGE_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -212,13 +217,13 @@ class PropagatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.T)) / scale)
 
 
-def gaussian_packet(lattice, x0, p0, sigma0, hbar=1.0):
+def gaussian_packet(lattice, x0, p0, sigma0):
     """Normalized minimum-uncertainty packet, |psi|^2 stddev sigma0."""
     if sigma0 <= 0:
         raise DomainError("packet width must be positive")
     x = lattice.nodes
     psi = (2.0 * np.pi * sigma0**2) ** -0.25 * np.exp(
-        -((x - x0) ** 2) / (4.0 * sigma0**2) + 1j * p0 * x / hbar
+        -((x - x0) ** 2) / (4.0 * sigma0**2) + 1j * p0 * x
     )
     return ComplexField1D(lattice, psi)
 
@@ -235,20 +240,20 @@ def packet_width(psi):
     return float(np.sqrt(var))
 
 
-def boundary_leak_fraction(psi, edge_cells=2):
-    """Largest edge-cell amplitude relative to the field maximum."""
+def boundary_leak_fraction(psi):
+    """Largest amplitude on the EDGE_CELLS end nodes relative to the peak."""
     v = np.abs(psi.values)
     peak = v.max()
     if peak == 0:
         return 0.0
-    edge = max(v[:edge_cells].max(), v[-edge_cells:].max())
+    edge = max(v[:EDGE_CELLS].max(), v[-EDGE_CELLS:].max())
     return float(edge / peak)
 
 
-def free_propagator(x_b, t_b, x_a, t_a, mass, dim=1, hbar=1.0):
+def free_propagator(x_b, t_b, x_a, t_a, mass, dim=1):
     """Closed-form free kernel in 1 or 3 dimensions.
 
-    (m / 2 pi i hbar dt)^(d/2) exp(i m |x_b - x_a|^2 / (2 hbar dt)),
+    (m / 2 pi i dt)^(d/2) exp(i m |x_b - x_a|^2 / (2 dt)),
     square-root branch fixed so the prefactor phase is exp(-i pi d/4).
     For dim=3 the endpoints may be 3-vectors (last axis of length 3)
     or plain radial separations.
@@ -263,19 +268,17 @@ def free_propagator(x_b, t_b, x_a, t_a, mass, dim=1, hbar=1.0):
         dist2 = np.sum(diff * diff, axis=-1)
     else:
         dist2 = diff * diff
-    pref = (mass / (2.0 * np.pi * hbar * dt)) ** (dim / 2.0) * np.exp(
+    pref = (mass / (2.0 * np.pi * dt)) ** (dim / 2.0) * np.exp(
         -1j * np.pi * dim / 4.0
     )
-    out = pref * np.exp(1j * mass * dist2 / (2.0 * hbar * dt))
+    out = pref * np.exp(1j * mass * dist2 / (2.0 * dt))
     return out if np.ndim(out) else complex(out)
 
 
-def free_propagator_matrix(lattice, grid, mass, hbar=1.0):
+def free_propagator_matrix(lattice, grid, mass):
     """Closed-form kernel sampled on the lattice, for comparisons."""
     x = lattice.nodes
-    entries = free_propagator(
-        x[:, None], grid.t_b, x[None, :], grid.t_a, mass, dim=1, hbar=hbar
-    )
+    entries = free_propagator(x[:, None], grid.t_b, x[None, :], grid.t_a, mass, dim=1)
     return PropagatorMatrix(lattice, grid, entries)
 
 
@@ -299,8 +302,8 @@ def _sine_modes(lattice):
     return np.sqrt(2.0 / box) * np.sin(np.pi * phase / (n + 1))
 
 
-def _kinetic_factor(k, epsilon, mass, hbar, kinetic):
-    lam = hbar * k**2 / (2.0 * mass)
+def _kinetic_factor(k, epsilon, mass, kinetic):
+    lam = k**2 / (2.0 * mass)
     if kinetic == "exact":
         return np.exp(-1j * epsilon * lam)
     if kinetic == "pade2":
@@ -319,14 +322,14 @@ def _mode_kernel(lattice, f):
     return (S.T * f) @ S
 
 
-def _kinetic_kernel(lattice, epsilon, mass, hbar, kinetic):
+def _kinetic_kernel(lattice, epsilon, mass, kinetic):
     if kinetic == "sampled":
         x = lattice.nodes
         sep = x[:, None] - x[None, :]
-        pref = np.sqrt(mass / (2.0 * np.pi * hbar * epsilon)) * np.exp(-0.25j * np.pi)
-        return pref * np.exp(1j * mass * sep**2 / (2.0 * hbar * epsilon))
+        pref = np.sqrt(mass / (2.0 * np.pi * epsilon)) * np.exp(-0.25j * np.pi)
+        return pref * np.exp(1j * mass * sep**2 / (2.0 * epsilon))
     k = _wavenumbers(lattice)
-    return _mode_kernel(lattice, _kinetic_factor(k, epsilon, mass, hbar, kinetic))
+    return _mode_kernel(lattice, _kinetic_factor(k, epsilon, mass, kinetic))
 
 
 def potential_on_axis(pot, x):
@@ -348,7 +351,7 @@ def potential_on_axis(pot, x):
     return np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
 
 
-def _absorber_profile(lattice, epsilon, hbar):
+def _absorber_profile(lattice, epsilon):
     """Half-slice edge damping factors; all ones for hard walls."""
     b = lattice.boundary
     if isinstance(b, HardWall):
@@ -356,10 +359,10 @@ def _absorber_profile(lattice, epsilon, hbar):
     x = lattice.nodes
     d = np.minimum(x - lattice.x_min, lattice.x_max - x)
     W = np.where(d < b.width, b.strength * ((b.width - d) / b.width) ** 2, 0.0)
-    return np.exp(-0.5 * epsilon * W / hbar)
+    return np.exp(-0.5 * epsilon * W)
 
 
-def _slice(pot, lattice, epsilon, mass, hbar, kinetic, sampling):
+def _slice(pot, lattice, epsilon, mass, kinetic, sampling):
     """One slice T = diag(post) G diag(pre) as factors (pre, (op,), post).
 
     pre and post are the potential phase and absorber damping on the
@@ -371,26 +374,26 @@ def _slice(pot, lattice, epsilon, mass, hbar, kinetic, sampling):
     if epsilon <= 0:
         raise DomainError("slice width must be positive")
     x = lattice.nodes
-    damp = _absorber_profile(lattice, epsilon, hbar)
+    damp = _absorber_profile(lattice, epsilon)
     if sampling == "midpoint":
         Vm = potential_on_axis(pot, 0.5 * (x[:, None] + x[None, :]))
-        G = _kinetic_kernel(lattice, epsilon, mass, hbar, kinetic)
-        return damp, (lattice.dx * G * np.exp(-1j * epsilon * Vm / hbar),), damp
+        G = _kinetic_kernel(lattice, epsilon, mass, kinetic)
+        return damp, (lattice.dx * G * np.exp(-1j * epsilon * Vm),), damp
     if sampling == "endpoint":
         # one potential factor per slice, taken at the arrival node
         V = potential_on_axis(pot, x)
-        pre, post = damp, damp * np.exp(-1j * epsilon * V / hbar)
+        pre, post = damp, damp * np.exp(-1j * epsilon * V)
     elif sampling == "symmetric":
         V = potential_on_axis(pot, x)
-        pre = post = damp * np.exp(-0.5j * epsilon * V / hbar)
+        pre = post = damp * np.exp(-0.5j * epsilon * V)
     else:
         raise DomainError(
             f"unknown sampling mode {sampling!r}; options: {SAMPLING_MODES}"
         )
     if kinetic == "sampled":
-        op = lattice.dx * _kinetic_kernel(lattice, epsilon, mass, hbar, kinetic)
+        op = lattice.dx * _kinetic_kernel(lattice, epsilon, mass, kinetic)
     else:
-        op = _kinetic_factor(_wavenumbers(lattice), epsilon, mass, hbar, kinetic)
+        op = _kinetic_factor(_wavenumbers(lattice), epsilon, mass, kinetic)
     return pre, (op,), post
 
 
@@ -431,16 +434,16 @@ def _propagate(values, slices):
 
 
 def short_time_kernel(
-    pot, lattice, epsilon, mass, hbar=1.0, kinetic="pade2", sampling="endpoint"
+    pot, lattice, epsilon, mass, kinetic="pade2", sampling="endpoint"
 ):
     """One-slice transfer kernel for time step epsilon."""
     return time_sliced_propagator(
-        pot, lattice, TimeGrid(0.0, epsilon, 1), mass, hbar, kinetic, sampling
+        pot, lattice, TimeGrid(0.0, epsilon, 1), mass, kinetic, sampling
     )
 
 
 def time_sliced_propagator(
-    pot, lattice, grid, mass, hbar=1.0, kinetic="pade2", sampling="endpoint"
+    pot, lattice, grid, mass, kinetic="pade2", sampling="endpoint"
 ):
     """N-fold ordered product of one-slice kernels over grid.
 
@@ -448,7 +451,7 @@ def time_sliced_propagator(
     only when `entries` is read; midpoint sampling and the sampled chirp
     build it here.
     """
-    step = _slice(pot, lattice, grid.epsilon, mass, hbar, kinetic, sampling)
+    step = _slice(pot, lattice, grid.epsilon, mass, kinetic, sampling)
     _, (op,), _ = step
     if op.ndim == 2:
         T = _dense(step, lattice)
@@ -478,7 +481,7 @@ def _warn_on_leak(psi, leak_tolerance):
         )
 
 
-def free_deviation_diagnostic(K, mass, hbar=1.0):
+def free_deviation_diagnostic(K, mass):
     """Deviation of a field-free lattice kernel from the closed form.
 
     The two kernels are compared through their action on a small battery
@@ -495,16 +498,14 @@ def free_deviation_diagnostic(K, mass, hbar=1.0):
     sigma = span / 16.0
     battery = [
         (mid, 0.0, sigma),
-        (mid - span / 8.0, 2.0 * hbar / sigma, sigma),
-        (mid + span / 8.0, -1.5 * hbar / sigma, 0.75 * sigma),
+        (mid - span / 8.0, 2.0 / sigma, sigma),
+        (mid + span / 8.0, -1.5 / sigma, 0.75 * sigma),
     ]
-    exact = free_propagator(
-        x[:, None], K.grid.t_b, x[None, :], K.grid.t_a, mass, hbar=hbar
-    )
+    exact = free_propagator(x[:, None], K.grid.t_b, x[None, :], K.grid.t_a, mass)
     keep = np.abs(x - mid) <= 0.25 * span
     worst = 0.0
     for x0, p0, sigma0 in battery:
-        psi = gaussian_packet(lat, x0, p0, sigma0, hbar=hbar).values
+        psi = gaussian_packet(lat, x0, p0, sigma0).values
         got = K.apply(psi)
         want = (exact @ psi) * lat.dx
         dev = np.max(np.abs(got - want)[keep]) / np.max(np.abs(want))
@@ -518,7 +519,6 @@ def scattered_component(
     lattice,
     grid,
     mass,
-    hbar=1.0,
     kinetic="pade2",
     sampling="endpoint",
     leak_tolerance=1e-3,
@@ -530,10 +530,10 @@ def scattered_component(
     time-step error.
     """
     K = time_sliced_propagator(
-        pot, lattice, grid, mass, hbar=hbar, kinetic=kinetic, sampling=sampling
+        pot, lattice, grid, mass, kinetic=kinetic, sampling=sampling
     )
     K0 = time_sliced_propagator(
-        None, lattice, grid, mass, hbar=hbar, kinetic=kinetic, sampling=sampling
+        None, lattice, grid, mass, kinetic=kinetic, sampling=sampling
     )
     full = evolve(psi_a, K, leak_tolerance=leak_tolerance)
     free = evolve(psi_a, K0, leak_tolerance=None)

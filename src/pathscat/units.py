@@ -1,4 +1,4 @@
-"""Unit system, collision kinematics, and channel energetics.
+"""Collision kinematics and channel energetics in atomic units.
 
 Everything internal runs in Hartree atomic units (hbar = m_e = e = 1).
 Heavy-particle masses are given in proton masses; the rearrangement
@@ -7,31 +7,12 @@ center-of-mass frame by the reduced masses of the incoming and outgoing
 relative motion and by the inner reduced masses of each bound pair.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
 PROTON_MASS_RATIO = 1836.152673
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Hartree atomic units with a configurable proton mass ratio."""
-
-    hbar: float = 1.0
-    electron_mass: float = 1.0
-    proton_mass_ratio: float = PROTON_MASS_RATIO
-
-    def __post_init__(self):
-        if self.hbar != 1.0 or self.electron_mass != 1.0:
-            raise DomainError("atomic units are fixed: hbar = electron_mass = 1")
-        if not self.proton_mass_ratio > 1.0:
-            raise DomainError("proton_mass_ratio must exceed 1")
-
-
-ATOMIC_UNITS = UnitSystem()
 
 
 @dataclass(frozen=True)
@@ -62,7 +43,7 @@ class CollisionKinematics:
         return self.B * self.M
 
 
-def reduced_masses(A, B, units=ATOMIC_UNITS):
+def reduced_masses(A, B):
     """Build CollisionKinematics from nuclear masses A, B (proton masses).
 
     With M_A = A*M and M_B = B*M (M the proton mass) the four reduced
@@ -75,8 +56,8 @@ def reduced_masses(A, B, units=ATOMIC_UNITS):
     """
     if not (A > 0 and B > 0):
         raise DomainError(f"nuclear masses must be positive, got A={A}, B={B}")
-    m = units.electron_mass
-    M = units.proton_mass_ratio
+    m = 1.0  # the electron mass in atomic units
+    M = PROTON_MASS_RATIO
     MA, MB = A * M, B * M
     total = MA + MB + m
     return CollisionKinematics(
@@ -114,14 +95,14 @@ class ChannelEnergetics:
     status: str
 
 
-def channel_energetics(E_a, eps_a, eps_b, kin, hbar=1.0):
+def channel_energetics(E_a, eps_a, eps_b, kin):
     """Classify the outgoing channel and populate the relative momenta."""
     if E_a < 0:
         raise DomainError(f"incoming relative energy must be >= 0, got {E_a}")
     E_b = E_a + eps_a - eps_b
     status = OPEN if E_b >= 0 else CLOSED
-    p_a = np.sqrt(2.0 * kin.mu_a * E_a)
-    p_b = np.sqrt(2.0 * kin.mu_b * E_b) if status == OPEN else 0.0
+    p_a = math.sqrt(2.0 * kin.mu_a * E_a)
+    p_b = math.sqrt(2.0 * kin.mu_b * E_b) if status == OPEN else 0.0
     return ChannelEnergetics(
         E_a=E_a, eps_a=eps_a, eps_b=eps_b, E_b=E_b, p_a=p_a, p_b=p_b, status=status
     )

@@ -265,6 +265,10 @@ INVALID_CONFIGS = [
      "config.mass must be a finite number"),
     ("propagator", "scheme.kinetic", "pade3",
      "config.scheme.kinetic must be one of"),
+    ("propagator", "time.slices", 10**400,
+     "config.time.slices must be an integer within int64"),
+    ("propagator", "lattice.points", 10**400,
+     "config.lattice.points must be an integer within int64"),
     ("evolve", "packet.x00", 0.0,
      "unknown key 'x00' in config.packet; did you mean 'x0'?"),
     ("evolve", "packet.sigma0", _DROP,
@@ -310,6 +314,8 @@ INVALID_CONFIGS = [
      "config.samples must be an integer"),
     ("oracle", "v", math.inf,
      "config.v must be a finite number"),
+    ("oracle", "samples", 10**400,
+     "config.samples must be an integer within int64"),
     ("oracle", "interaction", "Internuclaer",
      "config.interaction must be one of ('ProtonElectron', 'Internuclear', 'Sum'), "
      "got 'Internuclaer'; did you mean 'Internuclear'?"),

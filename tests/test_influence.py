@@ -36,13 +36,13 @@ def _static_path(value, grid=GRID):
     return FixedPath(grid, np.full(grid.N + 1, value))
 
 
-def _chain(slice_potentials, lattice, grid, mass, hbar, kinetic, sampling):
+def _chain(slice_potentials, lattice, grid, mass, kinetic, sampling):
     """Dense ordered product T_N dx T_(N-1) ... dx T_1 of one-slice kernels."""
     dx = lattice.dx
     K = None
     for pot_j in slice_potentials:
         T = short_time_kernel(
-            pot_j, lattice, grid.epsilon, mass, hbar, kinetic, sampling
+            pot_j, lattice, grid.epsilon, mass, kinetic, sampling
         ).entries
         K = T if K is None else T @ (dx * K)
     return K
@@ -72,8 +72,8 @@ def test_endpoint_elements_match_dense_chain(kinetic, sampling):
     for fn, pots, mass, slice_pots in cases:
         res = fn(pots, path, -2.0, 2.0, LAT, GRID, mass, kinetic=kinetic,
                  sampling=sampling)
-        K = _chain(slice_pots, LAT, GRID, mass, 1.0, kinetic, sampling)
-        K0 = _chain([None] * GRID.N, LAT, GRID, mass, 1.0, kinetic, sampling)
+        K = _chain(slice_pots, LAT, GRID, mass, kinetic, sampling)
+        K0 = _chain([None] * GRID.N, LAT, GRID, mass, kinetic, sampling)
         assert res.amplitude == pytest.approx(K[ib, ia], rel=1e-10)
         assert res.free_reference == pytest.approx(K0[ib, ia], rel=1e-10)
 

@@ -5,9 +5,13 @@ scale except where a literal was frozen from an independent hand
 computation.
 """
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+import pathscat
 from pathscat import (
     channel_energetics,
     CLOSED,
@@ -96,3 +100,17 @@ def test_nonpositive_collision_energy_rejected():
     kin = reduced_masses(1.0, 1.0)
     with pytest.raises(DomainError):
         channel_energetics(-1.0, -0.5, -0.5, kin)
+
+
+def test_public_api_fixes_atomic_units_and_numeric_constants():
+    # hbar = m_e = 1 and the fixed numeric constants are not arguments:
+    # a settable value with one value in use is an untested option
+    fixed = {"hbar", "units", "range_factor", "edge_cells", "max_product",
+             "block_size"}
+    assert not hasattr(pathscat, "UnitSystem")
+    assert not hasattr(pathscat, "ATOMIC_UNITS")
+    for name in pathscat.__all__:
+        obj = getattr(pathscat, name)
+        if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+            taken = fixed & set(inspect.signature(obj).parameters)
+            assert not taken, f"{name} takes {sorted(taken)}"
