@@ -31,7 +31,6 @@ from .capture import (
     capture_amplitude,
     capture_amplitude_vectors,
     CaptureChannelSpec,
-    CaptureQuadrature,
     CaptureTotal,
     ct_differential_cross_section,
     ct_total_cross_section,
@@ -100,7 +99,6 @@ __all__ = [
     "AccuracyWarning",
     "CLOSED",
     "CaptureChannelSpec",
-    "CaptureQuadrature",
     "CaptureTotal",
     "ChannelEnergetics",
     "CollisionKinematics",

@@ -13,8 +13,10 @@ capture amplitude are exposed:
 * mode="jacobi": incoming and outgoing channels use their own Jacobi
   coordinates. The proton-electron amplitude factorizes into a folded
   interaction at K_b = p_a - (1-gamma_b) p_b and the initial momentum
-  wavefunction at K_a = (1-gamma_a) p_a - p_b; the internuclear term
-  does not factorize and is evaluated by a 3-D momentum quadrature.
+  wavefunction at K_a = (1-gamma_a) p_a - p_b. The internuclear term
+  does not factorize: its momentum integral is joined by Feynman
+  parameters, done in closed form in k, and the two remaining
+  parameters are summed on a fixed graded rule.
 
 Every screened Coulomb carries screening constant lam >= 0; the
 physical lam -> 0 limit is reached by Richardson extrapolation over a
@@ -26,7 +28,7 @@ momentum-space reductions it is meant to check.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -38,7 +40,6 @@ from .units import OPEN, channel_energetics, reduced_masses
 __all__ = [
     "HydrogenicState",
     "CaptureChannelSpec",
-    "CaptureQuadrature",
     "OracleEstimate",
     "CaptureTotal",
     "make_capture_spec",
@@ -115,16 +116,6 @@ class CaptureChannelSpec:
 
 
 @dataclass(frozen=True)
-class CaptureQuadrature:
-    """Node counts for the 3-D momentum quadrature (jacobi internuclear)."""
-
-    nk: int = 96
-    nmu: int = 64
-    nphi: int = 48
-    k_scale: float = 4.0
-
-
-@dataclass(frozen=True)
 class OracleEstimate:
     value: complex
     error: float
@@ -148,10 +139,17 @@ def make_capture_spec(A, B, Z_a, Z_b, v, interaction="ProtonElectron"):
     kin = reduced_masses(A, B)
     initial = HydrogenicState(Z_a)
     final = HydrogenicState(Z_b)
-    E_a = 0.5 * kin.mu_a * v**2
+    try:
+        E_a = 0.5 * kin.mu_a * v**2
+    except OverflowError:
+        E_a = math.inf
     energetics = channel_energetics(
         E_a, initial.binding_energy, final.binding_energy, kin
     )
+    if not 0.0 < energetics.p_a < math.inf:
+        raise DomainError(
+            f"relative speed v={v} puts the collision energy out of range: {E_a}"
+        )
     return CaptureChannelSpec(kin, energetics, initial, final, interaction)
 
 
@@ -196,46 +194,73 @@ def _form_factor(Z_a, Z_b, q2):
     return 8.0 * math.sqrt(Z_a**3 * Z_b**3) * s / (s**2 + q2) ** 2
 
 
-def _nn_momentum_quadrature(spec, lam, J_vec, Kb_vec, quad):
-    """Z_A Z_B (2pi)^-3 int d3k phib(k) phia(|k-J|) 4pi/(lam^2+|k-Kb|^2)."""
-    Z_A = spec.initial.Z_eff
-    Z_B = spec.final.Z_eff
-    J = float(np.linalg.norm(J_vec))
-    Kb = float(np.linalg.norm(Kb_vec))
-    if J > 0 and Kb > 0:
-        cos_chi = float(np.dot(J_vec, Kb_vec) / (J * Kb))
-        cos_chi = min(1.0, max(-1.0, cos_chi))
-    else:
-        cos_chi = 1.0
-    sin_chi = math.sqrt(max(0.0, 1.0 - cos_chi**2))
-
-    u, wu = np.polynomial.legendre.leggauss(quad.nk)
-    kt = quad.k_scale
-    k = kt * (1.0 + u) / (1.0 - u)
-    dk = wu * kt * 2.0 / (1.0 - u) ** 2
-    mu, wmu = np.polynomial.legendre.leggauss(quad.nmu)
-    phi = 2.0 * np.pi * np.arange(quad.nphi) / quad.nphi
-    wphi = 2.0 * np.pi / quad.nphi
-
-    k_ = k[:, None, None]
-    mu_ = mu[None, :, None]
-    st_ = np.sqrt(1.0 - mu**2)[None, :, None]
-    cphi = np.cos(phi)[None, None, :]
-
-    phib = spec.final.momentum_wavefunction(k)[:, None, None]
-    # J along the polar axis: |k - J| has no phi dependence
-    ka2 = k_**2 - 2.0 * k_ * mu_ * J + J**2
-    phia = spec.initial.momentum_wavefunction(np.sqrt(ka2))
-    # K_b in the x-z plane at angle chi to J
-    kdotKb = k_ * (st_ * sin_chi * cphi + mu_ * cos_chi) * Kb
-    denom = lam**2 + k_**2 - 2.0 * kdotKb + Kb**2
-    integrand = phib * phia * (4.0 * np.pi / denom)
-    radial = (k**2 * dk)[:, None, None]
-    total = np.sum(integrand * radial * wmu[None, :, None] * wphi)
-    return Z_A * Z_B * total / (2.0 * np.pi) ** 3
+def _graded_half(n, top, depth):
+    """n-point Gauss-Legendre panels on [0, top] that shrink by a factor 4
+    toward 0 until their lower edge is below depth; one panel then reaches 0."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    count = math.ceil(math.log(top / depth, 4.0))
+    edges = np.append(0.0, top * 0.25 ** np.arange(count, -1, -1))
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * u + mid).ravel(), (half * w).ravel()
 
 
-def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk", quad=None):
+def _feynman_rule(n):
+    """Nodes and weights for int_0^1 ds int_0^1 dt t^3 s (1-s) f(s, t).
+
+    Returns (s, 1-s, weight) and (t, 1-t, weight) with the factors
+    s (1-s) and t^3 folded into the weights. Each complement is formed
+    on its own, so no node rounds onto an end where Delta can vanish.
+    The integrand varies on scales 1/(1+J^2) toward both ends of s and
+    a/b toward t = 1, and at lam = 0 behaves as t^(-1/2) toward t = 0:
+    the s halves and the upper t half are graded geometrically far
+    below those scales (down to 1e-10 in s, which covers J up to 1e5,
+    and 1e-15 in 1 - t, which covers |K_b| up to 3e7), and the lower t
+    half is summed in w = sqrt(t), where that singularity is smooth.
+    """
+    h, wh = _graded_half(n, 0.5, 1e-10)
+    s = np.concatenate((h, 1.0 - h[::-1]))
+    s_c = np.concatenate((1.0 - h, h[::-1]))
+    s_w = np.concatenate((wh, wh[::-1])) * s * s_c
+    w, ww = _graded_half(n, math.sqrt(0.5), 1e-8)
+    u, wu = _graded_half(n, 0.5, 1e-15)
+    t = np.concatenate((w**2, 1.0 - u))
+    t_c = np.concatenate((1.0 - w**2, u))
+    t_w = np.concatenate((2.0 * w * ww, wu)) * t**3
+    return (s, s_c, s_w), (t, t_c, t_w)
+
+
+# built once; doubling n moves the amplitudes that
+# test_internuclear_rule_is_converged samples by at most 9e-12
+_FEYNMAN_RULE = _feynman_rule(12)
+
+
+def _nn_feynman(spec, lam, J_vec, Kb_vec):
+    """Z_A Z_B (2pi)^-3 int d3k phib(k) phia(|k-J|) 4pi/(lam^2+|k-Kb|^2).
+
+    Feynman parameters x = t s, y = t (1-s), z = 1 - t join the three
+    denominators, and the k integral is then closed form:
+
+        Z_A Z_B (2pi)^-3 256 pi^2 (Z_a Z_b)^(5/2) (15 pi^2/8)
+            int ds dt t^3 s (1-s) Delta^(-7/2),
+        Delta = t a(s) + (1-t) lam^2 + t (1-t) |K_b - (1-s) J|^2,
+        a(s) = s Z_b^2 + (1-s) Z_a^2 + s (1-s) J^2.
+
+    Every term of Delta is non-negative, so no large terms cancel.
+    """
+    Z_a = spec.initial.Z_eff
+    Z_b = spec.final.Z_eff
+    (s, s_c, s_w), (t, t_c, t_w) = _FEYNMAN_RULE
+    a = s * Z_b**2 + s_c * Z_a**2 + s * s_c * float(np.dot(J_vec, J_vec))
+    d = Kb_vec - s_c[:, None] * J_vec
+    b = np.einsum("ij,ij->i", d, d)
+    delta = np.outer(a, t) + t_c * lam**2 + np.outer(b, t * t_c)
+    integral = s_w @ delta**-3.5 @ t_w
+    scale = 256.0 * np.pi**2 * (Z_a * Z_b) ** 2.5 * 15.0 * np.pi**2 / 8.0
+    # the nuclear charges Z_A, Z_B are the hydrogenic Z_a, Z_b
+    return Z_a * Z_b * scale * integral / (2.0 * np.pi) ** 3
+
+
+def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk"):
     """Capture amplitude for explicit momentum vectors.
 
     Only rotational invariants of (p_a_vec, p_b_vec) enter, so any
@@ -246,7 +271,6 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk", quad=
         raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
     if lam < 0:
         raise DomainError("screening constant must be non-negative")
-    quad = quad or CaptureQuadrature()
     p_a_vec = np.asarray(p_a_vec, dtype=float)
     p_b_vec = np.asarray(p_b_vec, dtype=float)
     Z_a = spec.initial.Z_eff
@@ -270,7 +294,7 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk", quad=
         ) * spec.initial.momentum_wavefunction(math.sqrt(ka2))
         nn = None
         if spec.interaction in ("Internuclear", "Sum"):
-            nn = _nn_momentum_quadrature(spec, lam, J, K_b, quad)
+            nn = _nn_feynman(spec, lam, J, K_b)
 
     if spec.interaction == "ProtonElectron":
         return complex(pe)
@@ -279,15 +303,13 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk", quad=
     return complex(pe + nn)
 
 
-def capture_amplitude(spec, theta, lam=1.0, mode="obk", quad=None):
+def capture_amplitude(spec, theta, lam=1.0, mode="obk"):
     """Amplitude at scattering angle theta in the canonical frame."""
     p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
-    return capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam, mode, quad)
+    return capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam, mode)
 
 
-def ct_differential_cross_section(
-    spec, theta, lam=1.0, mode="obk", quad=None, flux_ratio_power=2
-):
+def ct_differential_cross_section(spec, theta, lam=1.0, mode="obk", flux_ratio_power=2):
     """dsigma/dOmega = (mu_b / 2 pi)^2 (p_b/p_a)^power |A|^2.
 
     Default power 2 squares the flux ratio; standard flux algebra gives
@@ -295,11 +317,9 @@ def ct_differential_cross_section(
     """
     if flux_ratio_power not in FLUX_RATIO_POWERS:
         raise DomainError("flux_ratio_power must be 1 or 2")
-    A = capture_amplitude(spec, theta, lam, mode, quad)
+    A = capture_amplitude(spec, theta, lam, mode)
     mu_b = spec.kin.mu_b
-    # p_a is 0 where the incoming energy underflows; numpy's division then
-    # gives inf or nan, which ct_total_cross_section reports as non-finite
-    ratio = np.divide(spec.energetics.p_b, spec.energetics.p_a)
+    ratio = spec.energetics.p_b / spec.energetics.p_a
     return (mu_b / (2.0 * np.pi)) ** 2 * ratio**flux_ratio_power * abs(A) ** 2
 
 
@@ -329,7 +349,6 @@ def ct_total_cross_section(
     spec,
     lam=1.0,
     mode="obk",
-    quad=None,
     flux_ratio_power=2,
     theta_min=1e-7,
     theta_split=0.1,
@@ -348,16 +367,14 @@ def ct_total_cross_section(
     _require_open(spec)
 
     def dcs(theta):
-        return ct_differential_cross_section(
-            spec, theta, lam, mode, quad, flux_ratio_power
-        )
+        return ct_differential_cross_section(spec, theta, lam, mode, flux_ratio_power)
 
     def quadrature(seg_n, tail_n):
         edges = np.geomspace(theta_min, theta_split, n_segments + 1)
         total = 0.0
         count = 0
+        u, w = np.polynomial.legendre.leggauss(seg_n)
         for lo, hi in zip(edges[:-1], edges[1:]):
-            u, w = np.polynomial.legendre.leggauss(seg_n)
             t = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
             g = 0.5 * (hi - lo) * w
             total += sum(
@@ -445,7 +462,8 @@ def _oracle_integrand(spec, lam, mode, interaction, p_a_vec, p_b_vec, s, w):
     return phi_b(r_b_r) * phi_a(s_r) * V * phase
 
 
-def _oracle_single(spec, theta, interaction, samples, lam, mode, seed, threads):
+def _oracle_block_means(spec, theta, interaction, samples, lam, mode, seed, threads):
+    """Mean of the importance-weighted integrand over each Sobol block."""
     kappa_s, kappa_w = _oracle_plan(spec, lam, mode, interaction)
     p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
     n_blocks = max(2, math.ceil(samples / ORACLE_BLOCK))
@@ -465,12 +483,7 @@ def _oracle_single(spec, theta, interaction, samples, lam, mode, seed, threads):
             means = list(pool.map(block_mean, range(n_blocks)))
     else:
         means = [block_mean(b) for b in range(n_blocks)]
-    means = np.asarray(means)
-    value = complex(np.mean(means))
-    err = math.sqrt(
-        (np.var(means.real, ddof=1) + np.var(means.imag, ddof=1)) / n_blocks
-    )
-    return OracleEstimate(value, err, n_blocks * ORACLE_BLOCK, n_blocks)
+    return np.asarray(means)
 
 
 def brute_force_oracle(
@@ -486,27 +499,26 @@ def brute_force_oracle(
 
     Blocks get deterministic seeds (seed + block index) and the block
     means reduce in index order, so thread count cannot change the
-    result. The Sum interaction runs its two terms separately and adds
-    errors in quadrature.
+    result. The Sum interaction runs its two terms on the same blocks,
+    so its error comes from the summed block means, which carry the
+    terms' correlation. `samples` counts integrand evaluations.
     """
     _require_open(spec)
     if samples < 100000:
         raise DomainError("oracle needs at least 1e5 samples")
     if mode not in MODES:
         raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
-    if spec.interaction == "Sum":
-        pe = _oracle_single(
-            spec, theta, "ProtonElectron", samples, lam, mode, seed, n_threads
-        )
-        nn = _oracle_single(
-            spec, theta, "Internuclear", samples, lam, mode, seed, n_threads
-        )
-        return OracleEstimate(
-            pe.value + nn.value,
-            math.hypot(pe.error, nn.error),
-            pe.samples + nn.samples,
-            pe.blocks + nn.blocks,
-        )
-    return _oracle_single(
-        spec, theta, spec.interaction, samples, lam, mode, seed, n_threads
+    terms = ("ProtonElectron", "Internuclear")
+    if spec.interaction != "Sum":
+        terms = (spec.interaction,)
+    means = sum(
+        _oracle_block_means(spec, theta, term, samples, lam, mode, seed, n_threads)
+        for term in terms
+    )
+    n_blocks = means.size
+    err = math.sqrt(
+        (np.var(means.real, ddof=1) + np.var(means.imag, ddof=1)) / n_blocks
+    )
+    return OracleEstimate(
+        complex(np.mean(means)), err, len(terms) * n_blocks * ORACLE_BLOCK, n_blocks
     )

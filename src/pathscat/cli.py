@@ -25,6 +25,7 @@ import difflib
 import json
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -38,7 +39,6 @@ from .born import elastic_record, ROUTES
 from .capture import (
     brute_force_oracle,
     capture_amplitude,
-    CaptureQuadrature,
     ct_differential_cross_section,
     ct_total_cross_section,
     FLUX_RATIO_POWERS,
@@ -255,9 +255,6 @@ _CAPTURE = {
     "interaction": INTERACTIONS,
     "mode": MODES,
     "lam": float,
-    "quad?": Built(
-        {"nk?": int, "nmu?": int, "nphi?": int, "k_scale?": float}, CaptureQuadrature
-    ),
 }
 
 
@@ -279,10 +276,26 @@ def _require_json(value, context):
         )
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML that also reads YAML 1.2 floats, such as 1e-5, as numbers.
+
+    PyYAML follows YAML 1.1, which wants a dot and a signed exponent and
+    so reads 1e-5 as a string. The 1.2 resolver is tried after the 1.1
+    ones, so every value those read keeps its type.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def parse_config(text):
     """YAML text to a (command, parameters) pair; `run` validates the parameters."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -303,7 +316,7 @@ def apply_overrides(params, overrides):
             raise ConfigError(f"--set expects path.to.key=value, got {item!r}")
         path, _, raw_value = item.partition("=")
         try:
-            value = yaml.safe_load(raw_value)
+            value = yaml.load(raw_value, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"--set value {raw_value!r} is not YAML") from exc
         _require_json(value, f"config.{path}")
@@ -411,7 +424,7 @@ def _capture_spec(cfg):
 def _run_charge_transfer(cfg, threads):
     spec = _capture_spec(cfg)
     mode, lam = cfg["mode"], cfg["lam"]
-    options = _optional(cfg, "quad", "flux_ratio_power")
+    options = _optional(cfg, "flux_ratio_power")
     total = ct_total_cross_section(
         spec, lam=lam, mode=mode, **options, **cfg.get("total", {})
     )
@@ -441,7 +454,7 @@ def _run_oracle(cfg, threads):
         spec, theta, samples=cfg["samples"], lam=lam, mode=mode, seed=seed,
         n_threads=threads,
     )
-    route = capture_amplitude(spec, theta, lam=lam, mode=mode, **_optional(cfg, "quad"))
+    route = capture_amplitude(spec, theta, lam=lam, mode=mode)
     deviation = abs(est.value - route)
     payload = {
         "kind": "capture_oracle",

@@ -1,0 +1,31 @@
+"""The benchmark's calls into pathscat still work.
+
+`bench/workloads.py` drives the public API with the keywords a user
+would pass. Building all four workloads, and running each step of the
+capture workload through its own check, makes an API change that would
+break the benchmark fail here as well.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+SEED = 1
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_builds(tmp_path, name):
+    workload = workloads.WORKLOADS[name](SEED, str(ROOT), str(tmp_path))
+    assert workload.steps
+
+
+def test_capture_steps_pass_their_checks(tmp_path):
+    workload = workloads.Capture(SEED, str(ROOT), str(tmp_path))
+    for label, call, check in workload.steps:
+        assert check(call()).problems == [], label

@@ -3,17 +3,20 @@
 Frozen numbers below were produced by independent routes: the total at
 v = 2 against the closed-form capture cross section 2^18 pi / (5 v^2
 (4 + v^2)^5) for unit charges, amplitudes against a 6-D Sobol oracle
-with importance sampling matched to the bound-state tails.
+with importance sampling matched to the bound-state tails. The
+internuclear jacobi term is also checked against a direct 3-D momentum
+sum, `_nn_momentum_reference`.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.spatial.transform import Rotation
 
-from pathscat import DomainError, NumericalError
+from pathscat import capture, DomainError, NumericalError
 from pathscat.capture import (
     brute_force_oracle,
     capture_amplitude,
@@ -24,11 +27,52 @@ from pathscat.capture import (
     make_capture_spec,
     richardson_lambda_limit,
 )
-from pathscat.capture import _canonical_vectors
+from pathscat.capture import _canonical_vectors, _oracle_block_means
 
 
 def _pp_spec(v=2.0, interaction="ProtonElectron"):
     return make_capture_spec(1.0, 1.0, 1.0, 1.0, v, interaction)
+
+
+def _nn_momentum_reference(spec, lam, theta):
+    """Z_A Z_B (2pi)^-3 int d3k phib(k) phia(|k-J|) 4pi/(lam^2+|k-K_b|^2).
+
+    The internuclear jacobi amplitude summed directly in 3-D: mapped
+    Gauss-Legendre in |k|, Gauss-Legendre in cos, trapezoid in azimuth,
+    with J along the polar axis. The node counts are twice those the
+    package once used for this term (96, 64, 48).
+    """
+    nk, nmu, nphi, k_scale = 192, 128, 96, 4.0
+    p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
+    J_vec = spec.gamma_a * p_a_vec + spec.gamma_b * p_b_vec
+    Kb_vec = p_a_vec - (1.0 - spec.gamma_b) * p_b_vec
+    J = float(np.linalg.norm(J_vec))
+    Kb = float(np.linalg.norm(Kb_vec))
+    if J > 0 and Kb > 0:
+        cos_chi = min(1.0, max(-1.0, float(np.dot(J_vec, Kb_vec) / (J * Kb))))
+    else:
+        cos_chi = 1.0
+    sin_chi = math.sqrt(max(0.0, 1.0 - cos_chi**2))
+
+    u, wu = np.polynomial.legendre.leggauss(nk)
+    k = k_scale * (1.0 + u) / (1.0 - u)
+    dk = wu * k_scale * 2.0 / (1.0 - u) ** 2
+    mu, wmu = np.polynomial.legendre.leggauss(nmu)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+
+    k_ = k[:, None, None]
+    mu_ = mu[None, :, None]
+    st_ = np.sqrt(1.0 - mu**2)[None, :, None]
+    phib = spec.final.momentum_wavefunction(k)[:, None, None]
+    # J along the polar axis: |k - J| has no azimuth dependence
+    ka = np.sqrt(k_**2 - 2.0 * k_ * mu_ * J + J**2)
+    phia = spec.initial.momentum_wavefunction(ka)
+    # K_b in the x-z plane at angle chi to J
+    kdotKb = k_ * (st_ * sin_chi * np.cos(phi)[None, None, :] + mu_ * cos_chi) * Kb
+    integrand = phib * phia * 4.0 * np.pi / (lam**2 + k_**2 - 2.0 * kdotKb + Kb**2)
+    weights = (k**2 * dk)[:, None, None] * wmu[None, :, None] * (2.0 * np.pi / nphi)
+    Z_A, Z_B = spec.initial.Z_eff, spec.final.Z_eff
+    return Z_A * Z_B * np.sum(integrand * weights) / (2.0 * np.pi) ** 3
 
 
 def test_hydrogenic_state_basics():
@@ -106,6 +150,36 @@ def test_sum_interaction_is_additive():
         assert whole == pytest.approx(parts, rel=1e-12)
 
 
+def test_internuclear_term_matches_momentum_quadrature():
+    # where the doubled 3-D sum is converged the two routes agree to
+    # about 3e-11; at theta = 5e-3 the 3-D sum itself is off by up to
+    # 2e-8 (v = 4), which the looser bound there admits
+    for v in (1.0, 2.0, 4.0):
+        spec = _pp_spec(v, "Internuclear")
+        for theta, rel in ((0.0, 1e-10), (1e-3, 1e-10), (5e-3, 1e-7),
+                           (0.1, 1e-10), (1.0, 1e-10)):
+            route = capture_amplitude(spec, theta, lam=1.0, mode="jacobi")
+            reference = _nn_momentum_reference(spec, 1.0, theta)
+            assert route == pytest.approx(reference, rel=rel), f"v={v}, theta={theta}"
+
+
+def test_internuclear_rule_is_converged(monkeypatch):
+    # the Feynman-parameter rule is fixed, so doubling its nodes is its
+    # error check, down to lam = 0 where the 3-D sum never settles
+    cases = [(lam, v, theta) for lam in (0.0, 0.1, 1.0) for v in (0.5, 2.0, 8.0, 32.0)
+             for theta in (0.0, 1e-3, 0.1, 1.0)]
+
+    def amplitudes():
+        return [capture_amplitude(_pp_spec(v, "Internuclear"), theta, lam=lam,
+                                  mode="jacobi") for lam, v, theta in cases]
+
+    base = amplitudes()
+    monkeypatch.setattr(capture, "_FEYNMAN_RULE", capture._feynman_rule(24))
+    for case, value, doubled in zip(cases, base, amplitudes()):
+        assert math.isfinite(value.real) and value.real > 0.0, case
+        assert abs(doubled - value) <= 1e-8 * abs(value), case
+
+
 def test_oracle_agrees_with_both_routes():
     spec = _pp_spec()
     theta = 1e-3
@@ -114,6 +188,29 @@ def test_oracle_agrees_with_both_routes():
         route = capture_amplitude(spec, theta, lam=1.0, mode=mode)
         # measured 0.3 sigma both modes at this seed
         assert abs(est.value - route) <= 3.0 * est.error
+
+
+def test_sum_oracle_error_comes_from_summed_block_means():
+    # both terms run on the same Sobol points, so their block means are
+    # correlated and adding the two errors in quadrature would be wrong
+    spec = _pp_spec(interaction="Sum")
+    theta, samples, seed = 1e-3, 1 << 17, 7
+    est = brute_force_oracle(spec, theta, samples=samples, lam=1.0, mode="jacobi",
+                             seed=seed)
+    pe, nn = (
+        _oracle_block_means(spec, theta, term, samples, 1.0, "jacobi", seed, 1)
+        for term in ("ProtonElectron", "Internuclear")
+    )
+
+    def standard_error(means):
+        var = np.var(means.real, ddof=1) + np.var(means.imag, ddof=1)
+        return math.sqrt(var / means.size)
+
+    assert est.value == pytest.approx(np.mean(pe) + np.mean(nn), rel=1e-12)
+    assert est.error == pytest.approx(standard_error(pe + nn), rel=1e-12)
+    separate = math.hypot(standard_error(pe), standard_error(nn))
+    assert abs(est.error - separate) > 0.01 * separate
+    assert (est.samples, est.blocks) == (2 * pe.size * capture.ORACLE_BLOCK, pe.size)
 
 
 def test_oracle_error_shrinks_with_samples():
@@ -153,6 +250,10 @@ def test_total_is_smooth_in_collision_speed():
 def test_spec_and_angle_validation():
     with pytest.raises(DomainError):
         make_capture_spec(1.0, 1.0, 1.0, 1.0, 0.0)
+    # the collision energy mu_a v^2 / 2 underflows to 0 or overflows
+    for v in (1e-200, 1e200, 1e154):
+        with pytest.raises(DomainError, match=re.escape(f"v={v}")):
+            make_capture_spec(1.0, 1.0, 1.0, 1.0, v)
     with pytest.raises(DomainError):
         capture_amplitude(_pp_spec(), -0.1)
     with pytest.raises(DomainError):

@@ -190,6 +190,25 @@ def test_set_override_reaches_the_computation(tmp_path):
     assert doc_bumped["payload"]["sigma_total"] != doc_base["payload"]["sigma_total"]
 
 
+def test_exponent_floats_without_a_dot_are_numbers(tmp_path):
+    # YAML 1.1 reads 1e-5 as a string; the config loader reads it as 1.0e-5
+    demo = next(p for p in DEMO_CONFIGS if p.stem == "charge-transfer")
+    text = demo.read_text()
+    assert "min: 1.0e-5" in text
+    bare = tmp_path / "bare.yaml"
+    bare.write_text(text.replace("min: 1.0e-5", "min: 1e-5"))
+    runs = {"dotted": (demo, []), "file": (bare, []),
+            "override": (demo, ["--set", "angles.min=1e-5"])}
+    outputs = []
+    for tag, (config, sets) in runs.items():
+        out = tmp_path / tag
+        assert cli.main(["charge-transfer", "--config", str(config), "--out", str(out),
+                         *sets]) == 0
+        outputs.append([(out / f"charge-transfer.{ext}").read_bytes()
+                        for ext in ("csv", "json")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_failed_write_leaves_no_csv_without_its_json(tmp_path, capsys):
     cfg = _write_config(tmp_path, BORN_CONFIG)
     out = tmp_path / "out"
@@ -296,7 +315,13 @@ INVALID_CONFIGS = [
     ("influence", "potentials.V_A.family", "gausian",
      "config.potentials.V_A.family must be one of"),
     ("charge-transfer", "quad.nkk", 96,
-     "unknown key 'nkk' in config.quad; did you mean 'nk'?"),
+     "unknown key 'quad' in config"),
+    ("charge-transfer", "total.seg_node", 24,
+     "unknown key 'seg_node' in config.total; did you mean 'seg_nodes'?"),
+    ("charge-transfer", "v", 1e-200,
+     "config: relative speed v=1e-200 puts the collision energy out of range"),
+    ("charge-transfer", "v", 1e200,
+     "config: relative speed v=1e+200 puts the collision energy out of range"),
     ("charge-transfer", "system.Z_b", _DROP,
      "missing required key 'Z_b' in config.system"),
     ("charge-transfer", "flux_ratio_power", True,
@@ -316,6 +341,10 @@ INVALID_CONFIGS = [
      "config.v must be a finite number"),
     ("oracle", "samples", 10**400,
      "config.samples must be an integer within int64"),
+    ("oracle", "quad.nk", 96,
+     "unknown key 'quad' in config"),
+    ("oracle", "v", 1e-200,
+     "config: relative speed v=1e-200 puts the collision energy out of range"),
     ("oracle", "interaction", "Internuclaer",
      "config.interaction must be one of ('ProtonElectron', 'Internuclear', 'Sum'), "
      "got 'Internuclaer'; did you mean 'Internuclear'?"),

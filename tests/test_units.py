@@ -106,9 +106,10 @@ def test_public_api_fixes_atomic_units_and_numeric_constants():
     # hbar = m_e = 1 and the fixed numeric constants are not arguments:
     # a settable value with one value in use is an untested option
     fixed = {"hbar", "units", "range_factor", "edge_cells", "max_product",
-             "block_size"}
+             "block_size", "quad"}
     assert not hasattr(pathscat, "UnitSystem")
     assert not hasattr(pathscat, "ATOMIC_UNITS")
+    assert not hasattr(pathscat, "CaptureQuadrature")
     for name in pathscat.__all__:
         obj = getattr(pathscat, name)
         if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
