@@ -7,6 +7,7 @@ evaluations of potentials.fourier_transform plus kinematic factors and
 angular quadrature. A momentum p is also the wavenumber.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -137,8 +138,18 @@ def born_differential_cross_section(pot, p, mass, theta, route="auto"):
     return abs(f) ** 2
 
 
-def _gl_total(pot, p, mass, n, route):
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per
+    n and returned read-only, so every caller shares the cached arrays."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gl_total(pot, p, mass, n, route):
+    nodes, weights = _gauss_legendre(n)
     theta = 0.5 * np.pi * (nodes + 1.0)
     w = 0.5 * np.pi * weights
     vals = np.array(

@@ -23,7 +23,10 @@ physical lam -> 0 limit is reached by Richardson extrapolation over a
 geometric lam sequence. The brute-force oracle integrates the raw 6-D
 integrand by scrambled Sobol points with exponential importance
 sampling and block-wise error estimates; it never reuses the
-momentum-space reductions it is meant to check.
+momentum-space reductions it is meant to check. Its radii invert the
+Gamma(3) distribution function P(3, x) = 1 - e^(-x)(1 + x + x^2/2) in
+closed form (`_gamma3_inv`: a fixed number of Halley steps from a
+three-piece starting guess), to round-off.
 """
 
 import math
@@ -34,6 +37,7 @@ import numpy as np
 import scipy.special
 import scipy.stats.qmc
 
+from .born import _gauss_legendre
 from .errors import DomainError, NumericalError
 from .units import OPEN, channel_energetics, reduced_masses
 
@@ -56,6 +60,15 @@ MODES = ("obk", "jacobi")
 FLUX_RATIO_POWERS = (1, 2)
 # Sobol points per oracle block; each block is one independent error sample.
 ORACLE_BLOCK = 1 << 15
+# Switch points and step count of _gamma3_inv. Below P(3, 1/2) the
+# series of P and the cube-root guess are used, above _U_TAIL the
+# log(1 - u) guess; three Halley steps reach round-off from every guess.
+_U_SERIES = 1.0 - 1.625 * math.exp(-0.5)
+_U_TAIL = 1.0 - 1e-3
+_HALLEY_STEPS = 3
+# 6/(k+3)!: the series P(3, x) = x^3 e^(-x)/6 * sum_k 6 x^k/(k+3)!,
+# truncated below 1e-17 of its first term for x <= 0.6
+_P3_SERIES = tuple(6.0 / math.factorial(k + 3) for k in range(14))
 
 
 @dataclass(frozen=True)
@@ -197,7 +210,7 @@ def _form_factor(Z_a, Z_b, q2):
 def _graded_half(n, top, depth):
     """n-point Gauss-Legendre panels on [0, top] that shrink by a factor 4
     toward 0 until their lower edge is below depth; one panel then reaches 0."""
-    u, w = np.polynomial.legendre.leggauss(n)
+    u, w = _gauss_legendre(n)
     count = math.ceil(math.log(top / depth, 4.0))
     edges = np.append(0.0, top * 0.25 ** np.arange(count, -1, -1))
     half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
@@ -373,7 +386,7 @@ def ct_total_cross_section(
         edges = np.geomspace(theta_min, theta_split, n_segments + 1)
         total = 0.0
         count = 0
-        u, w = np.polynomial.legendre.leggauss(seg_n)
+        u, w = _gauss_legendre(seg_n)
         for lo, hi in zip(edges[:-1], edges[1:]):
             t = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
             g = 0.5 * (hi - lo) * w
@@ -381,7 +394,7 @@ def ct_total_cross_section(
                 2.0 * np.pi * np.sin(ti) * dcs(ti) * gi for ti, gi in zip(t, g)
             )
             count += seg_n
-        u, w = np.polynomial.legendre.leggauss(tail_n)
+        u, w = _gauss_legendre(tail_n)
         t = 0.5 * (np.pi - theta_split) * u + 0.5 * (np.pi + theta_split)
         g = 0.5 * (np.pi - theta_split) * w
         total += sum(2.0 * np.pi * np.sin(ti) * dcs(ti) * gi for ti, gi in zip(t, g))
@@ -397,16 +410,63 @@ def ct_total_cross_section(
     return CaptureTotal(value=fine, error=abs(fine - coarse), evaluations=count)
 
 
-def _sample_iso_exp(U, kappa):
-    """Map three uniforms to a 3-D point with density k^3 e^(-k r)/(8 pi)."""
-    u = np.clip(U, 1e-15, 1.0 - 1e-15)
-    r = scipy.special.gammaincinv(3.0, u[:, 0]) / kappa
-    mu = 2.0 * u[:, 1] - 1.0
-    phi = 2.0 * np.pi * u[:, 2]
+def _p3_series(x):
+    """P(3, x) = x^3 e^(-x)/6 * sum_k 6 x^k/(k+3)!, for x below about 1/2."""
+    total = _P3_SERIES[-1]
+    for c in _P3_SERIES[-2::-1]:
+        total = total * x + c
+    return total * x**3 * np.exp(-x) / 6.0
+
+
+def _gamma3_inv(u):
+    """x with P(3, x) = 1 - e^(-x) (1 + x + x^2/2) = u, for u in (0, 1).
+
+    The closed-form inverse of the Gamma(3) distribution function. The
+    starting guess is y (1 + y/4) with y = (6u)^(1/3) below P(3, 1/2),
+    the log(1 - u) form above _U_TAIL, and Wilson-Hilferty between.
+    _HALLEY_STEPS Halley steps follow on P - u for u < 1/2 and on
+    Q - (1 - u) for u >= 1/2, each formed where it is small; below
+    P(3, 1/2) P comes from its series, because 1 - Q cancels there.
+    """
+    x = 3.0 * (26.0 / 27.0 + scipy.special.ndtri(u) / math.sqrt(27.0)) ** 3
+    low = np.flatnonzero(u < _U_SERIES)
+    u_low = u[low]
+    y = np.cbrt(6.0 * u_low)
+    x[low] = y * (1.0 + 0.25 * y)
+    tail = np.flatnonzero(u > _U_TAIL)
+    L = -np.log1p(-u[tail])
+    x[tail] = L + np.log1p(L + 0.5 * L * L)
+    # f = (head - Q) - rest is (1 - Q) - u = P - u below 1/2, (1 - u) - Q above
+    upper = u >= 0.5
+    head = np.where(upper, 1.0 - u, 1.0)
+    rest = np.where(upper, 0.0, u)
+    for _ in range(_HALLEY_STEPS):
+        e = np.exp(-x)
+        f = (head - e * (1.0 + x + 0.5 * x * x)) - rest
+        f[low] = _p3_series(x[low]) - u_low
+        # Newton step f/P', then Halley's correction with P''/(2 P') = 1/x - 1/2
+        t = f / (0.5 * x * x * e)
+        x = x - t / (1.0 - t * (1.0 / x - 0.5))
+    return x
+
+
+def _sample_iso_exp(U):
+    """Map three uniforms per row to a unit-rate radius and a direction.
+
+    The radius x = P^-1(3, u) comes from _gamma3_inv, the closed-form
+    inverse of the Gamma(3) distribution function; the direction is
+    uniform on the sphere, as a (3, n) array. The point (x/kappa) times
+    the direction has density kappa^3 e^(-x)/(8 pi) in 3-D.
+    """
+    x = _gamma3_inv(np.clip(U[:, 0], 1e-15, 1.0 - 1e-15))
+    mu = 2.0 * U[:, 1] - 1.0
+    phi = 2.0 * np.pi * U[:, 2]
     st = np.sqrt(1.0 - mu**2)
-    vec = np.column_stack((r * st * np.cos(phi), r * st * np.sin(phi), r * mu))
-    density = kappa**3 * np.exp(-kappa * r) / (8.0 * np.pi)
-    return vec, r, density
+    direction = np.empty((3, len(x)))
+    direction[0] = st * np.cos(phi)
+    direction[1] = st * np.sin(phi)
+    direction[2] = mu
+    return x, direction
 
 
 def _oracle_plan(spec, lam, mode, interaction):
@@ -427,63 +487,97 @@ def _oracle_plan(spec, lam, mode, interaction):
     return kappa_s, kappa_w
 
 
-def _oracle_integrand(spec, lam, mode, interaction, p_a_vec, p_b_vec, s, w):
-    """Raw 6-D integrand over the sampled pair (s, w), no reductions."""
-    Z_B = spec.final.Z_eff
-    Z_A = spec.initial.Z_eff
-    phi_a = spec.initial.position_wavefunction
-    phi_b = spec.final.position_wavefunction
-    s_r = np.linalg.norm(s, axis=1)
-    w_r = np.linalg.norm(w, axis=1)
+def _dot(vec, points):
+    """vec . point for each column of a (3, n) array."""
+    return vec[0] * points[0] + vec[1] * points[1] + vec[2] * points[2]
+
+
+def _oracle_integrand(spec, theta, lam, mode, interaction):
+    """Raw 6-D integrand over the sampled pair (s, w), no reductions.
+
+    Returns f(s, s_r, w, w_r) for points given as (3, n) arrays with
+    their radii. The wave vectors, mass ratios and orbital
+    normalisations are built here, once per oracle call.
+    """
+    Z_a = spec.initial.Z_eff
+    Z_b = spec.final.Z_eff
+    # phi_b(r_b) phi_a(s_r) V(w_r) = amp e^(-Z_b r_b - Z_a s_r - lam w_r) / w_r
+    amp = math.sqrt(Z_b**3 / math.pi) * math.sqrt(Z_a**3 / math.pi)
+    amp *= -Z_b if interaction == "ProtonElectron" else Z_a * Z_b
+    p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
     if mode == "obk":
         q_vec = p_a_vec - p_b_vec
-        if interaction == "ProtonElectron":
-            R = s - w
-            V = -Z_B * np.exp(-lam * w_r) / w_r
-        else:
-            R = w
-            V = Z_A * Z_B * np.exp(-lam * w_r) / w_r
-        return phi_b(s_r) * phi_a(s_r) * V * np.exp(1j * (R @ q_vec))
+
+        def integrand(s, s_r, w, w_r):
+            # R = s - w for the proton-electron term, R = w internuclear
+            R = s - w if interaction == "ProtonElectron" else w
+            mag = amp * np.exp(-(Z_a + Z_b) * s_r - lam * w_r) / w_r
+            return mag * np.exp(1j * _dot(q_vec, R))
+
+        return integrand
     ga = spec.gamma_a
     gb = spec.gamma_b
     c = ga + gb - ga * gb
-    if interaction == "ProtonElectron":
-        # w is the outgoing electron coordinate r_b
-        X = (1.0 - ga) * s - w
-        V = -Z_B * np.exp(-lam * w_r) / w_r
-        r_b_r = w_r
-    else:
-        # w is the internuclear separation
-        X = -ga * s - w
-        V = Z_A * Z_B * np.exp(-lam * w_r) / w_r
-        r_b_r = np.linalg.norm(s + w, axis=1)
-    R_out = c * s + (1.0 - gb) * X
-    phase = np.exp(1j * ((X @ p_a_vec) - (R_out @ p_b_vec)))
-    return phi_b(r_b_r) * phi_a(s_r) * V * phase
+
+    def integrand(s, s_r, w, w_r):
+        if interaction == "ProtonElectron":
+            # w is the outgoing electron coordinate r_b
+            X = (1.0 - ga) * s - w
+            r_b_r = w_r
+        else:
+            # w is the internuclear separation
+            X = -ga * s - w
+            r_b = s + w
+            r_b_r = np.sqrt(_dot(r_b, r_b))
+        # R_out = c s + (1 - gb) X enters only through R_out . p_b
+        out_p_b = c * _dot(p_b_vec, s) + (1.0 - gb) * _dot(p_b_vec, X)
+        mag = amp * np.exp(-Z_b * r_b_r - Z_a * s_r - lam * w_r) / w_r
+        return mag * np.exp(1j * (_dot(p_a_vec, X) - out_p_b))
+
+    return integrand
 
 
-def _oracle_block_means(spec, theta, interaction, samples, lam, mode, seed, threads):
-    """Mean of the importance-weighted integrand over each Sobol block."""
-    kappa_s, kappa_w = _oracle_plan(spec, lam, mode, interaction)
-    p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
+def _oracle_draws(seed):
+    """One block's unit-rate draws of s and w from one scrambled Sobol set;
+    the uniforms are dropped on return, before any term is evaluated."""
+    sob = scipy.stats.qmc.Sobol(d=6, scramble=True, seed=seed)
+    U = sob.random(ORACLE_BLOCK)
+    return _sample_iso_exp(U[:, :3]), _sample_iso_exp(U[:, 3:])
+
+
+def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
+    """Mean of each term's importance-weighted integrand over each block.
+
+    Returns an array of shape (len(terms), blocks). Block b draws its
+    Sobol points and radii from seed + b once, and every term reuses them
+    at its own rates. One pool runs every block and the means come back
+    in block order, so the thread count cannot change them.
+    """
+    plans = []
+    for term in terms:
+        kappa_s, kappa_w = _oracle_plan(spec, lam, mode, term)
+        integrand = _oracle_integrand(spec, theta, lam, mode, term)
+        plans.append((kappa_s, kappa_w, integrand))
     n_blocks = max(2, math.ceil(samples / ORACLE_BLOCK))
 
-    def block_mean(b):
-        sob = scipy.stats.qmc.Sobol(d=6, scramble=True, seed=seed + b)
-        U = sob.random(ORACLE_BLOCK)
-        s, _, ps = _sample_iso_exp(U[:, :3], kappa_s)
-        w, _, pw = _sample_iso_exp(U[:, 3:], kappa_w)
-        vals = _oracle_integrand(
-            spec, lam, mode, interaction, p_a_vec, p_b_vec, s, w
-        ) / (ps * pw)
-        return complex(np.mean(vals))
+    def block_means(b):
+        (x_s, dir_s), (x_w, dir_w) = _oracle_draws(seed + b)
+        # 1 / (sampling density) up to the rates: (8 pi)^2 e^(x_s + x_w)
+        weight = (8.0 * np.pi) ** 2 * np.exp(x_s + x_w)
+        means = []
+        for kappa_s, kappa_w, integrand in plans:
+            s_r = x_s / kappa_s
+            w_r = x_w / kappa_w
+            vals = integrand(dir_s * s_r, s_r, dir_w * w_r, w_r) * weight
+            means.append(complex(np.mean(vals)) / (kappa_s * kappa_w) ** 3)
+        return means
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            means = list(pool.map(block_mean, range(n_blocks)))
+            means = list(pool.map(block_means, range(n_blocks)))
     else:
-        means = [block_mean(b) for b in range(n_blocks)]
-    return np.asarray(means)
+        means = [block_means(b) for b in range(n_blocks)]
+    return np.array(means).T
 
 
 def brute_force_oracle(
@@ -497,23 +591,25 @@ def brute_force_oracle(
 ):
     """Direct Sobol evaluation of the capture integral, value and error.
 
-    Blocks get deterministic seeds (seed + block index) and the block
-    means reduce in index order, so thread count cannot change the
-    result. The Sum interaction runs its two terms on the same blocks,
-    so its error comes from the summed block means, which carry the
-    terms' correlation. `samples` counts integrand evaluations.
+    Blocks get deterministic seeds (seed + block index, so seed must be
+    non-negative) and the block means reduce in index order, so thread
+    count cannot change the result. The Sum interaction runs its two
+    terms on the same blocks, so its error comes from the summed block
+    means, which carry the terms' correlation. `samples` counts
+    integrand evaluations.
     """
     _require_open(spec)
     if samples < 100000:
         raise DomainError("oracle needs at least 1e5 samples")
     if mode not in MODES:
         raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
+    if seed < 0:
+        raise DomainError(f"oracle seed must be non-negative, got {seed}")
     terms = ("ProtonElectron", "Internuclear")
     if spec.interaction != "Sum":
         terms = (spec.interaction,)
     means = sum(
-        _oracle_block_means(spec, theta, term, samples, lam, mode, seed, n_threads)
-        for term in terms
+        _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, n_threads)
     )
     n_blocks = means.size
     err = math.sqrt(

@@ -125,6 +125,8 @@ def _built(context, build, *args, **kwargs):
 _LEAVES = {float: "a number", int: "an integer", str: "a string"}
 # Integer keys size grids and sample counts, which numpy holds as int64.
 _INT64 = range(-(2**63), 2**63)
+# Oracle block b is seeded seed + b, and numpy takes no negative seed.
+_SEED = range(0, 2**63)
 
 
 def _leaf(value, kind, context):
@@ -175,6 +177,12 @@ def _validate(value, schema, context):
         if not isinstance(value, list):
             raise ConfigError(f"{context} must be a list")
         return [_validate(v, schema[0], f"{context}[{i}]") for i, v in enumerate(value)]
+    if isinstance(schema, range):
+        value = _leaf(value, int, context)
+        if value not in schema:
+            raise ConfigError(f"{context} must be an integer >= {schema.start}, "
+                              f"got {value!r}")
+        return value
     if isinstance(schema, tuple):
         # the type check first keeps True and 2.0 out of (1, 2)
         value = _leaf(value, type(schema[0]), context)
@@ -468,6 +476,7 @@ def _run_oracle(cfg, threads):
         "statistical_error": est.error,
         "route_value": _complex(route),
         "route_deviation": deviation,
+        "z_score": deviation / est.error if est.error > 0 else None,
     }
     rows = [(est.value.real, est.value.imag, est.error, deviation)]
     return payload, ("value_re", "value_im", "stat_error", "route_deviation"), rows
@@ -514,7 +523,7 @@ _COMMANDS = {
         ),
     }),
     "oracle": (
-        _run_oracle, {**_CAPTURE, "theta": float, "samples": int, "seed": int}
+        _run_oracle, {**_CAPTURE, "theta": float, "samples": int, "seed": _SEED}
     ),
 }
 COMMANDS = tuple(_COMMANDS)

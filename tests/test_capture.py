@@ -5,7 +5,9 @@ v = 2 against the closed-form capture cross section 2^18 pi / (5 v^2
 (4 + v^2)^5) for unit charges, amplitudes against a 6-D Sobol oracle
 with importance sampling matched to the bound-state tails. The
 internuclear jacobi term is also checked against a direct 3-D momentum
-sum, `_nn_momentum_reference`.
+sum, `_nn_momentum_reference`. The oracle's block kernel is checked
+against the kernel it replaced, `_oracle_block_means_reference`, which
+draws its radii with scipy's `gammaincinv`.
 """
 
 import math
@@ -13,6 +15,10 @@ import re
 
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats.qmc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.spatial.transform import Rotation
 
@@ -27,7 +33,13 @@ from pathscat.capture import (
     make_capture_spec,
     richardson_lambda_limit,
 )
-from pathscat.capture import _canonical_vectors, _oracle_block_means
+from pathscat.capture import (
+    _canonical_vectors,
+    _gamma3_inv,
+    _oracle_block_means,
+    _oracle_plan,
+    _p3_series,
+)
 
 
 def _pp_spec(v=2.0, interaction="ProtonElectron"):
@@ -73,6 +85,73 @@ def _nn_momentum_reference(spec, lam, theta):
     weights = (k**2 * dk)[:, None, None] * wmu[None, :, None] * (2.0 * np.pi / nphi)
     Z_A, Z_B = spec.initial.Z_eff, spec.final.Z_eff
     return Z_A * Z_B * np.sum(integrand * weights) / (2.0 * np.pi) ** 3
+
+
+def _sample_iso_exp_reference(U, kappa):
+    """The oracle's former sampler: radius gammaincinv(3, u) / kappa."""
+    u = np.clip(U, 1e-15, 1.0 - 1e-15)
+    r = scipy.special.gammaincinv(3.0, u[:, 0]) / kappa
+    mu = 2.0 * u[:, 1] - 1.0
+    phi = 2.0 * np.pi * u[:, 2]
+    st_ = np.sqrt(1.0 - mu**2)
+    vec = np.column_stack((r * st_ * np.cos(phi), r * st_ * np.sin(phi), r * mu))
+    density = kappa**3 * np.exp(-kappa * r) / (8.0 * np.pi)
+    return vec, r, density
+
+
+def _oracle_integrand_reference(spec, lam, mode, interaction, p_a_vec, p_b_vec, s, w):
+    """The oracle's former integrand: every constant rebuilt per block."""
+    Z_B = spec.final.Z_eff
+    Z_A = spec.initial.Z_eff
+    phi_a = spec.initial.position_wavefunction
+    phi_b = spec.final.position_wavefunction
+    s_r = np.linalg.norm(s, axis=1)
+    w_r = np.linalg.norm(w, axis=1)
+    if mode == "obk":
+        q_vec = p_a_vec - p_b_vec
+        if interaction == "ProtonElectron":
+            R = s - w
+            V = -Z_B * np.exp(-lam * w_r) / w_r
+        else:
+            R = w
+            V = Z_A * Z_B * np.exp(-lam * w_r) / w_r
+        return phi_b(s_r) * phi_a(s_r) * V * np.exp(1j * (R @ q_vec))
+    ga = spec.gamma_a
+    gb = spec.gamma_b
+    c = ga + gb - ga * gb
+    if interaction == "ProtonElectron":
+        X = (1.0 - ga) * s - w
+        V = -Z_B * np.exp(-lam * w_r) / w_r
+        r_b_r = w_r
+    else:
+        X = -ga * s - w
+        V = Z_A * Z_B * np.exp(-lam * w_r) / w_r
+        r_b_r = np.linalg.norm(s + w, axis=1)
+    R_out = c * s + (1.0 - gb) * X
+    phase = np.exp(1j * ((X @ p_a_vec) - (R_out @ p_b_vec)))
+    return phi_b(r_b_r) * phi_a(s_r) * V * phase
+
+
+def _oracle_block_means_reference(spec, theta, interaction, samples, lam, mode, seed):
+    """Block means of one term by the former kernel, one block at a time."""
+    kappa_s, kappa_w = _oracle_plan(spec, lam, mode, interaction)
+    p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
+    means = []
+    for b in range(max(2, math.ceil(samples / capture.ORACLE_BLOCK))):
+        sob = scipy.stats.qmc.Sobol(d=6, scramble=True, seed=seed + b)
+        U = sob.random(capture.ORACLE_BLOCK)
+        s, _, ps = _sample_iso_exp_reference(U[:, :3], kappa_s)
+        w, _, pw = _sample_iso_exp_reference(U[:, 3:], kappa_w)
+        vals = _oracle_integrand_reference(
+            spec, lam, mode, interaction, p_a_vec, p_b_vec, s, w
+        ) / (ps * pw)
+        means.append(complex(np.mean(vals)))
+    return np.asarray(means)
+
+
+def _standard_error(means):
+    var = np.var(means.real, ddof=1) + np.var(means.imag, ddof=1)
+    return math.sqrt(var / means.size)
 
 
 def test_hydrogenic_state_basics():
@@ -198,19 +277,99 @@ def test_sum_oracle_error_comes_from_summed_block_means():
     est = brute_force_oracle(spec, theta, samples=samples, lam=1.0, mode="jacobi",
                              seed=seed)
     pe, nn = (
-        _oracle_block_means(spec, theta, term, samples, 1.0, "jacobi", seed, 1)
+        _oracle_block_means(spec, theta, (term,), samples, 1.0, "jacobi", seed, 1)[0]
         for term in ("ProtonElectron", "Internuclear")
     )
-
-    def standard_error(means):
-        var = np.var(means.real, ddof=1) + np.var(means.imag, ddof=1)
-        return math.sqrt(var / means.size)
-
     assert est.value == pytest.approx(np.mean(pe) + np.mean(nn), rel=1e-12)
-    assert est.error == pytest.approx(standard_error(pe + nn), rel=1e-12)
-    separate = math.hypot(standard_error(pe), standard_error(nn))
+    assert est.error == pytest.approx(_standard_error(pe + nn), rel=1e-12)
+    separate = math.hypot(_standard_error(pe), _standard_error(nn))
     assert abs(est.error - separate) > 0.01 * separate
     assert (est.samples, est.blocks) == (2 * pe.size * capture.ORACLE_BLOCK, pe.size)
+
+
+def test_oracle_block_kernel_matches_the_former_kernel():
+    # the closed-form radial inverse and the hoisted kernel change the
+    # estimate by round-off only (measured: value 1.4e-13 of the larger
+    # term, error 1.2e-12), and one pool over every block cannot let the
+    # thread count change a bit; the unequal masses and charges of the
+    # second system tell gamma_a from gamma_b and Z_a from Z_b
+    samples, seed = 1 << 17, 7
+    cases = [((1.0, 1.0, 1.0, 1.0), mode, theta)
+             for mode in ("obk", "jacobi") for theta in (0.0, 1e-3)]
+    cases += [((1.0, 4.0, 1.0, 2.0), mode, 1e-3) for mode in ("obk", "jacobi")]
+    for system, mode, theta in cases:
+        def spec_of(interaction):
+            return make_capture_spec(*system, 2.0, interaction)
+
+        terms = {
+            term: _oracle_block_means_reference(
+                spec_of(term), theta, term, samples, 1.0, mode, seed
+            )
+            for term in ("ProtonElectron", "Internuclear")
+        }
+        terms["Sum"] = terms["ProtonElectron"] + terms["Internuclear"]
+        # round-off scales with the terms, not with the Sum's cancellation
+        value_scale = max(abs(np.mean(m)) for m in terms.values())
+        for interaction, means in terms.items():
+            one, two = (
+                brute_force_oracle(spec_of(interaction), theta, samples=samples,
+                                   lam=1.0, mode=mode, seed=seed, n_threads=threads)
+                for threads in (1, 2)
+            )
+            case = (system, mode, theta, interaction)
+            assert one == two, case
+            assert abs(one.value - np.mean(means)) <= 1e-10 * value_scale, case
+            assert one.error == pytest.approx(_standard_error(means), rel=1e-10,
+                                              abs=0.0), case
+
+
+def _uniforms():
+    """u in [1e-15, 1 - 1e-15], with geometric tails toward both ends."""
+    tail = st.floats(1.0, 15.0).map(lambda k: 10.0**-k)
+    return st.one_of(st.floats(1e-15, 1.0 - 1e-15), tail, tail.map(lambda t: 1.0 - t))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(u=st.lists(_uniforms(), min_size=1, max_size=64))
+def test_gamma3_inverse_matches_gammaincinv(u):
+    # clipped as the sampler clips its radial uniforms
+    u = np.clip(np.array(u), 1e-15, 1.0 - 1e-15)
+    x = _gamma3_inv(u)
+    want = scipy.special.gammaincinv(3.0, u)
+    assert np.all(np.abs(x - want) <= 1e-12 * want)
+    # the round trip, through P below one half and through Q above it
+    assert np.all(np.abs(scipy.special.gammainc(3.0, x) - u) <= 1e-12 * u)
+    assert np.all(np.abs(scipy.special.gammaincc(3.0, x) - (1.0 - u))
+                  <= 1e-12 * (1.0 - u))
+
+
+def test_gamma3_inverse_switch_points_and_step_count(monkeypatch):
+    # the series switch is P(3, 1/2), and below it the series is P
+    assert capture._U_SERIES == pytest.approx(scipy.special.gammainc(3.0, 0.5),
+                                              rel=1e-14)
+    x = np.linspace(1e-6, 0.6, 2001)
+    assert np.allclose(_p3_series(x), scipy.special.gammainc(3.0, x),
+                       rtol=1e-14, atol=0.0)
+    tails = np.geomspace(1e-15, 0.5, 400)
+    near = np.concatenate([s * (1.0 + np.linspace(-0.02, 0.02, 101))
+                           for s in (capture._U_SERIES, 0.5)])
+    near_tail = 1.0 - (1.0 - capture._U_TAIL) * (1.0 + np.linspace(-0.02, 0.02, 101))
+    u = np.concatenate([tails, 1.0 - tails, np.linspace(0.0, 1.0, 1001)[1:-1],
+                        near, near_tail])
+    want = scipy.special.gammaincinv(3.0, u)
+
+    def worst(steps):
+        monkeypatch.setattr(capture, "_HALLEY_STEPS", steps)
+        return np.max(np.abs(_gamma3_inv(u) / want - 1.0))
+
+    steps = capture._HALLEY_STEPS
+    # every starting guess is within 10% of the root on its side of the
+    # switch points, the fixed step count reaches the bound, one step
+    # fewer does not, and one step more moves nothing beyond round-off
+    assert worst(0) <= 0.1
+    assert worst(steps) <= 1e-12
+    assert worst(steps - 1) > 1e-12
+    assert worst(steps + 1) <= 1e-12
 
 
 def test_oracle_error_shrinks_with_samples():
@@ -224,6 +383,12 @@ def test_oracle_error_shrinks_with_samples():
 def test_oracle_rejects_thin_sampling():
     with pytest.raises(DomainError):
         brute_force_oracle(_pp_spec(), 1e-3, samples=50000)
+
+
+def test_oracle_rejects_a_negative_seed():
+    # block b is seeded seed + b, and the Sobol scrambler takes no negative seed
+    with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+        brute_force_oracle(_pp_spec(), 1e-3, samples=1 << 17, seed=-1)
 
 
 def test_closed_channel_is_refused():

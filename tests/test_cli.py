@@ -173,6 +173,22 @@ def test_outputs_are_run_and_thread_invariant(tmp_path):
         assert (out / "oracle.csv").read_bytes() == ref_csv
 
 
+def test_oracle_reports_its_z_score(tmp_path):
+    def payload(name, **changes):
+        out = tmp_path / name
+        cfg = _write_config(tmp_path, {**ORACLE_CONFIG, **changes})
+        assert cli.main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0
+        return json.loads((out / "oracle.json").read_text())["payload"]
+
+    pe = payload("pe")
+    assert pe["statistical_error"] > 0
+    assert pe["z_score"] == pe["route_deviation"] / pe["statistical_error"]
+    # at theta = 0 the obk Sum's two terms cancel on every sample
+    total = payload("sum", interaction="Sum", theta=0.0)
+    assert total["statistical_error"] == 0.0
+    assert total["z_score"] is None
+
+
 def test_set_override_reaches_the_computation(tmp_path):
     cfg = _write_config(tmp_path, BORN_CONFIG)
     base = tmp_path / "base"
@@ -345,6 +361,8 @@ INVALID_CONFIGS = [
      "unknown key 'quad' in config"),
     ("oracle", "v", 1e-200,
      "config: relative speed v=1e-200 puts the collision energy out of range"),
+    ("oracle", "seed", -1,
+     "config.seed must be an integer >= 0, got -1"),
     ("oracle", "interaction", "Internuclaer",
      "config.interaction must be one of ('ProtonElectron', 'Internuclear', 'Sum'), "
      "got 'Internuclaer'; did you mean 'Internuclear'?"),
