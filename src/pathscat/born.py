@@ -88,15 +88,12 @@ class TotalCrossSection:
 class CrossSectionRecord:
     """Angle-resolved differential cross section plus its total."""
 
-    kind: str
     angles: list
     dsigma: list
     sigma_total: float
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind != "ElasticBorn":
-            raise DomainError(f"unknown cross-section kind {self.kind!r}")
         if len(self.angles) != len(self.dsigma):
             raise DomainError("angles and dsigma must have equal length")
         if any(d < 0 for d in self.dsigma):
@@ -226,7 +223,6 @@ def elastic_record(pot, p, mass, thetas, n_theta=64, route="auto"):
         "route": route,
     }
     return CrossSectionRecord(
-        kind="ElasticBorn",
         angles=angles,
         dsigma=dsigma,
         sigma_total=total.value,

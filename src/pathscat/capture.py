@@ -76,13 +76,10 @@ class HydrogenicState:
     """1s state of effective charge Z_eff; phi(r) = sqrt(Z^3/pi) e^(-Zr)."""
 
     Z_eff: float
-    n: int = 1
 
     def __post_init__(self):
         if self.Z_eff <= 0:
             raise DomainError("effective charge must be positive")
-        if self.n != 1:
-            raise DomainError("only 1s states are supported")
 
     @property
     def binding_energy(self):
@@ -605,6 +602,8 @@ def brute_force_oracle(
         raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
     if seed < 0:
         raise DomainError(f"oracle seed must be non-negative, got {seed}")
+    if lam < 0:
+        raise DomainError("screening constant must be non-negative")
     terms = ("ProtonElectron", "Internuclear")
     if spec.interaction != "Sum":
         terms = (spec.interaction,)

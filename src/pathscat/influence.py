@@ -15,6 +15,10 @@ discretized product with all potentials off, which makes zero-coupling
 phases vanish identically instead of at the lattice's accuracy floor.
 A pointwise effective potential is deliberately not offered; only the
 time-integrated phase is well defined here.
+
+Every slice, the product lattice's included, samples its potentials
+with the propagator's `potential_on_axis` and splits its phase and
+absorber damping with `_node_factors`, exactly as one-particle slices do.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .propagator import _kinetic_kernel, _propagate, _slice, TimeGrid
+from .propagator import (
+    _absorber_profile,
+    _kinetic_kernel,
+    _node_factors,
+    _propagate,
+    _slice,
+    potential_on_axis,
+    TimeGrid,
+)
 
 __all__ = [
     "FixedPath",
@@ -64,12 +76,6 @@ class InfluenceResult:
     free_reference: complex
 
 
-def _pot_term(pot, r):
-    if pot is None:
-        return 0.0
-    return pot.evaluate(np.abs(r))
-
-
 def _node_index(lattice, pos, name):
     nodes = lattice.nodes
     i = int(np.argmin(np.abs(nodes - pos)))
@@ -78,6 +84,13 @@ def _node_index(lattice, pos, name):
             f"{name} = {pos} is not a lattice node; nearest node is {nodes[i]!r}"
         )
     return i
+
+
+def _arrival_samples(path, grid):
+    """The companion's positions at the arrival times of slices 1..N."""
+    if path.grid != grid:
+        raise DomainError("fixed path and contraction use different time grids")
+    return path.samples[1:]
 
 
 def _phase_from(amplitude, reference):
@@ -120,19 +133,11 @@ def influence_K1(
     Slice j sees V_B(r_j - R) + V_AB(R) with r_j the electron sample at
     the slice's arrival time. Returns the (R_a -> R_b) matrix element.
     """
-    if electron_path.grid != grid:
-        raise DomainError("fixed path and contraction use different time grids")
-    r = electron_path.samples
-
-    def slice_pot(j):
-        rj = r[j]
-
-        def V(R):
-            return _pot_term(pots.V_B, rj - R) + _pot_term(pots.V_AB, R)
-
-        return V
-
-    slice_pots = (slice_pot(j) for j in range(1, grid.N + 1))
+    slice_pots = (
+        lambda R, r=r: potential_on_axis(pots.V_B, r - R)
+        + potential_on_axis(pots.V_AB, R)
+        for r in _arrival_samples(electron_path, grid)
+    )
     return _endpoint_element(slice_pots, R_a, R_b, lattice, grid, M, kinetic, sampling)
 
 
@@ -152,19 +157,11 @@ def influence_K2(
     Slice j sees V_A(r) + V_B(r - R_j) with R_j the ion sample at the
     slice's arrival time.
     """
-    if ion_path.grid != grid:
-        raise DomainError("fixed path and contraction use different time grids")
-    R = ion_path.samples
-
-    def slice_pot(j):
-        Rj = R[j]
-
-        def V(r):
-            return _pot_term(pots.V_A, r) + _pot_term(pots.V_B, r - Rj)
-
-        return V
-
-    slice_pots = (slice_pot(j) for j in range(1, grid.N + 1))
+    slice_pots = (
+        lambda r, R=R: potential_on_axis(pots.V_A, r)
+        + potential_on_axis(pots.V_B, r - R)
+        for R in _arrival_samples(ion_path, grid)
+    )
     return _endpoint_element(slice_pots, r_a, r_b, lattice, grid, m, kinetic, sampling)
 
 
@@ -185,7 +182,8 @@ def reconstruct_full_amplitude(
     The joint field psi(r, R) starts as a delta pair and is pushed
     through N slices: the electron's kinetic kernel along axis 0, the
     ion's along axis 1, and the full coupled phase exp(-i eps (V_A(r) +
-    V_AB(R) + V_B(r - R))). The returned value is the kernel density
+    V_AB(R) + V_B(r - R))) with both axes' absorber damping, split as in
+    a one-particle slice. The returned value is the kernel density
     K(r_b, R_b; r_a, R_a); it serves as the oracle for factorization and
     influence-functional identities. The kinetic kernels are dense
     matrices: under the MAX_PRODUCT_POINTS cap a batched matrix product
@@ -208,20 +206,17 @@ def reconstruct_full_amplitude(
     eps = grid.epsilon
     G_e = lattice_e.dx * _kinetic_kernel(lattice_e, eps, m, kinetic)
     G_i = lattice_i.dx * _kinetic_kernel(lattice_i, eps, M, kinetic)
-    xe = lattice_e.nodes
-    xi = lattice_i.nodes
-    V = np.zeros((lattice_e.points, lattice_i.points))
-    if pots.V_A is not None:
-        V += np.asarray(pots.V_A.evaluate(np.abs(xe)))[:, None]
-    if pots.V_AB is not None:
-        V += np.asarray(pots.V_AB.evaluate(np.abs(xi)))[None, :]
-    if pots.V_B is not None:
-        V += pots.V_B.evaluate(np.abs(xe[:, None] - xi[None, :]))
-
-    if sampling == "endpoint":
-        pre, post = 1.0, np.exp(-1j * eps * V)
-    else:
-        pre = post = np.exp(-0.5j * eps * V)
+    xe = lattice_e.nodes[:, None]
+    xi = lattice_i.nodes[None, :]
+    V = (
+        potential_on_axis(pots.V_A, xe)
+        + potential_on_axis(pots.V_AB, xi)
+        + potential_on_axis(pots.V_B, xe - xi)
+    )
+    damp = np.outer(
+        _absorber_profile(lattice_e, eps), _absorber_profile(lattice_i, eps)
+    )
+    pre, post = _node_factors(V, damp, eps, sampling)
     psi = np.zeros((lattice_e.points, lattice_i.points))
     psi[ia_e, ia_i] = 1.0 / (lattice_e.dx * lattice_i.dx)
     psi = _propagate(psi, ((pre, (G_e, G_i), post),) * grid.N)

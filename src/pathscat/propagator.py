@@ -336,7 +336,8 @@ def potential_on_axis(pot, x):
     """Sample a potential on signed coordinates.
 
     Central families are evaluated at |x|; a bare callable is trusted
-    with the signed coordinate; None means free.
+    with the signed coordinate; None means free. A sample that is not
+    finite, such as a 1/r family at r = 0, raises a DomainError.
     """
     x = np.asarray(x, dtype=float)
     if pot is None:
@@ -348,7 +349,13 @@ def potential_on_axis(pot, x):
     else:
         raise DomainError("potential must be a central family, a callable, or None")
     # A constant callable may return a scalar; spread it over the nodes.
-    return np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
+    values = np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
+    bad = ~np.isfinite(values)
+    if bad.any():
+        at = float(x[bad][0])
+        name = repr(pot) if hasattr(pot, "evaluate") else "potential"
+        raise DomainError(f"{name} is not finite at coordinate {at!r}")
+    return values
 
 
 def _absorber_profile(lattice, epsilon):
@@ -360,6 +367,16 @@ def _absorber_profile(lattice, epsilon):
     d = np.minimum(x - lattice.x_min, lattice.x_max - x)
     W = np.where(d < b.width, b.strength * ((b.width - d) / b.width) ** 2, 0.0)
     return np.exp(-0.5 * epsilon * W)
+
+
+def _node_factors(V, damp, epsilon, sampling):
+    """Diagonal slice factors (pre, post) from node potentials and damping."""
+    if sampling == "endpoint":
+        return damp, damp * np.exp(-1j * epsilon * V)
+    if sampling == "symmetric":
+        half = damp * np.exp(-0.5j * epsilon * V)
+        return half, half
+    raise DomainError(f"unknown sampling mode {sampling!r}; options: {SAMPLING_MODES}")
 
 
 def _slice(pot, lattice, epsilon, mass, kinetic, sampling):
@@ -379,17 +396,7 @@ def _slice(pot, lattice, epsilon, mass, kinetic, sampling):
         Vm = potential_on_axis(pot, 0.5 * (x[:, None] + x[None, :]))
         G = _kinetic_kernel(lattice, epsilon, mass, kinetic)
         return damp, (lattice.dx * G * np.exp(-1j * epsilon * Vm),), damp
-    if sampling == "endpoint":
-        # one potential factor per slice, taken at the arrival node
-        V = potential_on_axis(pot, x)
-        pre, post = damp, damp * np.exp(-1j * epsilon * V)
-    elif sampling == "symmetric":
-        V = potential_on_axis(pot, x)
-        pre = post = damp * np.exp(-0.5j * epsilon * V)
-    else:
-        raise DomainError(
-            f"unknown sampling mode {sampling!r}; options: {SAMPLING_MODES}"
-        )
+    pre, post = _node_factors(potential_on_axis(pot, x), damp, epsilon, sampling)
     if kinetic == "sampled":
         op = lattice.dx * _kinetic_kernel(lattice, epsilon, mass, kinetic)
     else:

@@ -135,7 +135,6 @@ def test_far_field_guards():
 def test_elastic_record_assembly():
     thetas = np.linspace(0.0, np.pi, 7)
     rec = elastic_record(Gaussian(-0.2, 1.0), 1.0, 1.0, thetas)
-    assert rec.kind == "ElasticBorn"
     assert len(rec.angles) == len(rec.dsigma) == 7
     assert all(d >= 0.0 for d in rec.dsigma)
     assert rec.sigma_total > 0.0

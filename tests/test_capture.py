@@ -42,6 +42,10 @@ from pathscat.capture import (
 )
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("the oracle drew samples")
+
+
 def _pp_spec(v=2.0, interaction="ProtonElectron"):
     return make_capture_spec(1.0, 1.0, 1.0, 1.0, v, interaction)
 
@@ -162,8 +166,6 @@ def test_hydrogenic_state_basics():
     assert st.momentum_wavefunction(0.0) == pytest.approx(8.0 * math.sqrt(math.pi))
     with pytest.raises(DomainError):
         HydrogenicState(0.0)
-    with pytest.raises(DomainError):
-        HydrogenicState(1.0, n=2)
 
 
 def test_momentum_wavefunction_is_normalized():
@@ -389,6 +391,16 @@ def test_oracle_rejects_a_negative_seed():
     # block b is seeded seed + b, and the Sobol scrambler takes no negative seed
     with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
         brute_force_oracle(_pp_spec(), 1e-3, samples=1 << 17, seed=-1)
+
+
+def test_oracle_rejects_negative_screening(monkeypatch):
+    # the same refusal as the closed-form routes, before any Sobol draw
+    monkeypatch.setattr(capture, "_oracle_block_means", _no_sampling)
+    spec = _pp_spec()
+    with pytest.raises(DomainError, match="screening constant must be non-negative"):
+        capture_amplitude(spec, 1e-3, lam=-0.5, mode="jacobi")
+    with pytest.raises(DomainError, match="screening constant must be non-negative"):
+        brute_force_oracle(spec, 1e-3, samples=1 << 17, lam=-0.5, mode="jacobi")
 
 
 def test_closed_channel_is_refused():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from pathscat import cli
+from pathscat import capture, cli
 from pathscat.born import elastic_record
 from pathscat.errors import ConfigError
 from pathscat.potentials import Yukawa
@@ -141,6 +141,36 @@ def test_exit_code_for_closed_channel(tmp_path, capsys):
     )
     assert code == 4
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "DomainError"
+
+
+def test_negative_screening_exits_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the oracle drew samples")
+
+    monkeypatch.setattr(capture, "_oracle_block_means", no_sampling)
+    oracle = next(p for p in DEMO_CONFIGS if p.stem == "oracle")
+    out = tmp_path / "out"
+    code = cli.main(["oracle", "--config", str(oracle), "--out", str(out),
+                     "--set", "lam=-0.5"])
+    assert code == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "DomainError",
+                     "message": "screening constant must be non-negative"}
+    assert not any(out.iterdir())
+
+
+def test_non_finite_potential_exits_without_output(tmp_path, capsys):
+    # every other sample of the ion path -2 -> 2 sits on an electron node,
+    # where the Yukawa V_B(r - R) is infinite
+    influence = next(p for p in DEMO_CONFIGS if p.stem == "influence")
+    out = tmp_path / "out"
+    code = cli.main(["influence", "--config", str(influence), "--out", str(out),
+                     "--set", "potentials.V_B={family: yukawa, V0: 0.2, alpha: 1.0}"])
+    assert code == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "DomainError"
+    assert "not finite at coordinate 0.0" in error["message"]
+    assert not any(out.iterdir())
 
 
 def test_exit_code_for_numerical_failure(tmp_path, capsys):

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from pathscat import (
+    AbsorbingLayer,
     DomainError,
     FixedPath,
     Gaussian,
+    HardWall,
     influence_K1,
     influence_K2,
     LatticeSpec,
@@ -173,23 +175,29 @@ def test_weak_coupling_phase_matches_first_order_sandwich():
     assert res.effective_phase / delta == pytest.approx(first_order, rel=1e-4)
 
 
-def test_factorization_when_coupling_absent():
+@pytest.mark.parametrize("sampling", ["endpoint", "symmetric"])
+@pytest.mark.parametrize(
+    "boundary", [HardWall(), AbsorbingLayer(7.0, 5.0)], ids=["hard", "absorbing"]
+)
+def test_factorization_when_coupling_absent(boundary, sampling):
     # with no pair coupling the two-particle amplitude is a product of
-    # one-particle amplitudes, discretization and all
-    lat_e = LatticeSpec(-8.0, 8.0, 65)
-    lat_i = LatticeSpec(-8.0, 8.0, 65)
+    # one-particle amplitudes, discretization and absorber damping and all;
+    # the absorbing ramp reaches the electron endpoints at +-2
+    lat_e = LatticeSpec(-8.0, 8.0, 65, boundary)
+    lat_i = LatticeSpec(-8.0, 8.0, 65, boundary)
     grid = TimeGrid(0.0, 1.0, 6)
     V_A = Gaussian(-0.3, 1.2)
     V_AB = Gaussian(0.15, 0.9)  # regular at the origin, which is an ion node
     pots = PairPotentials(V_A, None, V_AB)
     full = reconstruct_full_amplitude(
-        pots, (-2.0, 2.0), (-1.0, 1.0), lat_e, lat_i, grid, 1.0, 10.0
+        pots, (-2.0, 2.0), (-1.0, 1.0), lat_e, lat_i, grid, 1.0, 10.0,
+        sampling=sampling,
     )
     Ke = time_sliced_propagator(
-        lambda x: V_A.evaluate(np.abs(x)), lat_e, grid, 1.0
+        lambda x: V_A.evaluate(np.abs(x)), lat_e, grid, 1.0, sampling=sampling
     )
     Ki = time_sliced_propagator(
-        lambda X: V_AB.evaluate(np.abs(X)), lat_i, grid, 10.0
+        lambda X: V_AB.evaluate(np.abs(X)), lat_i, grid, 10.0, sampling=sampling
     )
     ie_a = int(np.argmin(np.abs(lat_e.nodes + 2.0)))
     ie_b = int(np.argmin(np.abs(lat_e.nodes - 2.0)))
@@ -204,6 +212,21 @@ def test_product_lattice_cap():
     with pytest.raises(DomainError):
         reconstruct_full_amplitude(
             FREE, (-2.0, 2.0), (-1.0, 1.0), big, big, GRID, 1.0, 10.0
+        )
+
+
+def test_non_finite_slice_potential_raises():
+    # the ion path -2 -> 2 puts every other arrival sample on an electron
+    # node, where a Yukawa V_B(r - R) is infinite; so do the coinciding
+    # nodes of two equal lattices
+    pots = PairPotentials(None, Yukawa(0.2, 1.0), None)
+    path = FixedPath(GRID, np.linspace(-2.0, 2.0, GRID.N + 1))
+    with pytest.raises(DomainError, match="not finite at coordinate 0.0"):
+        influence_K2(pots, path, -2.0, 2.0, LAT, GRID, 1.0)
+    lat = LatticeSpec(-8.0, 8.0, 65)
+    with pytest.raises(DomainError, match="not finite at coordinate 0.0"):
+        reconstruct_full_amplitude(
+            pots, (-2.0, 2.0), (-1.0, 1.0), lat, lat, GRID, 1.0, 10.0
         )
 
 

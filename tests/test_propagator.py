@@ -31,6 +31,7 @@ from pathscat import (
     scattered_component,
     TimeGrid,
     time_sliced_propagator,
+    Yukawa,
 )
 from pathscat.propagator import short_time_kernel
 
@@ -283,6 +284,21 @@ def test_scattered_component_vanishes_without_potential():
     psi0 = gaussian_packet(LAT, -5.0, 2.0, 1.0)
     out = scattered_component(psi0, None, LAT, TimeGrid(0.0, 1.0, 16), 1.0)
     assert np.max(np.abs(out.values)) <= 1e-12
+
+
+def test_non_finite_potential_samples_are_refused():
+    # 64 nodes symmetric about 0: no node sits at r = 0, but the midpoint
+    # of each mirrored pair does
+    lat = LatticeSpec(-5.0, 5.0, 64)
+    grid = TimeGrid(0.0, 0.5, 4)
+    coulomb = Yukawa(-1.0, 1e-3)
+    time_sliced_propagator(coulomb, lat, grid, 1.0, sampling="endpoint")
+    with pytest.raises(DomainError, match="not finite at coordinate 0.0"):
+        time_sliced_propagator(coulomb, lat, grid, 1.0, sampling="midpoint")
+    with pytest.raises(DomainError, match="not finite at coordinate -5.0"):
+        time_sliced_propagator(
+            lambda x: np.where(x < -4.9, np.nan, 0.0), lat, grid, 1.0
+        )
 
 
 def test_evolve_rejects_lattice_mismatch():
