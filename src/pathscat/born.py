@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .potentials import fourier_transform, fourier_transform_quadrature
+from .potentials import _each_momentum, fourier_transform, fourier_transform_quadrature
 
 __all__ = [
     "PlaneWaveState",
@@ -101,10 +101,12 @@ class CrossSectionRecord:
 
 
 def momentum_transfer(p, theta):
-    """Elastic momentum transfer q = 2 p sin(theta/2)."""
+    """Elastic momentum transfer q = 2 p sin(theta/2), elementwise over an
+    array of angles."""
     if p < 0:
         raise DomainError("momentum magnitude must be non-negative")
-    if not 0.0 <= theta <= np.pi:
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((0.0 <= theta) & (theta <= np.pi)):
         raise DomainError("theta must lie in [0, pi]")
     return 2.0 * p * np.sin(0.5 * theta)
 
@@ -113,16 +115,20 @@ def _transform(pot, q, route):
     if route == "auto":
         return fourier_transform(pot, q)
     if route == "quadrature":
-        # The cross-check route certifies 1e-9 relative rather than the
-        # transform default: at small q the oscillatory rule's error
-        # estimate is conservative by a couple of digits and would
-        # otherwise reject values that are in fact converged.
-        return fourier_transform_quadrature(pot, q, rel_tol=1e-9, abs_tol=1e-12)
+        # The independent route: one adaptive quadrature per momentum.
+        # It certifies 1e-9 relative rather than the transform default:
+        # at small q the oscillatory rule's error estimate is
+        # conservative by a couple of digits and would otherwise reject
+        # values that are in fact converged.
+        return _each_momentum(
+            fourier_transform_quadrature, pot, q, rel_tol=1e-9, abs_tol=1e-12
+        )
     raise DomainError(f"unknown transform route {route!r}; options: {ROUTES}")
 
 
 def born_amplitude(pot, p, mass, theta, route="auto"):
-    """f(theta); real for real central potentials at this order."""
+    """f(theta), elementwise over an array of angles; real for real
+    central potentials at this order."""
     q = momentum_transfer(p, theta)
     return -mass / (2.0 * np.pi) * _transform(pot, q, route)
 
@@ -149,12 +155,7 @@ def _gl_total(pot, p, mass, n, route):
     nodes, weights = _gauss_legendre(n)
     theta = 0.5 * np.pi * (nodes + 1.0)
     w = 0.5 * np.pi * weights
-    vals = np.array(
-        [
-            born_differential_cross_section(pot, p, mass, t, route=route)
-            for t in theta
-        ]
-    )
+    vals = born_differential_cross_section(pot, p, mass, theta, route=route)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite integrand in angular quadrature")
     return float(2.0 * np.pi * np.sum(w * vals * np.sin(theta)))
@@ -209,10 +210,8 @@ def radial_flux(psi, mass):
 def elastic_record(pot, p, mass, thetas, n_theta=64, route="auto"):
     """Assemble the plot-ready record for an angle sweep."""
     angles = [ScatteringAngles(float(t)) for t in thetas]
-    dsigma = [
-        born_differential_cross_section(pot, p, mass, a.theta, route=route)
-        for a in angles
-    ]
+    theta = np.array([a.theta for a in angles])
+    dsigma = list(born_differential_cross_section(pot, p, mass, theta, route=route))
     total = born_total_cross_section(pot, p, mass, n_theta=n_theta, route=route)
     params = {
         "potential": repr(pot),

@@ -169,12 +169,15 @@ def _require_open(spec):
 
 
 def _canonical_vectors(spec, theta):
-    if not 0.0 <= theta <= np.pi:
+    """p_a along z and p_b in the x-z plane at angle theta; an array of
+    angles gives p_b one row per angle."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((0.0 <= theta) & (theta <= np.pi)):
         raise DomainError("theta must lie in [0, pi]")
     p_a = spec.energetics.p_a
     p_b = spec.energetics.p_b
     p_a_vec = np.array([0.0, 0.0, p_a])
-    p_b_vec = p_b * np.array([np.sin(theta), 0.0, np.cos(theta)])
+    p_b_vec = p_b * np.stack((np.sin(theta), np.zeros_like(theta), np.cos(theta)), -1)
     return p_a_vec, p_b_vec
 
 
@@ -204,14 +207,19 @@ def _form_factor(Z_a, Z_b, q2):
     return 8.0 * math.sqrt(Z_a**3 * Z_b**3) * s / (s**2 + q2) ** 2
 
 
+def _panels(n, edges):
+    """Nodes and weights of n-point Gauss-Legendre on each interval between
+    consecutive edges, panel after panel."""
+    u, w = _gauss_legendre(n)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * u + mid).ravel(), (half * w).ravel()
+
+
 def _graded_half(n, top, depth):
     """n-point Gauss-Legendre panels on [0, top] that shrink by a factor 4
     toward 0 until their lower edge is below depth; one panel then reaches 0."""
-    u, w = _gauss_legendre(n)
     count = math.ceil(math.log(top / depth, 4.0))
-    edges = np.append(0.0, top * 0.25 ** np.arange(count, -1, -1))
-    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return (half * u + mid).ravel(), (half * w).ravel()
+    return _panels(n, np.append(0.0, top * 0.25 ** np.arange(count, -1, -1)))
 
 
 def _feynman_rule(n):
@@ -255,16 +263,26 @@ def _nn_feynman(spec, lam, J_vec, Kb_vec):
         Delta = t a(s) + (1-t) lam^2 + t (1-t) |K_b - (1-s) J|^2,
         a(s) = s Z_b^2 + (1-s) Z_a^2 + s (1-s) J^2.
 
-    Every term of Delta is non-negative, so no large terms cancel.
+    Every term of Delta is non-negative, so no large terms cancel. The
+    vectors may carry leading batch axes; each pair's Delta grid is the
+    product [a, 1, b] @ [t, (1-t) lam^2, t (1-t)], built and summed one
+    pair at a time, so memory does not grow with the batch.
     """
     Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
     (s, s_c, s_w), (t, t_c, t_w) = _FEYNMAN_RULE
-    a = s * Z_b**2 + s_c * Z_a**2 + s * s_c * float(np.dot(J_vec, J_vec))
-    d = Kb_vec - s_c[:, None] * J_vec
-    b = np.einsum("ij,ij->i", d, d)
-    delta = np.outer(a, t) + t_c * lam**2 + np.outer(b, t * t_c)
-    integral = s_w @ delta**-3.5 @ t_w
+    J_vec, Kb_vec = np.broadcast_arrays(J_vec, Kb_vec)
+    t_rows = np.stack((t, t_c * lam**2, t * t_c))
+    s_rows = np.ones((s.size, 3))
+    integral = np.empty(J_vec.shape[:-1])
+    for i in np.ndindex(integral.shape):
+        J, Kb = J_vec[i], Kb_vec[i]
+        s_rows[:, 0] = s * Z_b**2 + s_c * Z_a**2 + s * s_c * float(np.dot(J, J))
+        d = Kb - s_c[:, None] * J
+        s_rows[:, 2] = np.einsum("ij,ij->i", d, d)
+        delta = s_rows @ t_rows
+        np.power(delta, -3.5, out=delta)
+        integral[i] = s_w @ delta @ t_w
     scale = 256.0 * np.pi**2 * (Z_a * Z_b) ** 2.5 * 15.0 * np.pi**2 / 8.0
     # the nuclear charges Z_A, Z_B are the hydrogenic Z_a, Z_b
     return Z_a * Z_b * scale * integral / (2.0 * np.pi) ** 3
@@ -273,8 +291,11 @@ def _nn_feynman(spec, lam, J_vec, Kb_vec):
 def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk"):
     """Capture amplitude for explicit momentum vectors.
 
-    Only rotational invariants of (p_a_vec, p_b_vec) enter, so any
-    rigid rotation of the pair leaves the value unchanged.
+    The vectors are (3,) arrays, or (n, 3) batches that broadcast
+    against each other; a batch gives a complex array of n amplitudes,
+    a single pair a complex number. Only rotational invariants of
+    (p_a_vec, p_b_vec) enter, so any rigid rotation of a pair leaves its
+    value unchanged.
     """
     _require_open(spec)
     if mode not in MODES:
@@ -288,7 +309,7 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk"):
     Z_A, Z_B = Z_a, Z_b
 
     if mode == "obk":
-        q2 = float(np.sum((p_a_vec - p_b_vec) ** 2))
+        q2 = np.sum((p_a_vec - p_b_vec) ** 2, axis=-1)
         pe = _screened_coulomb_ft(-Z_B, lam, q2) * _form_factor(Z_a, Z_b, q2)
         nn = _screened_coulomb_ft(Z_A * Z_B, lam, q2) * _overlap(Z_a, Z_b)
     else:
@@ -297,24 +318,28 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk"):
         K_a = (1.0 - ga) * p_a_vec - p_b_vec
         K_b = p_a_vec - (1.0 - gb) * p_b_vec
         J = ga * p_a_vec + gb * p_b_vec
-        ka2 = float(np.sum(K_a**2))
-        kb2 = float(np.sum(K_b**2))
+        ka2 = np.sum(K_a**2, axis=-1)
+        kb2 = np.sum(K_b**2, axis=-1)
         pe = _folded_interaction(
             Z_b, Z_B, lam, kb2
-        ) * spec.initial.momentum_wavefunction(math.sqrt(ka2))
+        ) * spec.initial.momentum_wavefunction(np.sqrt(ka2))
         nn = None
         if spec.interaction in ("Internuclear", "Sum"):
             nn = _nn_feynman(spec, lam, J, K_b)
 
     if spec.interaction == "ProtonElectron":
-        return complex(pe)
-    if spec.interaction == "Internuclear":
-        return complex(nn)
-    return complex(pe + nn)
+        amplitude = pe
+    elif spec.interaction == "Internuclear":
+        amplitude = nn
+    else:
+        amplitude = pe + nn
+    amplitude = np.asarray(amplitude, dtype=complex)
+    return complex(amplitude) if amplitude.ndim == 0 else amplitude
 
 
 def capture_amplitude(spec, theta, lam=1.0, mode="obk"):
-    """Amplitude at scattering angle theta in the canonical frame."""
+    """Amplitude at scattering angle theta in the canonical frame; an
+    array of angles gives an array of amplitudes."""
     p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
     return capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam, mode)
 
@@ -323,14 +348,16 @@ def ct_differential_cross_section(spec, theta, lam=1.0, mode="obk", flux_ratio_p
     """dsigma/dOmega = (mu_b / 2 pi)^2 (p_b/p_a)^power |A|^2.
 
     Default power 2 squares the flux ratio; standard flux algebra gives
-    power 1, hence the switch.
+    power 1, hence the switch. A scalar theta gives a float, an array of
+    angles an array from one batched amplitude call.
     """
     if flux_ratio_power not in FLUX_RATIO_POWERS:
         raise DomainError("flux_ratio_power must be 1 or 2")
     A = capture_amplitude(spec, theta, lam, mode)
     mu_b = spec.kin.mu_b
     ratio = spec.energetics.p_b / spec.energetics.p_a
-    return (mu_b / (2.0 * np.pi)) ** 2 * ratio**flux_ratio_power * abs(A) ** 2
+    dcs = (mu_b / (2.0 * np.pi)) ** 2 * ratio**flux_ratio_power * np.abs(A) ** 2
+    return float(dcs) if np.ndim(dcs) == 0 else dcs
 
 
 def richardson_lambda_limit(evaluate, lam0=1.0, rel_tol=1e-3):
@@ -371,34 +398,21 @@ def ct_total_cross_section(
     Capture at heavy-particle momenta concentrates within milliradians,
     so [theta_min, theta_split] is covered by geometric segments with
     Gauss-Legendre nodes in each, the remainder by one rule, and the
-    sub-theta_min cap by a flat-peak patch. The error estimate is the
-    change under node doubling.
+    sub-theta_min cap by a flat-peak patch. Each rule's nodes form one
+    angle array, so dsigma is one batched call per rule. The error
+    estimate is the change under node doubling.
     """
     _require_open(spec)
 
-    def dcs(theta):
-        return ct_differential_cross_section(spec, theta, lam, mode, flux_ratio_power)
-
     def quadrature(seg_n, tail_n):
-        edges = np.geomspace(theta_min, theta_split, n_segments + 1)
-        total = 0.0
-        count = 0
-        u, w = _gauss_legendre(seg_n)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            t = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
-            g = 0.5 * (hi - lo) * w
-            total += sum(
-                2.0 * np.pi * np.sin(ti) * dcs(ti) * gi for ti, gi in zip(t, g)
-            )
-            count += seg_n
-        u, w = _gauss_legendre(tail_n)
-        t = 0.5 * (np.pi - theta_split) * u + 0.5 * (np.pi + theta_split)
-        g = 0.5 * (np.pi - theta_split) * w
-        total += sum(2.0 * np.pi * np.sin(ti) * dcs(ti) * gi for ti, gi in zip(t, g))
-        count += tail_n
+        segments = _panels(seg_n, np.geomspace(theta_min, theta_split, n_segments + 1))
+        tail = _panels(tail_n, np.array([theta_split, np.pi]))
+        theta, g = (np.concatenate(pair) for pair in zip(segments, tail))
         # flat-peak cap below theta_min: dsigma is smooth at theta = 0
-        total += np.pi * theta_min**2 * dcs(theta_min)
-        return total, count + 1
+        weights = np.append(2.0 * np.pi * np.sin(theta) * g, np.pi * theta_min**2)
+        theta = np.append(theta, theta_min)
+        dcs = ct_differential_cross_section(spec, theta, lam, mode, flux_ratio_power)
+        return float(weights @ dcs), theta.size
 
     coarse, _ = quadrature(seg_nodes, tail_nodes)
     fine, count = quadrature(2 * seg_nodes, 2 * tail_nodes)

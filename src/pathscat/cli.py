@@ -351,6 +351,18 @@ def _complex(z):
     return {"re": z.real, "im": z.imag}
 
 
+def _largest_prime_factor(n):
+    """Largest prime factor of n >= 2. A lattice of n - 1 points runs its
+    DST-I through FFTs of length 2n, which slow down several-fold when n
+    has a large prime factor."""
+    largest, factor = 1, 2
+    while factor * factor <= n:
+        while n % factor == 0:
+            largest, n = factor, n // factor
+        factor += 1
+    return max(largest, n)
+
+
 def _kernel(cfg):
     return time_sliced_propagator(
         cfg["potential"], cfg["lattice"], cfg["time"], cfg["mass"],
@@ -368,6 +380,7 @@ def _run_propagator(cfg, threads):
         "kind": "propagator_column",
         "source_node": float(nodes[j]),
         "symmetry_defect": K.symmetry_defect(),
+        "dst_largest_prime_factor": _largest_prime_factor(lattice.points + 1),
     }
     if pot is None:
         payload["free_kernel_max_rel_deviation"] = free_deviation_diagnostic(K, mass)
@@ -383,6 +396,7 @@ def _run_evolve(cfg, threads):
         "norm_final": psi.norm(),
         "width_final": packet_width(psi),
         "boundary_leak_fraction": boundary_leak_fraction(psi),
+        "dst_largest_prime_factor": _largest_prime_factor(cfg["lattice"].points + 1),
     }
     return payload, ("index", "x", "Re", "Im"), _field_rows(psi)
 
@@ -436,10 +450,9 @@ def _run_charge_transfer(cfg, threads):
     total = ct_total_cross_section(
         spec, lam=lam, mode=mode, **options, **cfg.get("total", {})
     )
-    rows = [
-        (t, ct_differential_cross_section(spec, t, lam=lam, mode=mode, **options))
-        for t in cfg["angles"]
-    ]
+    angles = cfg["angles"]
+    dsigma = ct_differential_cross_section(spec, angles, lam=lam, mode=mode, **options)
+    rows = list(zip(angles, dsigma))
     payload = {
         "kind": "ChargeTransferBorn",
         "mode": mode,
@@ -447,6 +460,7 @@ def _run_charge_transfer(cfg, threads):
         "interaction": spec.interaction,
         "sigma_total": total.value,
         "quadrature_error": total.error,
+        "evaluations": total.evaluations,
         "p_a": spec.energetics.p_a,
         "p_b": spec.energetics.p_b,
         "mu_a": spec.kin.mu_a,

@@ -30,7 +30,9 @@ from .propagator import (
     _absorber_profile,
     _kinetic_kernel,
     _node_factors,
+    _not_finite,
     _propagate,
+    _samples,
     _slice,
     potential_on_axis,
     TimeGrid,
@@ -93,6 +95,30 @@ def _arrival_samples(path, grid):
     return path.samples[1:]
 
 
+def _slice_potential(j, terms):
+    """Slice j's potential on the lattice nodes x: the sum over its terms
+    (name, pot, coordinate) of pot sampled at coordinate(x). A sample that
+    is not finite is reported at the slice, the lattice node and the
+    coordinate handed to pot."""
+
+    def potential(x):
+        total = np.zeros_like(x)
+        for name, pot, coordinate in terms:
+            y = coordinate(x)
+            values = _samples(pot, y)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                i = bad[0]
+                raise DomainError(
+                    f"slice {j}, lattice node {i} (x = {float(x[i])!r}): "
+                    f"{name} = {_not_finite(pot, y[i])}"
+                )
+            total += values
+        return total
+
+    return potential
+
+
 def _phase_from(amplitude, reference):
     if amplitude == 0 or reference == 0:
         raise NumericalError("vanishing amplitude; phase extraction undefined")
@@ -134,9 +160,11 @@ def influence_K1(
     the slice's arrival time. Returns the (R_a -> R_b) matrix element.
     """
     slice_pots = (
-        lambda R, r=r: potential_on_axis(pots.V_B, r - R)
-        + potential_on_axis(pots.V_AB, R)
-        for r in _arrival_samples(electron_path, grid)
+        _slice_potential(
+            j,
+            (("V_B", pots.V_B, lambda R, r=r: r - R), ("V_AB", pots.V_AB, lambda R: R)),
+        )
+        for j, r in enumerate(_arrival_samples(electron_path, grid), start=1)
     )
     return _endpoint_element(slice_pots, R_a, R_b, lattice, grid, M, kinetic, sampling)
 
@@ -158,9 +186,11 @@ def influence_K2(
     slice's arrival time.
     """
     slice_pots = (
-        lambda r, R=R: potential_on_axis(pots.V_A, r)
-        + potential_on_axis(pots.V_B, r - R)
-        for R in _arrival_samples(ion_path, grid)
+        _slice_potential(
+            j,
+            (("V_A", pots.V_A, lambda r: r), ("V_B", pots.V_B, lambda r, R=R: r - R)),
+        )
+        for j, R in enumerate(_arrival_samples(ion_path, grid), start=1)
     )
     return _endpoint_element(slice_pots, r_a, r_b, lattice, grid, m, kinetic, sampling)
 

@@ -105,7 +105,7 @@ class SoftCoulomb(CentralPotential):
     def analytic_ft(self, k):
         # 3-D transform of 1/sqrt(r^2+a^2) is 4 pi a K1(a k) / k; the
         # long-range tail makes k = 0 divergent.
-        if k == 0:
+        if np.any(np.asarray(k) == 0):
             raise NumericalError(
                 "SoftCoulomb has a 1/r tail: v(q) diverges at q = 0", estimate=np.inf
             )
@@ -154,10 +154,12 @@ class SquareWell(CentralPotential):
 
     def analytic_ft(self, k):
         R = self.radius
-        if k == 0:
-            return 4.0 * np.pi * self.V0 * R**3 / 3.0
-        kR = k * R
-        return 4.0 * np.pi * self.V0 * (np.sin(kR) - kR * np.cos(kR)) / k**3
+        k = np.asarray(k, dtype=float)
+        # k = 0 takes the volume limit; a unit stand-in keeps 1/k^3 finite
+        safe = np.where(k == 0, 1.0, k)
+        kR = safe * R
+        value = 4.0 * np.pi * self.V0 * (np.sin(kR) - kR * np.cos(kR)) / safe**3
+        return np.where(k == 0, 4.0 * np.pi * self.V0 * R**3 / 3.0, value)[()]
 
     def range_estimate(self):
         return self.radius
@@ -273,10 +275,17 @@ def _checked(val, est, rel_tol, abs_tol):
     return val
 
 
+def _each_momentum(transform, pot, q, **options):
+    """transform(pot, k, **options) at each momentum k of q, shaped like q."""
+    values = [transform(pot, float(k), **options) for k in np.ravel(q)]
+    return np.reshape(values, np.shape(q))[()]
+
+
 def fourier_transform(pot, q):
-    """v(q), closed form where available, quadrature otherwise."""
-    if q < 0:
+    """v(q) at a momentum or an array of momenta: a closed form takes the
+    whole array in one call, otherwise one quadrature runs per momentum."""
+    if np.any(np.asarray(q) < 0):
         raise DomainError("momentum transfer must be non-negative")
     if hasattr(pot, "analytic_ft"):
         return pot.analytic_ft(q)
-    return fourier_transform_quadrature(pot, q)
+    return _each_momentum(fourier_transform_quadrature, pot, q)

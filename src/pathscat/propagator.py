@@ -332,12 +332,11 @@ def _kinetic_kernel(lattice, epsilon, mass, kinetic):
     return _mode_kernel(lattice, _kinetic_factor(k, epsilon, mass, kinetic))
 
 
-def potential_on_axis(pot, x):
-    """Sample a potential on signed coordinates.
+def _samples(pot, x):
+    """A potential on signed coordinates x, unchecked.
 
     Central families are evaluated at |x|; a bare callable is trusted
-    with the signed coordinate; None means free. A sample that is not
-    finite, such as a 1/r family at r = 0, raises a DomainError.
+    with the signed coordinate; None means free.
     """
     x = np.asarray(x, dtype=float)
     if pot is None:
@@ -349,12 +348,26 @@ def potential_on_axis(pot, x):
     else:
         raise DomainError("potential must be a central family, a callable, or None")
     # A constant callable may return a scalar; spread it over the nodes.
-    values = np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
+    return np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
+
+
+def _not_finite(pot, at):
+    """Message for a sample of pot that is not finite at coordinate at."""
+    name = repr(pot) if hasattr(pot, "evaluate") else "potential"
+    return f"{name} is not finite at coordinate {float(at)!r}"
+
+
+def potential_on_axis(pot, x):
+    """Sample a potential on signed coordinates, as `_samples` does.
+
+    A sample that is not finite, such as a 1/r family at r = 0, raises a
+    DomainError naming the first such coordinate.
+    """
+    x = np.asarray(x, dtype=float)
+    values = _samples(pot, x)
     bad = ~np.isfinite(values)
     if bad.any():
-        at = float(x[bad][0])
-        name = repr(pot) if hasattr(pot, "evaluate") else "potential"
-        raise DomainError(f"{name} is not finite at coordinate {at!r}")
+        raise DomainError(_not_finite(pot, x[bad][0]))
     return values
 
 

@@ -9,6 +9,8 @@ sigma = 16 pi / 5.
 import numpy as np
 import pytest
 
+from pathscat import born
+from pathscat.potentials import CentralPotential
 from pathscat import (
     born_amplitude,
     born_differential_cross_section,
@@ -20,10 +22,13 @@ from pathscat import (
     gaussian_packet,
     LatticeSpec,
     momentum_transfer,
+    NumericalError,
     PlaneWaveState,
     radial_flux,
     ScatteringAngles,
     ScreenedCoulomb,
+    SoftCoulomb,
+    SquareWell,
     Yukawa,
 )
 
@@ -139,3 +144,50 @@ def test_elastic_record_assembly():
     assert all(d >= 0.0 for d in rec.dsigma)
     assert rec.sigma_total > 0.0
     assert "quadrature_error" in rec.params
+
+
+@pytest.mark.parametrize("route", born.ROUTES)
+def test_dsigma_on_an_angle_array_is_elementwise(route):
+    # "auto" takes each family's closed form on the whole array;
+    # "quadrature" keeps one adaptive transform per angle
+    theta = np.linspace(0.0, np.pi, 7)
+    families = (YUK, Gaussian(-0.2, 1.0), SquareWell(-0.5, 1.0), ScreenedCoulomb(1.0, 0.7))
+    for pot in families:
+        batch = born_differential_cross_section(pot, 1.0, 1.0, theta, route=route)
+        single = [born_differential_cross_section(pot, 1.0, 1.0, t, route=route)
+                  for t in theta]
+        assert batch.shape == theta.shape
+        assert batch == pytest.approx(single, rel=1e-13, abs=0.0), pot
+    with pytest.raises(NumericalError):
+        born_differential_cross_section(SoftCoulomb(1.0, 0.5), 1.0, 1.0, theta)
+    with pytest.raises(DomainError):
+        born_differential_cross_section(YUK, 1.0, 1.0, np.array([0.1, -0.1]))
+
+
+def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
+    sizes = []
+    batched = born.born_differential_cross_section
+
+    def counted(pot, p, mass, theta, route="auto"):
+        sizes.append(np.size(theta))
+        return batched(pot, p, mass, theta, route=route)
+
+    monkeypatch.setattr(born, "born_differential_cross_section", counted)
+    for route in born.ROUTES:
+        born_total_cross_section(YUK, 1.0, 1.0, n_theta=16, route=route)
+    assert sizes == [16, 32, 16, 32]
+
+
+class _YukawaShape(CentralPotential):
+    """The unit Yukawa as a family with no closed-form transform."""
+
+    def evaluate(self, r):
+        return YUK.evaluate(r)
+
+
+def test_total_without_a_closed_form_takes_quadrature_per_angle():
+    # "auto" falls back to one quadrature per momentum on the whole array
+    pot = _YukawaShape()
+    total = born_total_cross_section(pot, 1.0, 1.0, n_theta=16)
+    assert total.value == pytest.approx(
+        born_total_cross_section(YUK, 1.0, 1.0, n_theta=16).value, rel=1e-8)

@@ -7,7 +7,10 @@ with importance sampling matched to the bound-state tails. The
 internuclear jacobi term is also checked against a direct 3-D momentum
 sum, `_nn_momentum_reference`. The oracle's block kernel is checked
 against the kernel it replaced, `_oracle_block_means_reference`, which
-draws its radii with scipy's `gammaincinv`.
+draws its radii with scipy's `gammaincinv`. The batched angular total
+is checked against the per-node loop it replaced, `_ct_total_reference`,
+and the Feynman Delta grid built by one matrix product against the
+outer-sum build it replaced, `_nn_feynman_reference`.
 """
 
 import math
@@ -33,9 +36,12 @@ from pathscat.capture import (
     make_capture_spec,
     richardson_lambda_limit,
 )
+from pathscat.born import _gauss_legendre
 from pathscat.capture import (
     _canonical_vectors,
+    _FEYNMAN_RULE,
     _gamma3_inv,
+    _nn_feynman,
     _oracle_block_means,
     _oracle_plan,
     _p3_series,
@@ -89,6 +95,54 @@ def _nn_momentum_reference(spec, lam, theta):
     weights = (k**2 * dk)[:, None, None] * wmu[None, :, None] * (2.0 * np.pi / nphi)
     Z_A, Z_B = spec.initial.Z_eff, spec.final.Z_eff
     return Z_A * Z_B * np.sum(integrand * weights) / (2.0 * np.pi) ** 3
+
+
+def _nn_feynman_reference(spec, lam, J_vec, Kb_vec):
+    """The internuclear term with its Delta grid built from outer products,
+    as before the grid became one matrix product; one pair of vectors."""
+    Z_a = spec.initial.Z_eff
+    Z_b = spec.final.Z_eff
+    (s, s_c, s_w), (t, t_c, t_w) = _FEYNMAN_RULE
+    a = s * Z_b**2 + s_c * Z_a**2 + s * s_c * float(np.dot(J_vec, J_vec))
+    d = Kb_vec - s_c[:, None] * J_vec
+    b = np.einsum("ij,ij->i", d, d)
+    delta = np.outer(a, t) + t_c * lam**2 + np.outer(b, t * t_c)
+    integral = s_w @ delta**-3.5 @ t_w
+    scale = 256.0 * np.pi**2 * (Z_a * Z_b) ** 2.5 * 15.0 * np.pi**2 / 8.0
+    return Z_a * Z_b * scale * integral / (2.0 * np.pi) ** 3
+
+
+def _ct_total_reference(spec, lam=1.0, mode="obk", flux_ratio_power=2, theta_min=1e-7,
+                        theta_split=0.1, n_segments=12, seg_nodes=24, tail_nodes=64):
+    """The angular total by the per-node loop it used before dsigma took
+    an angle array: one scalar dsigma call per node, summed in order."""
+
+    def dcs(theta):
+        return ct_differential_cross_section(spec, theta, lam, mode, flux_ratio_power)
+
+    def quadrature(seg_n, tail_n):
+        edges = np.geomspace(theta_min, theta_split, n_segments + 1)
+        total = 0.0
+        count = 0
+        u, w = _gauss_legendre(seg_n)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            t = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
+            g = 0.5 * (hi - lo) * w
+            total += sum(
+                2.0 * np.pi * np.sin(ti) * dcs(ti) * gi for ti, gi in zip(t, g)
+            )
+            count += seg_n
+        u, w = _gauss_legendre(tail_n)
+        t = 0.5 * (np.pi - theta_split) * u + 0.5 * (np.pi + theta_split)
+        g = 0.5 * (np.pi - theta_split) * w
+        total += sum(2.0 * np.pi * np.sin(ti) * dcs(ti) * gi for ti, gi in zip(t, g))
+        count += tail_n
+        total += np.pi * theta_min**2 * dcs(theta_min)
+        return total, count + 1
+
+    coarse, _ = quadrature(seg_nodes, tail_nodes)
+    fine, count = quadrature(2 * seg_nodes, 2 * tail_nodes)
+    return capture.CaptureTotal(value=fine, error=abs(fine - coarse), evaluations=count)
 
 
 def _sample_iso_exp_reference(U, kappa):
@@ -218,6 +272,11 @@ def test_amplitude_rotation_invariance():
                     spec, R @ pa, R @ pb, lam=1.0, mode=mode
                 )
                 assert abs(rot - base) <= 1e-10 * abs(base)
+            # a batch of rotated pairs, one rotation per row
+            R = Rotation.random(4, random_state=rng).as_matrix()
+            rot = capture_amplitude_vectors(spec, R @ pa, R @ pb, lam=1.0, mode=mode)
+            assert rot.shape == (4,)
+            assert np.all(np.abs(rot - base) <= 1e-10 * abs(base))
 
 
 def test_sum_interaction_is_additive():
@@ -259,6 +318,119 @@ def test_internuclear_rule_is_converged(monkeypatch):
     for case, value, doubled in zip(cases, base, amplitudes()):
         assert math.isfinite(value.real) and value.real > 0.0, case
         assert abs(doubled - value) <= 1e-8 * abs(value), case
+
+
+def test_feynman_grid_product_matches_outer_sums():
+    # one (432 x 3) @ (3 x 492) product sums the same three terms of Delta
+    # as the outer-product build, in another order; the unequal masses and
+    # charges of the second system tell Z_a from Z_b
+    theta = np.array([0.0, 1e-3, 0.1, 1.0])
+    systems = [(1.0, 1.0, 1.0, 1.0, v) for v in (0.5, 2.0, 8.0, 32.0)]
+    systems.append((1.0, 4.0, 1.0, 2.0, 2.0))
+    for *system, v in systems:
+        spec = make_capture_spec(*system, v, "Internuclear")
+        pa, pb = _canonical_vectors(spec, theta)
+        J = spec.gamma_a * pa + spec.gamma_b * pb
+        Kb = pa - (1.0 - spec.gamma_b) * pb
+        for lam in (0.0, 0.1, 1.0):
+            batch = _nn_feynman(spec, lam, J, Kb)
+            assert batch.shape == theta.shape
+            for i, t in enumerate(theta):
+                want = _nn_feynman_reference(spec, lam, J[i], Kb[i])
+                assert batch[i] == pytest.approx(want, rel=1e-13, abs=0.0), (v, lam, t)
+
+
+BENCH_RULE = {"n_segments": 6, "seg_nodes": 8, "tail_nodes": 16}
+# Every mode x interaction x speed x screening on the bench rule; the
+# default rule on every closed-form case, and on one jacobi case of each
+# Feynman-kernel interaction (a default-rule loop there costs ~1.3 s).
+# obk at lam = 0 diverges in the forward direction and is left out.
+TOTAL_CASES = [
+    (mode, interaction, v, lam, rule)
+    for mode in ("obk", "jacobi")
+    for interaction in ("ProtonElectron", "Internuclear", "Sum")
+    for v in (0.7, 2.0, 8.0, 64.0)
+    for lam in (0.0, 0.1, 1.0)
+    if not (mode == "obk" and lam == 0.0)
+    for rule in ("bench", "default")
+    if rule == "bench" or mode == "obk" or interaction == "ProtonElectron"
+    or (v, lam) == (2.0, 0.1)
+]
+
+
+@pytest.mark.parametrize("mode,interaction,v,lam,rule", TOTAL_CASES)
+def test_total_matches_the_per_node_loop(mode, interaction, v, lam, rule):
+    spec = _pp_spec(v, interaction)
+    options = BENCH_RULE if rule == "bench" else {}
+    got = ct_total_cross_section(spec, lam=lam, mode=mode, **options)
+    want = _ct_total_reference(spec, lam=lam, mode=mode, **options)
+    assert got.evaluations == want.evaluations == (129 if rule == "bench" else 705)
+    assert got.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
+    # the error is the difference of two totals, so its round-off is theirs,
+    # a fraction of the value, however small the error itself is
+    assert abs(got.error - want.error) <= 1e-13 * want.value
+
+
+def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
+    sizes = []
+    batched = capture.ct_differential_cross_section
+
+    def counted(spec, theta, *args):
+        sizes.append(np.size(theta))
+        return batched(spec, theta, *args)
+
+    monkeypatch.setattr(capture, "ct_differential_cross_section", counted)
+    total = ct_total_cross_section(_pp_spec(), lam=0.0, mode="jacobi")
+    # coarse then fine: 12 segments x 24 nodes + 64 tail nodes + the cap, doubled
+    assert sizes == [353, 705]
+    assert total.evaluations == 705
+
+
+def _angles():
+    """Angles in [0, pi], with milliradian and smaller ones well represented."""
+    small = st.floats(1.0, 8.0).map(lambda k: 10.0**-k)
+    return st.one_of(st.floats(0.0, math.pi), small)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(theta=st.lists(_angles(), min_size=1, max_size=6),
+       mode=st.sampled_from(capture.MODES),
+       interaction=st.sampled_from(capture.INTERACTIONS),
+       lam=st.sampled_from((0.0, 0.1, 1.0)))
+def test_dsigma_on_an_angle_array_is_elementwise(theta, mode, interaction, lam):
+    if mode == "obk" and lam == 0.0:
+        lam = 0.1  # theta = 0 diverges there; see the next tests
+    spec = _pp_spec(2.0, interaction)
+    batch = ct_differential_cross_section(spec, np.array(theta), lam=lam, mode=mode)
+    single = [ct_differential_cross_section(spec, t, lam=lam, mode=mode) for t in theta]
+    assert all(type(x) is float for x in single)
+    assert batch.shape == (len(theta),)
+    assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(theta=st.lists(_angles(), max_size=5),
+       bad=st.one_of(st.floats(max_value=-5e-324), st.floats(min_value=math.pi,
+                                                             exclude_min=True),
+                     st.just(math.nan)),
+       where=st.integers(0, 5),
+       mode=st.sampled_from(capture.MODES))
+def test_an_angle_outside_zero_pi_anywhere_is_refused(theta, bad, where, mode):
+    theta.insert(where % (len(theta) + 1), bad)
+    with pytest.raises(DomainError, match=re.escape("theta must lie in [0, pi]")):
+        ct_differential_cross_section(_pp_spec(), np.array(theta), mode=mode)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(theta=st.lists(_angles(), max_size=5), where=st.integers(0, 5),
+       interaction=st.sampled_from(capture.INTERACTIONS))
+def test_zero_momentum_transfer_unscreened_obk_is_refused(theta, where, interaction):
+    # p + H(1s) -> H(1s) + p is resonant, p_a = p_b, so theta = 0 is q = 0
+    spec = _pp_spec(interaction=interaction)
+    assert spec.energetics.p_a == spec.energetics.p_b
+    theta.insert(where % (len(theta) + 1), 0.0)
+    with pytest.raises(NumericalError, match="diverges at zero momentum transfer"):
+        ct_differential_cross_section(spec, np.array(theta), lam=0.0, mode="obk")
 
 
 def test_oracle_agrees_with_both_routes():

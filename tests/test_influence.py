@@ -230,6 +230,25 @@ def test_non_finite_slice_potential_raises():
         )
 
 
+def test_non_finite_sample_names_its_slice_and_node():
+    # K2: the ion's second arrival sample, R = -1, is electron node 45;
+    # K1: the electron held at 1.0 sits on ion node 55 from the first slice
+    pots = PairPotentials(None, Yukawa(0.2, 1.0), None)
+    ion = FixedPath(GRID, np.linspace(-2.0, 2.0, GRID.N + 1))
+    with pytest.raises(DomainError) as k2:
+        influence_K2(pots, ion, -2.0, 2.0, LAT, GRID, 1.0)
+    assert str(k2.value) == (
+        "slice 2, lattice node 45 (x = -1.0): V_B = Yukawa(V0=0.2, alpha=1.0) "
+        "is not finite at coordinate 0.0"
+    )
+    with pytest.raises(DomainError) as k1:
+        influence_K1(pots, _static_path(1.0), -2.0, 2.0, LAT, GRID, 10.0)
+    assert str(k1.value) == (
+        "slice 1, lattice node 55 (x = 1.0): V_B = Yukawa(V0=0.2, alpha=1.0) "
+        "is not finite at coordinate 0.0"
+    )
+
+
 def test_fixed_path_validation():
     with pytest.raises(DomainError):
         FixedPath(GRID, np.zeros(GRID.N))  # needs N + 1 samples
