@@ -30,9 +30,7 @@ from .propagator import (
     _absorber_profile,
     _kinetic_kernel,
     _node_factors,
-    _not_finite,
     _propagate,
-    _samples,
     _slice,
     potential_on_axis,
     TimeGrid,
@@ -96,24 +94,27 @@ def _arrival_samples(path, grid):
 
 
 def _slice_potential(j, terms):
-    """Slice j's potential on the lattice nodes x: the sum over its terms
+    """Slice j's potential on the lattice x: the sum over its terms
     (name, pot, coordinate) of pot sampled at coordinate(x). A sample that
-    is not finite is reported at the slice, the lattice node and the
-    coordinate handed to pot."""
+    is not finite is reported at the slice and at the lattice node, or for
+    midpoint sampling the node pair, where it occurred."""
 
     def potential(x):
         total = np.zeros_like(x)
         for name, pot, coordinate in terms:
-            y = coordinate(x)
-            values = _samples(pot, y)
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                i = bad[0]
+            try:
+                total += potential_on_axis(pot, coordinate(x))
+            except DomainError as err:
+                node = getattr(err, "node", None)
+                if node is None:
+                    raise
+                if x.ndim == 1:
+                    where = f"lattice node {node[0]}"
+                else:
+                    where = f"node pair {node}"
                 raise DomainError(
-                    f"slice {j}, lattice node {i} (x = {float(x[i])!r}): "
-                    f"{name} = {_not_finite(pot, y[i])}"
-                )
-            total += values
+                    f"slice {j}, {where} (x = {float(x[node])!r}): {name} = {err}"
+                ) from None
         return total
 
     return potential

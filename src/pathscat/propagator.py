@@ -332,11 +332,14 @@ def _kinetic_kernel(lattice, epsilon, mass, kinetic):
     return _mode_kernel(lattice, _kinetic_factor(k, epsilon, mass, kinetic))
 
 
-def _samples(pot, x):
-    """A potential on signed coordinates x, unchecked.
+def potential_on_axis(pot, x):
+    """Sample a potential on signed coordinates.
 
     Central families are evaluated at |x|; a bare callable is trusted
-    with the signed coordinate; None means free.
+    with the signed coordinate; None means free. A sample that is not
+    finite, such as a 1/r family at r = 0, raises a DomainError naming
+    the first such coordinate; its `node` attribute is that sample's
+    index into x.
     """
     x = np.asarray(x, dtype=float)
     if pot is None:
@@ -348,26 +351,14 @@ def _samples(pot, x):
     else:
         raise DomainError("potential must be a central family, a callable, or None")
     # A constant callable may return a scalar; spread it over the nodes.
-    return np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
-
-
-def _not_finite(pot, at):
-    """Message for a sample of pot that is not finite at coordinate at."""
-    name = repr(pot) if hasattr(pot, "evaluate") else "potential"
-    return f"{name} is not finite at coordinate {float(at)!r}"
-
-
-def potential_on_axis(pot, x):
-    """Sample a potential on signed coordinates, as `_samples` does.
-
-    A sample that is not finite, such as a 1/r family at r = 0, raises a
-    DomainError naming the first such coordinate.
-    """
-    x = np.asarray(x, dtype=float)
-    values = _samples(pot, x)
+    values = np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
     bad = ~np.isfinite(values)
     if bad.any():
-        raise DomainError(_not_finite(pot, x[bad][0]))
+        node = tuple(int(i) for i in np.argwhere(bad)[0])
+        name = repr(pot) if hasattr(pot, "evaluate") else "potential"
+        err = DomainError(f"{name} is not finite at coordinate {float(x[node])!r}")
+        err.node = node
+        raise err
     return values
 
 

@@ -161,16 +161,21 @@ def test_negative_screening_exits_before_sampling(tmp_path, capsys, monkeypatch)
 
 def test_non_finite_potential_exits_without_output(tmp_path, capsys):
     # every other sample of the ion path -2 -> 2 sits on an electron node,
-    # where the Yukawa V_B(r - R) is infinite
+    # and every sample on the midpoint of some node pair, where the Yukawa
+    # V_B(r - R) is infinite
     influence = next(p for p in DEMO_CONFIGS if p.stem == "influence")
-    out = tmp_path / "out"
-    code = cli.main(["influence", "--config", str(influence), "--out", str(out),
-                     "--set", "potentials.V_B={family: yukawa, V0: 0.2, alpha: 1.0}"])
-    assert code == 4
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "DomainError"
-    assert "not finite at coordinate 0.0" in error["message"]
-    assert not any(out.iterdir())
+    for sampling in ("endpoint", "midpoint"):
+        out = tmp_path / sampling
+        code = cli.main([
+            "influence", "--config", str(influence), "--out", str(out),
+            "--set", "potentials.V_B={family: yukawa, V0: 0.2, alpha: 1.0}",
+            "--set", f"scheme.sampling={sampling}",
+        ])
+        assert code == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "DomainError"
+        assert "not finite at coordinate 0.0" in error["message"]
+        assert not any(out.iterdir())
 
 
 def test_exit_code_for_numerical_failure(tmp_path, capsys):

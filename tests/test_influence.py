@@ -230,23 +230,42 @@ def test_non_finite_slice_potential_raises():
         )
 
 
-def test_non_finite_sample_names_its_slice_and_node():
-    # K2: the ion's second arrival sample, R = -1, is electron node 45;
-    # K1: the electron held at 1.0 sits on ion node 55 from the first slice
+@pytest.mark.parametrize(
+    "sampling, k2_at, k1_at",
+    [
+        # K2: the ion's second arrival sample, R = -1, is electron node 45;
+        # K1: the electron held at 1.0 sits on ion node 55 from the first slice
+        (
+            "endpoint",
+            "slice 2, lattice node 45 (x = -1.0)",
+            "slice 1, lattice node 55 (x = 1.0)",
+        ),
+        (
+            "symmetric",
+            "slice 2, lattice node 45 (x = -1.0)",
+            "slice 1, lattice node 55 (x = 1.0)",
+        ),
+        # midpoint: the pair (x_i + x_j) / 2 = R; x_0 = -10 and x_85 = 7 meet
+        # the first arrival sample R = -1.5, which is no node
+        (
+            "midpoint",
+            "slice 1, node pair (0, 85) (x = -1.5)",
+            "slice 1, node pair (10, 100) (x = 1.0)",
+        ),
+    ],
+)
+def test_non_finite_sample_names_its_slice_and_node(sampling, k2_at, k1_at):
     pots = PairPotentials(None, Yukawa(0.2, 1.0), None)
     ion = FixedPath(GRID, np.linspace(-2.0, 2.0, GRID.N + 1))
+    tail = ": V_B = Yukawa(V0=0.2, alpha=1.0) is not finite at coordinate 0.0"
     with pytest.raises(DomainError) as k2:
-        influence_K2(pots, ion, -2.0, 2.0, LAT, GRID, 1.0)
-    assert str(k2.value) == (
-        "slice 2, lattice node 45 (x = -1.0): V_B = Yukawa(V0=0.2, alpha=1.0) "
-        "is not finite at coordinate 0.0"
-    )
+        influence_K2(pots, ion, -2.0, 2.0, LAT, GRID, 1.0, sampling=sampling)
+    assert str(k2.value) == k2_at + tail
     with pytest.raises(DomainError) as k1:
-        influence_K1(pots, _static_path(1.0), -2.0, 2.0, LAT, GRID, 10.0)
-    assert str(k1.value) == (
-        "slice 1, lattice node 55 (x = 1.0): V_B = Yukawa(V0=0.2, alpha=1.0) "
-        "is not finite at coordinate 0.0"
-    )
+        influence_K1(
+            pots, _static_path(1.0), -2.0, 2.0, LAT, GRID, 10.0, sampling=sampling
+        )
+    assert str(k1.value) == k1_at + tail
 
 
 def test_fixed_path_validation():
