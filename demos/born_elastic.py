@@ -11,12 +11,8 @@ and an oscillatory-weighted radial quadrature for everything else.
 
 import numpy as np
 
-from pathscat import Yukawa, ScreenedCoulomb, SoftCoulomb
-from pathscat.born import (
-    born_differential_cross_section,
-    born_total_cross_section,
-    elastic_record,
-)
+from pathscat import NumericalError, ScreenedCoulomb, SoftCoulomb, Yukawa
+from pathscat.born import born_differential_cross_section, born_total_cross_section
 
 p, mass = 1.0, 1.0
 pot = Yukawa(1.0, 1.0)  # e^{-r}/r, strength 1
@@ -48,11 +44,18 @@ for screen in (1.0, 0.1, 0.01, 1e-3):
     dcs = born_differential_cross_section(ScreenedCoulomb(1.0, screen), p, mass, theta)
     print(f"{screen:7.3f}   {dcs:.10f}")
 
-# a soft-core potential has no closed transform; the quadrature route
-# handles it and reports its own error estimate through elastic_record
-record = elastic_record(
-    SoftCoulomb(1.0, 0.8), p, mass, list(np.linspace(0.1, np.pi, 8))
-)
+# the soft-core potential's transform is closed form too,
+# -4 pi Z a K1(a q) / q; its 1/r tail makes v(q) diverge at q = 0, so
+# dsigma ~ 1/q^4 there and the total cross section diverges:
+# born_total_cross_section raises NumericalError rather than return a
+# number. The differential cross section away from theta = 0 is finite.
+soft = SoftCoulomb(1.0, 0.8)
+try:
+    born_total_cross_section(soft, p, mass)
+except NumericalError as exc:
+    print("\nsoft-core total:", exc)
+thetas = np.linspace(0.1, np.pi, 8)
+dsigma = born_differential_cross_section(soft, p, mass, thetas)
 print("\nsoft-core dcs over angles (plot-ready):")
-for ang, d in zip(record.angles, record.dsigma):
-    print(f"  {ang.theta:6.4f}  {d:.8e}")
+for theta, d in zip(thetas, dsigma):
+    print(f"  {theta:6.4f}  {d:.8e}")

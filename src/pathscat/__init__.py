@@ -17,13 +17,9 @@ from .born import (
     born_amplitude,
     born_differential_cross_section,
     born_total_cross_section,
-    CrossSectionRecord,
-    elastic_record,
     far_field_scattered_wave,
     momentum_transfer,
-    PlaneWaveState,
     radial_flux,
-    ScatteringAngles,
     TotalCrossSection,
 )
 from .capture import (
@@ -104,7 +100,6 @@ __all__ = [
     "CollisionKinematics",
     "ComplexField1D",
     "ConfigError",
-    "CrossSectionRecord",
     "DomainError",
     "FixedPath",
     "Gaussian",
@@ -118,9 +113,7 @@ __all__ = [
     "PROTON_MASS_RATIO",
     "PairPotentials",
     "PathscatError",
-    "PlaneWaveState",
     "PropagatorMatrix",
-    "ScatteringAngles",
     "ScreenedCoulomb",
     "SoftCoulomb",
     "SquareWell",
@@ -137,7 +130,6 @@ __all__ = [
     "channel_energetics",
     "ct_differential_cross_section",
     "ct_total_cross_section",
-    "elastic_record",
     "evolve",
     "far_field_scattered_wave",
     "fourier_transform",

@@ -3,13 +3,15 @@
 In atomic units (hbar = 1) the amplitude is the potential's
 momentum-space transform at the transferred momentum,
 f(theta) = -(m / 2 pi) v(q), so every cross section here reduces to
-evaluations of potentials.fourier_transform plus kinematic factors and
-angular quadrature. A momentum p is also the wavenumber.
+evaluations of potentials.fourier_transform plus kinematic factors. A
+momentum p is also the wavenumber.
+
+`_angular_total` integrates 2 pi int dsigma sin(theta) dtheta for the
+Born and the capture totals alike; each hands it only its theta rule.
 """
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +19,6 @@ from .errors import DomainError, NumericalError
 from .potentials import _each_momentum, fourier_transform, fourier_transform_quadrature
 
 __all__ = [
-    "PlaneWaveState",
-    "ScatteringAngles",
-    "CrossSectionRecord",
     "TotalCrossSection",
     "momentum_transfer",
     "born_amplitude",
@@ -27,7 +26,6 @@ __all__ = [
     "born_total_cross_section",
     "far_field_scattered_wave",
     "radial_flux",
-    "elastic_record",
 ]
 
 # "auto" takes closed-form transforms where a family has one; "quadrature"
@@ -39,65 +37,12 @@ FAR_FIELD_RANGES = 100.0
 
 
 @dataclass(frozen=True)
-class PlaneWaveState:
-    """Incident plane wave; energy and flux follow from the momentum."""
-
-    p: tuple
-    mass: float
-
-    def __post_init__(self):
-        if self.mass <= 0:
-            raise DomainError("mass must be positive")
-        object.__setattr__(self, "p", tuple(float(c) for c in self.p))
-
-    @property
-    def momentum(self):
-        return math.sqrt(sum(c * c for c in self.p))
-
-    @property
-    def E(self):
-        return self.momentum**2 / (2.0 * self.mass)
-
-    @property
-    def flux(self):
-        return self.momentum / self.mass
-
-
-@dataclass(frozen=True)
-class ScatteringAngles:
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise DomainError("theta must lie in [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise DomainError("phi must lie in [0, 2 pi)")
-
-
-@dataclass(frozen=True)
 class TotalCrossSection:
     """Angular quadrature value with a doubling error estimate."""
 
     value: float
     error: float
     nodes: int
-
-
-@dataclass
-class CrossSectionRecord:
-    """Angle-resolved differential cross section plus its total."""
-
-    angles: list
-    dsigma: list
-    sigma_total: float
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.angles) != len(self.dsigma):
-            raise DomainError("angles and dsigma must have equal length")
-        if any(d < 0 for d in self.dsigma):
-            raise DomainError("differential cross sections cannot be negative")
 
 
 def momentum_transfer(p, theta):
@@ -151,27 +96,53 @@ def _gauss_legendre(n):
     return nodes, weights
 
 
-def _gl_total(pot, p, mass, n, route):
-    nodes, weights = _gauss_legendre(n)
-    theta = 0.5 * np.pi * (nodes + 1.0)
-    w = 0.5 * np.pi * weights
-    vals = born_differential_cross_section(pot, p, mass, theta, route=route)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("non-finite integrand in angular quadrature")
-    return float(2.0 * np.pi * np.sum(w * vals * np.sin(theta)))
+def _panels(n, edges):
+    """Nodes and weights of n-point Gauss-Legendre on each interval between
+    consecutive edges, panel after panel."""
+    u, w = _gauss_legendre(n)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * u + mid).ravel(), (half * w).ravel()
+
+
+def _angular_total(dcs, rule):
+    """2 pi int dsigma sin(theta) dtheta by one rule at two resolutions.
+
+    rule(scale) gives (theta, weights) with 2 pi sin(theta) folded into
+    the weights; scale 2 doubles its nodes. dcs takes the whole angle
+    array in one call. Returns the doubled-node value, its change under
+    the doubling as the error estimate, and the doubled node count.
+    """
+    totals = []
+    for theta, weights in (rule(1), rule(2)):
+        totals.append(float(weights @ dcs(theta)))
+    coarse, fine = totals
+    if not np.all(np.isfinite(totals)):
+        raise NumericalError("angular quadrature produced a non-finite total")
+    return fine, abs(fine - coarse), theta.size
 
 
 def born_total_cross_section(pot, p, mass, n_theta=64, route="auto"):
-    """sigma = 2 pi int dsigma sin(theta) dtheta, Gauss-Legendre.
+    """sigma = 2 pi int dsigma sin(theta) dtheta, Gauss-Legendre on [0, pi].
 
     The error estimate is the change under node doubling; the returned
-    value is the doubled-node quadrature.
+    value is the doubled-node quadrature. A potential whose v(0) diverges,
+    such as one with a 1/r tail, has no finite total and raises
+    NumericalError.
     """
     if n_theta < 16:
         raise DomainError("need at least 16 quadrature nodes")
-    coarse = _gl_total(pot, p, mass, n_theta, route)
-    fine = _gl_total(pot, p, mass, 2 * n_theta, route)
-    return TotalCrossSection(value=fine, error=abs(fine - coarse), nodes=2 * n_theta)
+    if not np.isfinite(fourier_transform(pot, 0.0)):
+        raise NumericalError("v(0) is not finite, so the total cross section diverges")
+
+    def rule(scale):
+        theta, g = _panels(scale * n_theta, np.array([0.0, np.pi]))
+        return theta, 2.0 * np.pi * np.sin(theta) * g
+
+    def dcs(theta):
+        return born_differential_cross_section(pot, p, mass, theta, route=route)
+
+    value, error, nodes = _angular_total(dcs, rule)
+    return TotalCrossSection(value=value, error=error, nodes=nodes)
 
 
 def far_field_scattered_wave(pot, p_a, mass, r_b, n_b, route="auto"):
@@ -205,25 +176,3 @@ def radial_flux(psi, mass):
         raise DomainError("radial flux needs at least 3 samples")
     dpsi = np.gradient(psi.values, psi.lattice.dx)
     return 1.0 / mass * np.imag(np.conj(psi.values) * dpsi)
-
-
-def elastic_record(pot, p, mass, thetas, n_theta=64, route="auto"):
-    """Assemble the plot-ready record for an angle sweep."""
-    angles = [ScatteringAngles(float(t)) for t in thetas]
-    theta = np.array([a.theta for a in angles])
-    dsigma = list(born_differential_cross_section(pot, p, mass, theta, route=route))
-    total = born_total_cross_section(pot, p, mass, n_theta=n_theta, route=route)
-    params = {
-        "potential": repr(pot),
-        "p": p,
-        "mass": mass,
-        "n_theta": total.nodes,
-        "quadrature_error": total.error,
-        "route": route,
-    }
-    return CrossSectionRecord(
-        angles=angles,
-        dsigma=dsigma,
-        sigma_total=total.value,
-        params=params,
-    )

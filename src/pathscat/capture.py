@@ -37,7 +37,7 @@ import numpy as np
 import scipy.special
 import scipy.stats.qmc
 
-from .born import _gauss_legendre
+from .born import _angular_total, _panels
 from .errors import DomainError, NumericalError
 from .units import OPEN, channel_energetics, reduced_masses
 
@@ -205,14 +205,6 @@ def _form_factor(Z_a, Z_b, q2):
     """int phi_b phi_a e^{i q.r} d3r for same-center 1s orbitals."""
     s = Z_a + Z_b
     return 8.0 * math.sqrt(Z_a**3 * Z_b**3) * s / (s**2 + q2) ** 2
-
-
-def _panels(n, edges):
-    """Nodes and weights of n-point Gauss-Legendre on each interval between
-    consecutive edges, panel after panel."""
-    u, w = _gauss_legendre(n)
-    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return (half * u + mid).ravel(), (half * w).ravel()
 
 
 def _graded_half(n, top, depth):
@@ -396,29 +388,34 @@ def ct_total_cross_section(
     """sigma = 2 pi int dsigma sin(theta) dtheta, forward-peak aware.
 
     Capture at heavy-particle momenta concentrates within milliradians,
-    so [theta_min, theta_split] is covered by geometric segments with
-    Gauss-Legendre nodes in each, the remainder by one rule, and the
-    sub-theta_min cap by a flat-peak patch. Each rule's nodes form one
-    angle array, so dsigma is one batched call per rule. The error
-    estimate is the change under node doubling.
+    so [theta_min, theta_split] is covered by n_segments geometric
+    segments of seg_nodes Gauss-Legendre nodes each, the remainder by
+    tail_nodes nodes, and the sub-theta_min cap by a flat-peak patch.
+    Each rule's nodes form one angle array, so dsigma is one batched
+    call per rule. The error estimate is the change under node doubling.
     """
     _require_open(spec)
+    counts = (n_segments, seg_nodes, tail_nodes)
+    if min(counts) < 1 or not 0.0 < theta_min < theta_split < np.pi:
+        raise DomainError(
+            "angular rule needs n_segments, seg_nodes, tail_nodes >= 1 and "
+            f"0 < theta_min < theta_split < pi, got {counts}, {theta_min}, {theta_split}"
+        )
 
-    def quadrature(seg_n, tail_n):
-        segments = _panels(seg_n, np.geomspace(theta_min, theta_split, n_segments + 1))
-        tail = _panels(tail_n, np.array([theta_split, np.pi]))
+    def rule(scale):
+        edges = np.geomspace(theta_min, theta_split, n_segments + 1)
+        segments = _panels(scale * seg_nodes, edges)
+        tail = _panels(scale * tail_nodes, np.array([theta_split, np.pi]))
         theta, g = (np.concatenate(pair) for pair in zip(segments, tail))
         # flat-peak cap below theta_min: dsigma is smooth at theta = 0
         weights = np.append(2.0 * np.pi * np.sin(theta) * g, np.pi * theta_min**2)
-        theta = np.append(theta, theta_min)
-        dcs = ct_differential_cross_section(spec, theta, lam, mode, flux_ratio_power)
-        return float(weights @ dcs), theta.size
+        return np.append(theta, theta_min), weights
 
-    coarse, _ = quadrature(seg_nodes, tail_nodes)
-    fine, count = quadrature(2 * seg_nodes, 2 * tail_nodes)
-    if not np.isfinite(fine):
-        raise NumericalError("angular quadrature produced a non-finite total")
-    return CaptureTotal(value=fine, error=abs(fine - coarse), evaluations=count)
+    def dcs(theta):
+        return ct_differential_cross_section(spec, theta, lam, mode, flux_ratio_power)
+
+    value, error, evaluations = _angular_total(dcs, rule)
+    return CaptureTotal(value=value, error=error, evaluations=evaluations)
 
 
 def _p3_series(x):

@@ -35,7 +35,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .born import elastic_record, ROUTES
+from .born import born_differential_cross_section, born_total_cross_section, ROUTES
 from .capture import (
     brute_force_oracle,
     capture_amplitude,
@@ -402,18 +402,17 @@ def _run_evolve(cfg, threads):
 
 
 def _run_born(cfg, threads):
-    record = elastic_record(
-        cfg["potential"], cfg["p"], cfg["mass"], cfg["angles"],
-        **_optional(cfg, "n_theta", "route"),
-    )
+    pot, p, mass, angles = cfg["potential"], cfg["p"], cfg["mass"], cfg["angles"]
+    route = _optional(cfg, "route")
+    total = born_total_cross_section(pot, p, mass, **_optional(cfg, "n_theta"), **route)
+    dsigma = born_differential_cross_section(pot, p, mass, angles, **route)
     payload = {
         "kind": "ElasticBorn",
-        "sigma_total": record.sigma_total,
-        "quadrature_error": record.params["quadrature_error"],
-        "n_theta": record.params["n_theta"],
+        "sigma_total": total.value,
+        "quadrature_error": total.error,
+        "n_theta": total.nodes,
     }
-    rows = [(a.theta, d) for a, d in zip(record.angles, record.dsigma)]
-    return payload, ("theta_rad", "dsigma_dOmega_au"), rows
+    return payload, ("theta_rad", "dsigma_dOmega_au"), list(zip(angles, dsigma))
 
 
 def _run_influence(cfg, threads):

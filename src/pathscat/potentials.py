@@ -10,6 +10,7 @@ they exist; a radial oscillatory quadrature serves as fallback and as
 the cross-check oracle for the analytic paths.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,15 @@ __all__ = [
     "fourier_transform",
     "fourier_transform_quadrature",
 ]
+
+
+# 3 (sin x - x cos x) / x^3 = sum_n (-1)^n 6 (n+1) x^(2n) / (2n+3)!, highest
+# power first. Cancellation costs the closed form 6e-12 relative at x = 1e-2
+# and 2e-15 at 0.5; below 0.5 these eight terms reach round-off.
+_SQUARE_WELL_SWITCH = 0.5
+_SQUARE_WELL_SERIES = tuple(
+    (-1) ** n * 6.0 * (n + 1) / math.factorial(2 * n + 3) for n in range(7, -1, -1)
+)
 
 
 class CentralPotential:
@@ -155,11 +165,14 @@ class SquareWell(CentralPotential):
     def analytic_ft(self, k):
         R = self.radius
         k = np.asarray(k, dtype=float)
-        # k = 0 takes the volume limit; a unit stand-in keeps 1/k^3 finite
-        safe = np.where(k == 0, 1.0, k)
-        kR = safe * R
-        value = 4.0 * np.pi * self.V0 * (np.sin(kR) - kR * np.cos(kR)) / safe**3
-        return np.where(k == 0, 4.0 * np.pi * self.V0 * R**3 / 3.0, value)[()]
+        kR = k * R
+        # the series takes over where sin(kR) - kR cos(kR) cancels, and
+        # gives the volume limit at k = 0
+        volume = 4.0 * np.pi * self.V0 * R**3 / 3.0
+        series = volume * np.polyval(_SQUARE_WELL_SERIES, kR * kR)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            closed = 4.0 * np.pi * self.V0 * (np.sin(kR) - kR * np.cos(kR)) / k**3
+        return np.where(kR < _SQUARE_WELL_SWITCH, series, closed)[()]
 
     def range_estimate(self):
         return self.radius

@@ -6,26 +6,28 @@ theta=0 and 4/25 at theta=pi, and the angular integral gives
 sigma = 16 pi / 5.
 """
 
+import csv
+import json
+
 import numpy as np
 import pytest
+import yaml
 
-from pathscat import born
+import pathscat
+from pathscat import born, cli
 from pathscat.potentials import CentralPotential
 from pathscat import (
     born_amplitude,
     born_differential_cross_section,
     born_total_cross_section,
     DomainError,
-    elastic_record,
     far_field_scattered_wave,
     Gaussian,
     gaussian_packet,
     LatticeSpec,
     momentum_transfer,
     NumericalError,
-    PlaneWaveState,
     radial_flux,
-    ScatteringAngles,
     ScreenedCoulomb,
     SoftCoulomb,
     SquareWell,
@@ -91,21 +93,6 @@ def test_rutherford_limit_of_screened_coulomb():
     assert dcs == pytest.approx(rutherford, rel=1e-3)
 
 
-def test_plane_wave_state_kinematics():
-    pw = PlaneWaveState((0.0, 0.0, 2.0), mass=2.0)
-    assert pw.momentum == pytest.approx(2.0)
-    assert pw.E == pytest.approx(1.0)
-    assert pw.flux == pytest.approx(1.0)
-
-
-def test_scattering_angles_validation():
-    with pytest.raises(DomainError):
-        ScatteringAngles(-0.1)
-    with pytest.raises(DomainError):
-        ScatteringAngles(3.5)
-    assert ScatteringAngles(0.5).phi == 0.0
-
-
 def test_radial_flux_of_plane_wave_and_real_state():
     # central differences carry a sin(p dx)/(p dx) dispersion factor, so
     # resolve the wave well: p dx = 0.02 puts it at the 1e-4 level
@@ -137,13 +124,58 @@ def test_far_field_guards():
         far_field_scattered_wave(YUK, p_a, 1.0, 500.0, np.array([0.0, 0.1, 1.0]))
 
 
-def test_elastic_record_assembly():
-    thetas = np.linspace(0.0, np.pi, 7)
-    rec = elastic_record(Gaussian(-0.2, 1.0), 1.0, 1.0, thetas)
-    assert len(rec.angles) == len(rec.dsigma) == 7
-    assert all(d >= 0.0 for d in rec.dsigma)
-    assert rec.sigma_total > 0.0
-    assert "quadrature_error" in rec.params
+def _born_cli(tmp_path, potential, angles, **extra):
+    """Run born-elastic through cli.main; return its exit code and out dir."""
+    config = {"command": "born-elastic", "potential": potential, "mass": 1.0,
+              "p": 1.0, "angles": angles, **extra}
+    path = tmp_path / "born.yaml"
+    path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    return cli.main(["born-elastic", "--config", str(path), "--out", str(out)]), out
+
+
+def test_born_elastic_cli_matches_the_library(tmp_path):
+    code, out = _born_cli(
+        tmp_path, {"family": "gaussian", "V0": -0.2, "width": 1.0},
+        {"min": 0.0, "max": float(np.pi), "n": 7}, n_theta=32,
+    )
+    assert code == 0
+    pot, thetas = Gaussian(-0.2, 1.0), np.linspace(0.0, np.pi, 7)
+    with open(out / "born-elastic.csv", newline="") as fh:
+        rows = [[float(c) for c in row] for row in list(csv.reader(fh))[1:]]
+    assert rows == [[t, d] for t, d in zip(
+        thetas, born_differential_cross_section(pot, 1.0, 1.0, thetas))]
+    payload = json.loads((out / "born-elastic.json").read_text())["payload"]
+    total = born_total_cross_section(pot, 1.0, 1.0, n_theta=32)
+    assert payload["sigma_total"] == total.value
+    assert payload["quadrature_error"] == total.error
+    assert payload["n_theta"] == total.nodes == 64
+
+
+@pytest.mark.parametrize("module", [pathscat, born])
+def test_record_wrappers_are_gone(module):
+    for name in ("PlaneWaveState", "ScatteringAngles", "CrossSectionRecord",
+                 "elastic_record"):
+        assert not hasattr(module, name)
+        assert name not in module.__all__
+
+
+def test_total_of_a_coulomb_tail_diverges():
+    # dsigma ~ 1/q^4 at small q, so the angular integral has no finite
+    # value; a quadrature would return a number that grows with n_theta
+    for route in born.ROUTES:
+        with pytest.raises(NumericalError, match="diverges at q = 0"):
+            born_total_cross_section(SoftCoulomb(1.0, 0.8), 1.0, 1.0, route=route)
+
+
+def test_born_elastic_cli_refuses_a_divergent_total(tmp_path, capsys):
+    code, out = _born_cli(tmp_path, {"family": "soft-coulomb", "Z": 1.0, "soft": 0.8},
+                          {"min": 0.1, "max": float(np.pi), "n": 8})
+    assert code == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "NumericalError"
+    assert "diverges at q = 0" in error["message"]
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("route", born.ROUTES)

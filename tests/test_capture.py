@@ -386,6 +386,21 @@ def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
     assert total.evaluations == 705
 
 
+@pytest.mark.parametrize("rule", [
+    {"theta_min": 0.5}, {"theta_min": 0.0}, {"theta_split": math.pi},
+    {"n_segments": 0}, {"seg_nodes": 0}, {"tail_nodes": -3},
+])
+def test_total_refuses_an_angular_rule_out_of_range(monkeypatch, rule):
+    # theta_min above theta_split once gave 6.4e-28 for a total of 1.26,
+    # no segments a total of 1e-7 with error 0, and no nodes a leggauss error
+    def no_dsigma(*args):
+        raise AssertionError("dsigma evaluated for a rule out of range")
+
+    monkeypatch.setattr(capture, "ct_differential_cross_section", no_dsigma)
+    with pytest.raises(DomainError):
+        ct_total_cross_section(_pp_spec(), lam=0.0, mode="jacobi", **rule)
+
+
 def _angles():
     """Angles in [0, pi], with milliradian and smaller ones well represented."""
     small = st.floats(1.0, 8.0).map(lambda k: 10.0**-k)

@@ -6,11 +6,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from pathscat import capture, cli
-from pathscat.born import elastic_record
+from pathscat.born import born_differential_cross_section
 from pathscat.errors import ConfigError
 from pathscat.potentials import Yukawa
 
@@ -94,20 +95,11 @@ def test_run_writes_matching_csv_and_json(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["theta_rad", "dsigma_dOmega_au"]
     # the 17-digit format must reproduce the binary values exactly
-    record = elastic_record(
-        Yukawa(-2.0, 1.0), 1.0, 1.0,
-        [a.theta for a in _linear_angles(9)], n_theta=64, route="auto",
-    )
-    for row, theta, dcs in zip(rows[1:], [a.theta for a in record.angles],
-                               record.dsigma):
+    thetas = np.linspace(0.0, np.pi, 9)
+    dsigma = born_differential_cross_section(Yukawa(-2.0, 1.0), 1.0, 1.0, thetas)
+    for row, theta, dcs in zip(rows[1:], thetas, dsigma):
         assert float(row[0]) == theta
         assert float(row[1]) == dcs
-
-
-def _linear_angles(n):
-    import numpy as np
-    from pathscat.born import ScatteringAngles
-    return [ScatteringAngles(t) for t in np.linspace(0.0, np.pi, n)]
 
 
 def test_exit_code_for_missing_config(tmp_path, capsys):
@@ -141,6 +133,21 @@ def test_exit_code_for_closed_channel(tmp_path, capsys):
     )
     assert code == 4
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("theta_min", 0.5), ("theta_min", 0.0), ("theta_split", 1e-8), ("segments", 0),
+    ("seg_nodes", 0), ("tail_nodes", -3),
+])
+def test_angular_rule_out_of_range_is_a_domain_error(tmp_path, capsys, key, value):
+    # each of these once returned a wrong total, or a leggauss traceback
+    demo = next(p for p in DEMO_CONFIGS if p.stem == "charge-transfer")
+    out = tmp_path / "out"
+    code = cli.main(["charge-transfer", "--config", str(demo), "--out", str(out),
+                     "--set", f"total.{key}={value}"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "DomainError"
+    assert not any(out.iterdir())
 
 
 def test_negative_screening_exits_before_sampling(tmp_path, capsys, monkeypatch):

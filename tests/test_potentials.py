@@ -8,6 +8,8 @@ the standard 3-D Fourier conventions with hbar = 1:
     v(q) = integral d^3r V(r) exp(-i q.r) = (4 pi / q) integral dr r V(r) sin(q r)
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from pathscat import (
     SquareWell,
     Yukawa,
 )
+from pathscat import potentials
 from pathscat.potentials import evaluate
 
 
@@ -48,6 +51,26 @@ def test_square_well_transform_zero_momentum_is_volume_integral():
     assert fourier_transform(pot, 0.0) == pytest.approx(
         4.0 * np.pi * (-0.7) * 8.0 / 3.0, rel=1e-15
     )
+
+
+def test_square_well_transform_at_small_kr():
+    # sin(kR) - kR cos(kR) cancels at small kR; against its 10-term Taylor
+    # series the closed form alone was off by 7.8e-5 at kR = 1e-6
+    pot = SquareWell(-0.7, 2.0)
+    volume = 4.0 * np.pi * (-0.7) * 8.0 / 3.0
+
+    def series(x):
+        return volume * sum((-1) ** n * 6.0 * (n + 1) * x ** (2 * n)
+                            / math.factorial(2 * n + 3) for n in range(10))
+
+    for kR in (1e-8, 1e-6, 1e-4, 1e-3, 1e-2):
+        assert pot.analytic_ft(kR / 2.0) == pytest.approx(series(kR), rel=1e-14)
+    switch = potentials._SQUARE_WELL_SWITCH
+    below, above = (pot.analytic_ft(x / 2.0)
+                    for x in (np.nextafter(switch, 0.0), switch))
+    assert below == pytest.approx(above, rel=1e-14)
+    assert above == pytest.approx(series(switch), rel=1e-14)
+    assert pot.analytic_ft(0.0) == volume
 
 
 @pytest.mark.parametrize(
