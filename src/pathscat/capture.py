@@ -18,15 +18,18 @@ capture amplitude are exposed:
   parameters, done in closed form in k, and the two remaining
   parameters are summed on a fixed graded rule.
 
-Every screened Coulomb carries screening constant lam >= 0; the
-physical lam -> 0 limit is reached by Richardson extrapolation over a
-geometric lam sequence. The brute-force oracle integrates the raw 6-D
-integrand by scrambled Sobol points with exponential importance
-sampling and block-wise error estimates; it never reuses the
-momentum-space reductions it is meant to check. Its radii invert the
-Gamma(3) distribution function P(3, x) = 1 - e^(-x)(1 + x + x^2/2) in
-closed form (`_gamma3_inv`: a fixed number of Halley steps from a
-three-piece starting guess), to round-off.
+Every screened Coulomb carries screening constant lam >= 0. The jacobi
+routes, the internuclear Feynman sum included, are finite at lam = 0
+and are evaluated there directly; obk diverges forward at lam = 0, so
+its totals need lam > 0. `richardson_lambda_limit` extrapolates a
+smooth quantity to lam -> 0 from a geometric lam sequence. The
+brute-force oracle integrates the raw 6-D integrand by scrambled Sobol
+points with exponential importance sampling and block-wise error
+estimates; it never reuses the momentum-space reductions it is meant
+to check. Its radii invert the Gamma(3) distribution function
+P(3, x) = 1 - e^(-x)(1 + x + x^2/2) in closed form (`_gamma3_inv`: a
+fixed number of Halley steps from a three-piece starting guess), to
+round-off.
 """
 
 import math

@@ -12,9 +12,13 @@ absorber factors around a kinetic factor that is diagonal in the DST-I
 sine basis. Such a slice is kept as its factors and applied by
 split-step in O(n log n), two orthonormal DSTs per slice (Feit, Fleck &
 Steiger, J. Comput. Phys. 47, 412, 1982). The dense n x n kernel is
-formed only when its entries are read. Midpoint sampling and the
-sampled chirp are not separable: their kinetic step is a dense matrix,
-and their N-slice kernels are formed densely when built.
+formed only when its entries are read: by one sine-basis product with
+the mode factors to the N-th power when the slice's node factors
+multiply to a constant (no potential, or a constant one, on hard
+walls), else as a matrix power in floor(log2 N) + popcount(N) - 1
+products. Midpoint sampling and the sampled chirp are not separable:
+their kinetic step is a dense matrix, and their N-slice kernels are
+formed by the same matrix power when built.
 
 Conventions, fixed here and relied on everywhere else:
 
@@ -179,8 +183,9 @@ class PropagatorMatrix:
 
     Holds either dense `entries` or `step`, the factors (pre, (f,), post)
     of one separable slice that the kernel repeats grid.N times. A kernel
-    held as `step` applies itself by split-step and forms `entries`, by
-    dense matrix powers, on first read.
+    held as `step` applies itself by split-step and forms `entries` on
+    first read: by one sine-basis product when pre * post is constant,
+    else by a dense matrix power of the slice.
     """
 
     def __init__(self, lattice, grid, entries=None, step=None):
@@ -198,9 +203,14 @@ class PropagatorMatrix:
     def entries(self):
         """Dense kernel densities, formed on first read if held as `step`."""
         if self._entries is None:
-            self._entries = _power(
-                _dense(self.step, self.lattice), self.grid.N, self.lattice.dx
-            )
+            pre, (f,), post = self.step
+            lat, N, d = self.lattice, self.grid.N, pre * post
+            if np.all(d == d[0]):
+                # T (dx T)^(N-1) = d^(N-1) diag(post) S^T diag(f^N) S diag(pre)
+                G = _mode_kernel(lat, f**N)
+                self._entries = (d[0] ** (N - 1) * post)[:, None] * G * pre[None, :]
+            else:
+                self._entries = _power(_dense(self.step, lat), N, lat.dx)
         return self._entries
 
     def apply(self, values):
@@ -210,7 +220,7 @@ class PropagatorMatrix:
         return _propagate(values, (self.step,) * self.grid.N)
 
     def symmetry_defect(self):
-        """Max |K - K^T| over max |K|; zero for symmetric sampling."""
+        """Max |K - K^T| over max |K|; round-off for symmetric sampling."""
         scale = np.max(np.abs(self.entries))
         if scale == 0:
             return 0.0
@@ -317,9 +327,13 @@ def _kinetic_factor(k, epsilon, mass, kinetic):
 
 
 def _mode_kernel(lattice, f):
-    """Dense kernel density S^T diag(f) S of a per-mode factor f."""
+    """Dense kernel density S^T diag(f) S of a per-mode factor f, as
+    two real products."""
     S = _sine_modes(lattice)
-    return (S.T * f) @ S
+    K = np.empty(S.shape, dtype=complex)
+    K.real = (S.T * f.real) @ S
+    K.imag = (S.T * f.imag) @ S
+    return K
 
 
 def _kinetic_kernel(lattice, epsilon, mass, kinetic):
@@ -416,12 +430,19 @@ def _dense(step, lattice):
 
 
 def _power(T, N, dx):
-    """Dense N-slice kernel T (dx T)^(N-1) of one repeated slice."""
-    return T if N == 1 else T @ np.linalg.matrix_power(dx * T, N - 1)
+    """Dense N-slice kernel T (dx T)^(N-1) = (dx T)^N / dx of one slice."""
+    return T if N == 1 else np.linalg.matrix_power(dx * T, N) / dx
 
 
 def _dst(values, axis):
-    return scipy.fft.dst(values, type=1, axis=axis, norm="ortho")
+    """Orthonormal DST-I along axis >= 0; a complex array goes as one
+    real batch of its (..., 2) float view, bit-identical to scipy's."""
+    if not np.iscomplexobj(values):
+        return scipy.fft.dst(values, type=1, axis=axis, norm="ortho")
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float)
+    pairs = pairs.reshape(values.shape + (2,))
+    out = scipy.fft.dst(pairs, type=1, axis=axis, norm="ortho")
+    return out.view(complex).reshape(values.shape)
 
 
 def _propagate(values, slices):

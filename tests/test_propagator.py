@@ -9,6 +9,7 @@ what the object is for, and there the scheme converges.
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
@@ -23,6 +24,7 @@ from pathscat import (
     free_deviation_diagnostic,
     free_propagator,
     free_propagator_matrix,
+    Gaussian,
     gaussian_packet,
     HardWall,
     LatticeSpec,
@@ -33,7 +35,7 @@ from pathscat import (
     time_sliced_propagator,
     Yukawa,
 )
-from pathscat.propagator import short_time_kernel
+from pathscat.propagator import _dst, short_time_kernel
 
 # n + 1 prime makes the DST-I transform length 2(n + 1) a prime times two
 PRIME_PLUS_ONE = (12, 16, 22, 96, 100, 126)
@@ -52,6 +54,11 @@ def _packet_action_error(K, exact_kernel, lattice, window=5.0):
         want = (exact_kernel @ psi) * lattice.dx
         worst = max(worst, float(np.max(np.abs(got - want)[keep]) / np.max(np.abs(want))))
     return worst
+
+
+def _power_reference(T, N, dx):
+    """The former dense N-slice product T (dx T)^(N-1), kept as the oracle."""
+    return T if N == 1 else T @ np.linalg.matrix_power(dx * T, N - 1)
 
 
 def _mehler_kernel(x_b, x_a, T, mass=1.0, omega=1.0, hbar=1.0):
@@ -278,6 +285,96 @@ def test_split_step_apply_matches_dense_product(
     want = (K.entries @ psi) * lat.dx
     got = K.apply(psi)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    kinetic=st.sampled_from(["pade2", "pade4", "exact", "sampled"]),
+    sampling=st.sampled_from(["endpoint", "symmetric", "midpoint"]),
+    absorbing=st.booleans(),
+    potential=st.sampled_from(["none", "constant", "gaussian"]),
+    n=st.integers(8, 64),
+    N=st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32]), st.integers(1, 40)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_entries_match_the_former_product(
+    kinetic, sampling, absorbing, potential, n, N, seed
+):
+    rng = np.random.default_rng(seed)
+    boundary = AbsorbingLayer(width=1.0, strength=rng.uniform(0.5, 5.0)) if absorbing \
+        else HardWall()
+    lat = LatticeSpec(-4.0, 4.0, n, boundary=boundary)
+    mass = rng.uniform(0.5, 2.0)
+    if kinetic == "sampled":
+        # a slice long enough that the chirp is resolved across the box
+        eps = 2.0 * mass * (lat.x_max - lat.x_min) * lat.dx / np.pi
+    else:
+        eps = rng.uniform(0.005, 0.05)
+    c = rng.uniform(-1.0, 1.0)
+    pot = {"none": None, "constant": lambda x: c, "gaussian": Gaussian(c, 1.5)}[potential]
+    args = (mass, kinetic, sampling)
+    K = time_sliced_propagator(pot, lat, TimeGrid(0.0, N * eps, N), *args)
+    T = time_sliced_propagator(pot, lat, TimeGrid(0.0, eps, 1), *args).entries
+    want = _power_reference(T, N, lat.dx)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(K.entries - want)) <= 1e-12 * scale
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    dense = (K.entries @ v) * lat.dx
+    assert np.max(np.abs(K.apply(v) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.fixture
+def matrix_power_exponents(monkeypatch):
+    """Exponents of every np.linalg.matrix_power call while the test runs."""
+    calls = []
+    original = np.linalg.matrix_power
+
+    def recording(a, n):
+        calls.append(n)
+        return original(a, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", recording)
+    return calls
+
+
+@pytest.mark.parametrize("pot", [None, lambda x: 0.37], ids=["free", "constant"])
+@pytest.mark.parametrize("sampling", ["endpoint", "symmetric"])
+def test_constant_node_factors_take_one_sine_basis_product(
+    matrix_power_exponents, pot, sampling
+):
+    K = time_sliced_propagator(pot, LAT, TimeGrid(0.0, 1.0, 24), 1.0, sampling=sampling)
+    assert K.entries.shape == (LAT.points, LAT.points)
+    assert matrix_power_exponents == []
+
+
+def test_varying_node_factors_take_one_matrix_power(matrix_power_exponents):
+    lat = LatticeSpec(-8.0, 8.0, 64)
+    K = time_sliced_propagator(Gaussian(-0.5, 1.5), lat, TimeGrid(0.0, 1.0, 24), 1.0)
+    K.entries
+    assert matrix_power_exponents == [24]
+
+
+@pytest.mark.parametrize("n", [255, 256, 767, 768])
+def test_complex_dst_is_bit_identical_to_scipy(n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    want = scipy.fft.dst(values, type=1, axis=0, norm="ortho")
+    assert np.array_equal(_dst(values, 0), want)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("shape", [(256, 40), (96, 127)])
+def test_complex_dst_along_an_axis_is_bit_identical_to_scipy(shape, axis):
+    rng = np.random.default_rng(shape[0] + axis)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a transposed view is what the split-step engine passes after moveaxis
+    for arr in (values, values.T):
+        want = scipy.fft.dst(arr, type=1, axis=axis, norm="ortho")
+        assert np.array_equal(_dst(arr, axis), want)
+    real = values.real
+    got = _dst(real, axis)
+    assert got.dtype == float
+    assert np.array_equal(got, scipy.fft.dst(real, type=1, axis=axis, norm="ortho"))
 
 
 def test_scattered_component_vanishes_without_potential():
