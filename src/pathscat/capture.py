@@ -27,11 +27,14 @@ brute-force oracle integrates the raw 6-D integrand by scrambled Sobol
 points with exponential importance sampling and block-wise error
 estimates; it never reuses the momentum-space reductions it is meant
 to check. Its radii invert the Gamma(3) distribution function
-P(3, x) = 1 - e^(-x)(1 + x + x^2/2) in closed form (`_gamma3_inv`: a
-fixed number of Halley steps from a three-piece starting guess), to
-round-off.
+P(3, x) = 1 - e^(-x)(1 + x + x^2/2) to round-off (`_gamma3_inv`: one
+Halley step from a tabulated starting guess). Each point stands for
+its antithetic pair (s, w), (-s, -w), whose mean is the real part of
+the raw integrand, and each block draws from its own child of
+SeedSequence(seed).
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,12 +66,14 @@ MODES = ("obk", "jacobi")
 FLUX_RATIO_POWERS = (1, 2)
 # Sobol points per oracle block; each block is one independent error sample.
 ORACLE_BLOCK = 1 << 15
-# Switch points and step count of _gamma3_inv. Below P(3, 1/2) the
-# series of P and the cube-root guess are used, above _U_TAIL the
-# log(1 - u) guess; three Halley steps reach round-off from every guess.
+# Below P(3, 1/2) _gamma3_inv takes P from its series.
 _U_SERIES = 1.0 - 1.625 * math.exp(-0.5)
-_U_TAIL = 1.0 - 1e-3
-_HALLEY_STEPS = 3
+# The starting guess of _gamma3_inv interpolates log P^-1(3, u) linearly
+# on this many uniform intervals of tau = logit(u) in [-_TAU_MAX,
+# _TAU_MAX], which holds u from 1e-15 to 1 - 1e-15; it is within 1e-5
+# of the root, and one Halley step reaches round-off from there.
+_TAU_MAX = 35.0
+_TAU_INTERVALS = 2048
 # 6/(k+3)!: the series P(3, x) = x^3 e^(-x)/6 * sum_k 6 x^k/(k+3)!,
 # truncated below 1e-17 of its first term for x <= 0.6
 _P3_SERIES = tuple(6.0 / math.factorial(k + 3) for k in range(14))
@@ -429,36 +434,49 @@ def _p3_series(x):
     return total * x**3 * np.exp(-x) / 6.0
 
 
+@functools.cache
+def _log_gamma3_table():
+    """log P^-1(3, u) on the tau grid of _gamma3_inv, and its slopes.
+
+    scipy inverts P below u = 1/2 and Q = 1 - P above it, each from
+    min(u, 1 - u) = expit(-|tau|), so neither tail is rounded. Built at
+    the first oracle call, not at import.
+    """
+    tau = np.linspace(-_TAU_MAX, _TAU_MAX, _TAU_INTERVALS + 1)
+    small = scipy.special.expit(-np.abs(tau))
+    x = np.where(tau <= 0.0, scipy.special.gammaincinv(3.0, small),
+                 scipy.special.gammainccinv(3.0, small))
+    log_x = np.log(x)
+    return log_x, np.diff(log_x)
+
+
 def _gamma3_inv(u):
     """x with P(3, x) = 1 - e^(-x) (1 + x + x^2/2) = u, for u in (0, 1).
 
-    The closed-form inverse of the Gamma(3) distribution function. The
-    starting guess is y (1 + y/4) with y = (6u)^(1/3) below P(3, 1/2),
-    the log(1 - u) form above _U_TAIL, and Wilson-Hilferty between.
-    _HALLEY_STEPS Halley steps follow on P - u for u < 1/2 and on
-    Q - (1 - u) for u >= 1/2, each formed where it is small; below
-    P(3, 1/2) P comes from its series, because 1 - Q cancels there.
+    The inverse of the Gamma(3) distribution function, to round-off for
+    u in [1e-15, 1 - 1e-15]. The starting guess interpolates log x
+    linearly in tau = logit(u) on _log_gamma3_table (beyond the table it
+    extrapolates the end interval). One Halley step follows, on P - u
+    for u < 1/2 and on Q - (1 - u) for u >= 1/2, each formed where it is
+    small; below P(3, 1/2) P comes from its series, because 1 - Q
+    cancels there.
     """
-    x = 3.0 * (26.0 / 27.0 + scipy.special.ndtri(u) / math.sqrt(27.0)) ** 3
+    log_x, slope = _log_gamma3_table()
+    pos = (np.log(u / (1.0 - u)) + _TAU_MAX) * (_TAU_INTERVALS / (2.0 * _TAU_MAX))
+    i = pos.astype(np.intp)
+    np.clip(i, 0, _TAU_INTERVALS - 1, out=i)
+    x = np.exp(log_x[i] + (pos - i) * slope[i])
+    e = np.exp(-x)
+    q = e * (1.0 + x + 0.5 * x * x)
+    # f is P - u = (1 - Q) - u below 1/2 and (1 - u) - Q above; rest is u
+    # below 1/2 and 0 above, so 1 - (u - rest) is 1 or the exact 1 - u
+    rest = u * (u < 0.5)
+    f = ((1.0 - (u - rest)) - q) - rest
     low = np.flatnonzero(u < _U_SERIES)
-    u_low = u[low]
-    y = np.cbrt(6.0 * u_low)
-    x[low] = y * (1.0 + 0.25 * y)
-    tail = np.flatnonzero(u > _U_TAIL)
-    L = -np.log1p(-u[tail])
-    x[tail] = L + np.log1p(L + 0.5 * L * L)
-    # f = (head - Q) - rest is (1 - Q) - u = P - u below 1/2, (1 - u) - Q above
-    upper = u >= 0.5
-    head = np.where(upper, 1.0 - u, 1.0)
-    rest = np.where(upper, 0.0, u)
-    for _ in range(_HALLEY_STEPS):
-        e = np.exp(-x)
-        f = (head - e * (1.0 + x + 0.5 * x * x)) - rest
-        f[low] = _p3_series(x[low]) - u_low
-        # Newton step f/P', then Halley's correction with P''/(2 P') = 1/x - 1/2
-        t = f / (0.5 * x * x * e)
-        x = x - t / (1.0 - t * (1.0 / x - 0.5))
-    return x
+    f[low] = _p3_series(x[low]) - u[low]
+    # Newton step f/P', then Halley's correction with P''/(2 P') = 1/x - 1/2
+    t = f / (0.5 * x * x * e)
+    return x - t / (1.0 - t * (1.0 / x - 0.5))
 
 
 def _sample_iso_exp(U):
@@ -504,11 +522,15 @@ def _dot(vec, points):
 
 
 def _oracle_integrand(spec, theta, lam, mode, interaction):
-    """Raw 6-D integrand over the sampled pair (s, w), no reductions.
+    """Raw 6-D integrand over the sampled pair (s, w), no reductions,
+    as the mean over the antithetic pair (s, w), (-s, -w).
 
-    Returns f(s, s_r, w, w_r) for points given as (3, n) arrays with
-    their radii. The wave vectors, mass ratios and orbital
-    normalisations are built here, once per oracle call.
+    Every raw integrand is mag e^(i (a.s + b.w)) with mag a function of
+    radii alone, so f(-s, -w) = conj f(s, w) and the pair's mean is the
+    real Re f = mag cos(a.s + b.w). Returns that for points given as
+    (3, n) arrays with their radii. The phase vectors a and b, the mass
+    ratios and the orbital normalisations are built here, once per
+    oracle call.
     """
     Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
@@ -517,41 +539,44 @@ def _oracle_integrand(spec, theta, lam, mode, interaction):
     amp *= -Z_b if interaction == "ProtonElectron" else Z_a * Z_b
     p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
     if mode == "obk":
+        # phase q.R with R = s - w for the proton-electron term, R = w internuclear
         q_vec = p_a_vec - p_b_vec
+        a = q_vec if interaction == "ProtonElectron" else np.zeros(3)
+        b = -q_vec if interaction == "ProtonElectron" else q_vec
 
         def integrand(s, s_r, w, w_r):
-            # R = s - w for the proton-electron term, R = w internuclear
-            R = s - w if interaction == "ProtonElectron" else w
             mag = amp * np.exp(-(Z_a + Z_b) * s_r - lam * w_r) / w_r
-            return mag * np.exp(1j * _dot(q_vec, R))
+            return mag * np.cos(_dot(a, s) + _dot(b, w))
 
         return integrand
     ga = spec.gamma_a
     gb = spec.gamma_b
     c = ga + gb - ga * gb
+    # phase p_a.X - p_b.R_out with R_out = c s + (1 - gb) X, and X = x_s s - w:
+    # x_s = 1 - ga for the proton-electron term (w is the outgoing electron
+    # coordinate r_b), x_s = -ga internuclear (w is the internuclear separation)
+    x_s = 1.0 - ga if interaction == "ProtonElectron" else -ga
+    k = p_a_vec - (1.0 - gb) * p_b_vec
+    a = x_s * k - c * p_b_vec
+    b = -k
 
     def integrand(s, s_r, w, w_r):
         if interaction == "ProtonElectron":
-            # w is the outgoing electron coordinate r_b
-            X = (1.0 - ga) * s - w
             r_b_r = w_r
         else:
-            # w is the internuclear separation
-            X = -ga * s - w
             r_b = s + w
             r_b_r = np.sqrt(_dot(r_b, r_b))
-        # R_out = c s + (1 - gb) X enters only through R_out . p_b
-        out_p_b = c * _dot(p_b_vec, s) + (1.0 - gb) * _dot(p_b_vec, X)
         mag = amp * np.exp(-Z_b * r_b_r - Z_a * s_r - lam * w_r) / w_r
-        return mag * np.exp(1j * (_dot(p_a_vec, X) - out_p_b))
+        return mag * np.cos(_dot(a, s) + _dot(b, w))
 
     return integrand
 
 
-def _oracle_draws(seed):
-    """One block's unit-rate draws of s and w from one scrambled Sobol set;
-    the uniforms are dropped on return, before any term is evaluated."""
-    sob = scipy.stats.qmc.Sobol(d=6, scramble=True, seed=seed)
+def _oracle_draws(stream):
+    """One block's unit-rate draws of s and w from one scrambled Sobol set
+    drawn from the SeedSequence stream; the uniforms are dropped on
+    return, before any term is evaluated."""
+    sob = scipy.stats.qmc.Sobol(d=6, scramble=True, rng=np.random.default_rng(stream))
     U = sob.random(ORACLE_BLOCK)
     return _sample_iso_exp(U[:, :3]), _sample_iso_exp(U[:, 3:])
 
@@ -559,10 +584,12 @@ def _oracle_draws(seed):
 def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
     """Mean of each term's importance-weighted integrand over each block.
 
-    Returns an array of shape (len(terms), blocks). Block b draws its
-    Sobol points and radii from seed + b once, and every term reuses them
-    at its own rates. One pool runs every block and the means come back
-    in block order, so the thread count cannot change them.
+    Returns a real array of shape (len(terms), blocks). Block b draws its
+    Sobol points and radii once, from child b of SeedSequence(seed), so
+    no two blocks, of one seed or of two, share a stream; every term
+    reuses them at its own rates. One pool runs every block and the
+    means come back in block order, so the thread count cannot change
+    them.
     """
     plans = []
     for term in terms:
@@ -570,9 +597,10 @@ def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
         integrand = _oracle_integrand(spec, theta, lam, mode, term)
         plans.append((kappa_s, kappa_w, integrand))
     n_blocks = max(2, math.ceil(samples / ORACLE_BLOCK))
+    streams = np.random.SeedSequence(seed).spawn(n_blocks)
 
     def block_means(b):
-        (x_s, dir_s), (x_w, dir_w) = _oracle_draws(seed + b)
+        (x_s, dir_s), (x_w, dir_w) = _oracle_draws(streams[b])
         # 1 / (sampling density) up to the rates: (8 pi)^2 e^(x_s + x_w)
         weight = (8.0 * np.pi) ** 2 * np.exp(x_s + x_w)
         means = []
@@ -580,7 +608,7 @@ def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
             s_r = x_s / kappa_s
             w_r = x_w / kappa_w
             vals = integrand(dir_s * s_r, s_r, dir_w * w_r, w_r) * weight
-            means.append(complex(np.mean(vals)) / (kappa_s * kappa_w) ** 3)
+            means.append(float(np.mean(vals)) / (kappa_s * kappa_w) ** 3)
         return means
 
     if threads > 1:
@@ -602,12 +630,14 @@ def brute_force_oracle(
 ):
     """Direct Sobol evaluation of the capture integral, value and error.
 
-    Blocks get deterministic seeds (seed + block index, so seed must be
-    non-negative) and the block means reduce in index order, so thread
-    count cannot change the result. The Sum interaction runs its two
-    terms on the same blocks, so its error comes from the summed block
-    means, which carry the terms' correlation. `samples` counts
-    integrand evaluations.
+    Block b draws from child b of SeedSequence(seed), so seed must be
+    non-negative, and the block means reduce in index order, so thread
+    count cannot change the result. Each draw stands for its antithetic
+    pair, whose mean is real: the value is a complex with imaginary part
+    exactly 0, and its error is the standard error of the real block
+    means. The Sum interaction runs its two terms on the same blocks, so
+    its error comes from the summed block means, which carry the terms'
+    correlation. `samples` counts integrand evaluations.
     """
     _require_open(spec)
     if samples < 100000:
@@ -625,9 +655,7 @@ def brute_force_oracle(
         _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, n_threads)
     )
     n_blocks = means.size
-    err = math.sqrt(
-        (np.var(means.real, ddof=1) + np.var(means.imag, ddof=1)) / n_blocks
-    )
+    err = math.sqrt(np.var(means, ddof=1) / n_blocks)
     return OracleEstimate(
         complex(np.mean(means)), err, len(terms) * n_blocks * ORACLE_BLOCK, n_blocks
     )

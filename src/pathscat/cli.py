@@ -9,8 +9,8 @@ Every run writes a plot-ready CSV and a JSON document with the echoed
 config, payload, and diagnostics, each through a temporary file renamed
 into place. Outputs are byte-deterministic for a fixed config and seed:
 wall time goes to stderr, never into the files, and --threads only
-dispatches oracle sample blocks whose seeded means reduce in index
-order.
+dispatches oracle sample blocks, each drawn from its own child of
+SeedSequence(seed), whose means reduce in index order.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 domain
 error. Every invalid key, type or value in a config exits with code 2,
@@ -125,7 +125,7 @@ def _built(context, build, *args, **kwargs):
 _LEAVES = {float: "a number", int: "an integer", str: "a string"}
 # Integer keys size grids and sample counts, which numpy holds as int64.
 _INT64 = range(-(2**63), 2**63)
-# Oracle block b is seeded seed + b, and numpy takes no negative seed.
+# Oracle blocks draw from SeedSequence(seed), which takes no negative seed.
 _SEED = range(0, 2**63)
 
 

@@ -346,7 +346,7 @@ def test_capture_velocity_scaling():
     est = brute_force_oracle(spec, 0.0, samples=1_000_000, lam=0.0, mode="jacobi")
     route = capture_amplitude(spec, 0.0, lam=0.0, mode="jacobi")
     assert est.error <= 0.1 * abs(route)
-    # measured 0.5 sigma at this seed
+    # measured 1.01 sigma at this seed
     assert abs(est.value - route) <= 3.0 * est.error
 
     octaves = list(zip(speeds, speeds[1:]))
