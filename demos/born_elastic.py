@@ -6,7 +6,9 @@ The first Born approximation turns a central potential into a
 scattering amplitude through a single 3-D Fourier transform at the
 momentum transfer q = 2 p sin(theta/2). Two independent routes to that
 transform live in the package: closed forms where the family has one,
-and an oscillatory-weighted radial quadrature for everything else.
+and a radial quadrature for everything else (one vectorised sinc
+integral below 64 sine cycles over the support, a sine-weighted rule
+per momentum above that or on a long-range tail).
 """
 
 import numpy as np

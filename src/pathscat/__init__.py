@@ -17,9 +17,7 @@ from .born import (
     born_amplitude,
     born_differential_cross_section,
     born_total_cross_section,
-    far_field_scattered_wave,
     momentum_transfer,
-    radial_flux,
     TotalCrossSection,
 )
 from .capture import (
@@ -131,7 +129,6 @@ __all__ = [
     "ct_differential_cross_section",
     "ct_total_cross_section",
     "evolve",
-    "far_field_scattered_wave",
     "fourier_transform",
     "fourier_transform_quadrature",
     "free_deviation_diagnostic",
@@ -143,7 +140,6 @@ __all__ = [
     "make_capture_spec",
     "momentum_transfer",
     "packet_width",
-    "radial_flux",
     "radial_lattice",
     "reconstruct_full_amplitude",
     "reduced_masses",

@@ -6,8 +6,10 @@ Each family evaluates V(r) pointwise and knows its momentum-space form
 
 in atomic units (hbar = 1, so the momentum transfer q is also the
 wavenumber), real for central potentials. Closed forms are used where
-they exist; a radial oscillatory quadrature serves as fallback and as
-the cross-check oracle for the analytic paths.
+they exist; a radial quadrature serves as fallback and as the
+cross-check oracle for the analytic paths. On a finite support it is one
+vectorised sinc integral for every momentum below an oscillatory switch,
+and a sine-weighted rule per momentum above it or on a long-range tail.
 """
 
 import math
@@ -39,6 +41,15 @@ _SQUARE_WELL_SWITCH = 0.5
 _SQUARE_WELL_SERIES = tuple(
     (-1) ** n * 6.0 * (n + 1) / math.factorial(2 * n + 3) for n in range(7, -1, -1)
 )
+# Momenta with q R_cut below this (64 sine cycles over the support) share one
+# vectorised sinc integral; above it the sine-weighted rule takes one momentum
+# at a time. On Born arrays of 64 and 128 momenta over 0..256 cycles, switches
+# at 32-64 cycles cost least and 256 cycles up to 3x more, because the sinc
+# integral's regions grow with the cycles (BENCH_born_quadrature.json).
+_OSCILLATORY_SWITCH = 128.0 * np.pi
+# Cap on the vectorised rule's subdivisions, on the scale of the weighted
+# rule's limit, so an unreachable tolerance fails fast.
+_MAX_SUBDIVISIONS = 300
 
 
 class CentralPotential:
@@ -218,52 +229,45 @@ def _r_times_v(pot, r):
     return f
 
 
-def fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14):
-    """Radial oscillatory quadrature of v(q).
+def _sinc_integral(pot, q, R_cut, rel_tol, abs_tol):
+    """4 pi int_0^R_cut r^2 V(r) sinc(q r) dr at every momentum of the 1-D
+    array q by one adaptive Gauss-Kronrod cubature, which certifies each
+    momentum's error separately; sinc(0) = 1 gives the q = 0 moment."""
 
-    Uses (4 pi / q) int_0^inf r V(r) sin(q r) dr for q > 0
-    (scipy's oscillatory-weight integrator, with an infinite upper limit
-    for long-range tails) and the q -> 0 limit 4 pi int r^2 V(r) dr.
-    The returned value passed the error gate; when the integrator cannot
-    certify the requested tolerance a NumericalError carries its
-    estimate. For transforms that are exponentially small in q, certify
-    through abs_tol: no oscillatory rule can bound them relatively.
-    """
-    if q < 0:
-        raise DomainError("momentum transfer must be non-negative")
-    if isinstance(pot, SquareWell):
-        R_cut = pot.radius
-    else:
-        R_cut = _cutoff_radius(pot)
-    if q == 0:
-        if R_cut is None:
-            raise NumericalError(
-                "q = 0 radial moment diverges for long-range potentials",
-                estimate=np.inf,
-            )
-        val, est = scipy.integrate.quad(
-            lambda r: 4.0 * np.pi * r * _r_times_v(pot, r),
-            0.0,
-            R_cut,
-            epsabs=abs_tol,
-            epsrel=rel_tol,
-            limit=200,
+    def integrand(r):
+        r = r[:, 0]
+        return (4.0 * np.pi * r * r * pot.evaluate(r))[:, None] * np.sinc(
+            np.outer(r, q) / np.pi
         )
-        return _checked(val, est, rel_tol, abs_tol)
-    if R_cut is not None and q * R_cut < 4.0 * np.pi:
-        # Fewer than two sine cycles fit inside the support, where the
-        # oscillatory rule degenerates. The integrand rewritten through
-        # sinc is smooth and a plain adaptive rule estimates it well.
-        val, est = scipy.integrate.quad(
-            lambda r: 4.0 * np.pi * r * _r_times_v(pot, r) * np.sinc(q * r / np.pi),
-            0.0,
-            R_cut,
-            epsabs=abs_tol,
-            epsrel=rel_tol,
-            limit=200,
+
+    # Start from regions of at most two sine cycles of the highest
+    # momentum: a region holding many cycles can alias to a small
+    # Kronrod-Gauss difference and stop at once on a wrong value. Half of
+    # each tolerance: err <= atol/2 + rtol/2 |v| implies the gate
+    # err <= max(rel_tol |v|, abs_tol) that _checked applies.
+    regions = max(1, int(np.ceil(q.max() * R_cut / (4.0 * np.pi))))
+    res = scipy.integrate.cubature(
+        integrand,
+        [0.0],
+        [R_cut],
+        rtol=0.5 * rel_tol,
+        atol=0.5 * abs_tol,
+        max_subdivisions=_MAX_SUBDIVISIONS,
+        points=[[R_cut * j / regions] for j in range(1, regions)],
+    )
+    if res.status != "converged":
+        worst = float(np.max(res.error))
+        raise NumericalError(
+            f"quadrature stopped after {res.subdivisions} subdivisions with "
+            f"error estimate {worst:.3e}",
+            estimate=worst,
         )
-        return _checked(val, est, rel_tol, abs_tol)
-    upper = R_cut if R_cut is not None else np.inf
+    return [_checked(v, e, rel_tol, abs_tol) for v, e in zip(res.estimate, res.error)]
+
+
+def _weighted_sine(pot, q, upper, rel_tol, abs_tol):
+    """(4 pi / q) int_0^upper r V(r) sin(q r) dr for one momentum q > 0 by
+    the sine-weighted rule (QAWO, or QAWF for an infinite upper limit)."""
     val, est = scipy.integrate.quad(
         lambda r: (4.0 * np.pi / q) * _r_times_v(pot, r),
         0.0,
@@ -277,6 +281,48 @@ def fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14):
     return _checked(val, est, rel_tol, abs_tol)
 
 
+def fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14):
+    """Radial quadrature of v(q) at a momentum or an array of momenta.
+
+    On a finite support [0, R_cut], every momentum with q R_cut below
+    _OSCILLATORY_SWITCH (q = 0 included) comes from one vectorised
+    integral 4 pi int r^2 V(r) sinc(q r) dr, whose adaptive rule certifies
+    each momentum separately. Momenta above the switch, and every momentum
+    of a long-range potential (infinite upper limit), use
+    (4 pi / q) int r V(r) sin(q r) dr by scipy's sine-weighted integrator,
+    one momentum at a time; the q -> 0 moment of a long-range potential
+    diverges and raises. Each returned value passed the error gate
+    err <= max(rel_tol |v|, abs_tol); when the integrator cannot certify
+    it a NumericalError carries the estimate. For transforms that are
+    exponentially small in q, certify through abs_tol: no oscillatory rule
+    can bound them relatively. A scalar q returns a float.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.any(q < 0):
+        raise DomainError("momentum transfer must be non-negative")
+    if isinstance(pot, SquareWell):
+        R_cut = pot.radius
+    else:
+        R_cut = _cutoff_radius(pot)
+    flat = q.ravel()
+    if R_cut is None:
+        if np.any(flat == 0):
+            raise NumericalError(
+                "q = 0 radial moment diverges for long-range potentials",
+                estimate=np.inf,
+            )
+        near = np.zeros(flat.shape, dtype=bool)
+    else:
+        near = flat * R_cut < _OSCILLATORY_SWITCH
+    values = np.empty(flat.shape)
+    if near.any():
+        values[near] = _sinc_integral(pot, flat[near], R_cut, rel_tol, abs_tol)
+    upper = np.inf if R_cut is None else R_cut
+    for i in np.flatnonzero(~near):
+        values[i] = _weighted_sine(pot, flat[i], upper, rel_tol, abs_tol)
+    return values.reshape(q.shape)[()]
+
+
 def _checked(val, est, rel_tol, abs_tol):
     if not np.isfinite(val):
         raise NumericalError("quadrature produced a non-finite value", estimate=est)
@@ -288,17 +334,11 @@ def _checked(val, est, rel_tol, abs_tol):
     return val
 
 
-def _each_momentum(transform, pot, q, **options):
-    """transform(pot, k, **options) at each momentum k of q, shaped like q."""
-    values = [transform(pot, float(k), **options) for k in np.ravel(q)]
-    return np.reshape(values, np.shape(q))[()]
-
-
 def fourier_transform(pot, q):
     """v(q) at a momentum or an array of momenta: a closed form takes the
-    whole array in one call, otherwise one quadrature runs per momentum."""
+    whole array in one call, otherwise fourier_transform_quadrature does."""
     if np.any(np.asarray(q) < 0):
         raise DomainError("momentum transfer must be non-negative")
     if hasattr(pot, "analytic_ft"):
         return pot.analytic_ft(q)
-    return _each_momentum(fourier_transform_quadrature, pot, q)
+    return fourier_transform_quadrature(pot, q)

@@ -339,9 +339,10 @@ def test_capture_velocity_scaling():
         totals[v] = ct_total_cross_section(spec, lam=0.0, mode="jacobi").value
 
     # the oracle anchors the route where it can resolve the amplitude:
-    # its error is about 0.1-0.14 per 1M samples at any speed, while the
-    # amplitude falls as v^-6 (route -0.805 at v = 4, theta = 0 but
-    # -2.8e-4 at v = 8, theta = 1e-3), so the closed form anchors v >= 8
+    # its error per 1M samples is 0.029 at v = 4, theta = 0 and 0.12 at
+    # v = 8, theta = 1e-3, while the amplitude falls as v^-6 (route -0.805
+    # at v = 4, theta = 0 but -2.8e-4 at v = 8, theta = 1e-3), so the
+    # closed form anchors v >= 8
     spec = make_capture_spec(1.0, 1.0, 1.0, 1.0, 4.0, "ProtonElectron")
     est = brute_force_oracle(spec, 0.0, samples=1_000_000, lam=0.0, mode="jacobi")
     route = capture_amplitude(spec, 0.0, lam=0.0, mode="jacobi")

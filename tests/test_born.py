@@ -21,13 +21,10 @@ from pathscat import (
     born_differential_cross_section,
     born_total_cross_section,
     DomainError,
-    far_field_scattered_wave,
     Gaussian,
     gaussian_packet,
-    LatticeSpec,
     momentum_transfer,
     NumericalError,
-    radial_flux,
     ScreenedCoulomb,
     SoftCoulomb,
     SquareWell,
@@ -93,37 +90,6 @@ def test_rutherford_limit_of_screened_coulomb():
     assert dcs == pytest.approx(rutherford, rel=1e-3)
 
 
-def test_radial_flux_of_plane_wave_and_real_state():
-    # central differences carry a sin(p dx)/(p dx) dispersion factor, so
-    # resolve the wave well: p dx = 0.02 puts it at the 1e-4 level
-    lat = LatticeSpec(1.0, 30.0, 2048)
-    p, m = 1.5, 1.0
-    from pathscat import ComplexField1D
-
-    plane = ComplexField1D(lat, np.exp(1j * p * lat.nodes))
-    j = radial_flux(plane, m)
-    assert np.max(np.abs(j[5:-5] - p / m)) <= 1e-3
-    real_state = ComplexField1D(lat, np.exp(-((lat.nodes - 10.0) ** 2)))
-    assert np.max(np.abs(radial_flux(real_state, m))) == 0.0
-
-
-def test_far_field_wave_reproduces_cross_section():
-    p_a = np.array([0.0, 0.0, 1.0])
-    n_b = np.array([0.0, np.sin(0.4), np.cos(0.4)])
-    r_b = 500.0
-    psi = far_field_scattered_wave(YUK, p_a, 1.0, r_b, n_b)
-    dcs = born_differential_cross_section(YUK, 1.0, 1.0, 0.4)
-    assert abs(psi) ** 2 * r_b**2 == pytest.approx(dcs, rel=1e-12)
-
-
-def test_far_field_guards():
-    p_a = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(DomainError):
-        far_field_scattered_wave(YUK, p_a, 1.0, 50.0, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(DomainError):
-        far_field_scattered_wave(YUK, p_a, 1.0, 500.0, np.array([0.0, 0.1, 1.0]))
-
-
 def _born_cli(tmp_path, potential, angles, **extra):
     """Run born-elastic through cli.main; return its exit code and out dir."""
     config = {"command": "born-elastic", "potential": potential, "mass": 1.0,
@@ -160,6 +126,13 @@ def test_record_wrappers_are_gone(module):
         assert name not in module.__all__
 
 
+@pytest.mark.parametrize("module", [pathscat, born])
+def test_far_field_helpers_are_gone(module):
+    for name in ("far_field_scattered_wave", "FAR_FIELD_RANGES", "radial_flux"):
+        assert not hasattr(module, name)
+        assert name not in module.__all__
+
+
 def test_total_of_a_coulomb_tail_diverges():
     # dsigma ~ 1/q^4 at small q, so the angular integral has no finite
     # value; a quadrature would return a number that grows with n_theta
@@ -181,7 +154,7 @@ def test_born_elastic_cli_refuses_a_divergent_total(tmp_path, capsys):
 @pytest.mark.parametrize("route", born.ROUTES)
 def test_dsigma_on_an_angle_array_is_elementwise(route):
     # "auto" takes each family's closed form on the whole array;
-    # "quadrature" keeps one adaptive transform per angle
+    # "quadrature" takes one vectorised radial integral on it
     theta = np.linspace(0.0, np.pi, 7)
     families = (YUK, Gaussian(-0.2, 1.0), SquareWell(-0.5, 1.0), ScreenedCoulomb(1.0, 0.7))
     for pot in families:
@@ -218,7 +191,7 @@ class _YukawaShape(CentralPotential):
 
 
 def test_total_without_a_closed_form_takes_quadrature_per_angle():
-    # "auto" falls back to one quadrature per momentum on the whole array
+    # "auto" falls back to the quadrature route on the whole array
     pot = _YukawaShape()
     total = born_total_cross_section(pot, 1.0, 1.0, n_theta=16)
     assert total.value == pytest.approx(

@@ -1,9 +1,10 @@
 """Potential families and their momentum-space transforms.
 
-The closed-form transforms are checked against the oscillatory
-quadrature route, which is coded independently (weighted sine rule on
-the radial integral). Spot values below were worked out by hand from
-the standard 3-D Fourier conventions with hbar = 1:
+The closed-form transforms are checked against the radial quadrature
+route, which is coded independently (a vectorised sinc integral, or the
+weighted sine rule at many cycles over the support). Spot values below
+were worked out by hand from the standard 3-D Fourier conventions with
+hbar = 1:
 
     v(q) = integral d^3r V(r) exp(-i q.r) = (4 pi / q) integral dr r V(r) sin(q r)
 """
@@ -12,8 +13,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathscat import (
+    born_total_cross_section,
     DomainError,
     fourier_transform,
     fourier_transform_quadrature,
@@ -89,6 +94,105 @@ def test_quadrature_route_matches_closed_form(pot):
         closed = pot.analytic_ft(q)
         quad = fourier_transform_quadrature(pot, q, rel_tol=1e-9, abs_tol=1e-12)
         assert quad == pytest.approx(closed, rel=1e-8, abs=1e-12)
+
+
+def _fourier_transform_quadrature_reference(pot, q, rel_tol=1e-10, abs_tol=1e-14):
+    """The former scalar route, kept as the oracle of the vectorised one:
+    the q = 0 moment, a sinc integrand below two sine cycles over the
+    support, and the sine-weighted rule above, each by its own quad."""
+    if isinstance(pot, SquareWell):
+        R_cut = pot.radius
+    else:
+        R_cut = potentials._cutoff_radius(pot)
+    if q == 0:
+        val, est = scipy.integrate.quad(
+            lambda r: 4.0 * np.pi * r * potentials._r_times_v(pot, r),
+            0.0, R_cut, epsabs=abs_tol, epsrel=rel_tol, limit=200,
+        )
+        return potentials._checked(val, est, rel_tol, abs_tol)
+    if R_cut is not None and q * R_cut < 4.0 * np.pi:
+        val, est = scipy.integrate.quad(
+            lambda r: 4.0 * np.pi * r * potentials._r_times_v(pot, r)
+            * np.sinc(q * r / np.pi),
+            0.0, R_cut, epsabs=abs_tol, epsrel=rel_tol, limit=200,
+        )
+        return potentials._checked(val, est, rel_tol, abs_tol)
+    upper = R_cut if R_cut is not None else np.inf
+    val, est = scipy.integrate.quad(
+        lambda r: (4.0 * np.pi / q) * potentials._r_times_v(pot, r),
+        0.0, upper, epsabs=abs_tol, epsrel=rel_tol, weight="sin", wvar=q, limit=400,
+    )
+    return potentials._checked(val, est, rel_tol, abs_tol)
+
+
+_potentials = st.one_of(
+    st.builds(Yukawa, st.floats(-2.0, 2.0).filter(bool), st.floats(0.3, 2.0)),
+    st.builds(Gaussian, st.floats(-2.0, 2.0).filter(bool), st.floats(0.5, 2.0)),
+    st.builds(ScreenedCoulomb, st.floats(0.2, 3.0), st.floats(0.3, 2.0)),
+    st.builds(SquareWell, st.floats(-2.0, 2.0).filter(bool), st.floats(0.3, 3.0)),
+)
+
+
+def _momenta(pot, spread):
+    """q = 0, a pair straddling the oscillatory switch, and spread up to 50."""
+    if isinstance(pot, SquareWell):
+        R_cut = pot.radius
+    else:
+        R_cut = potentials._cutoff_radius(pot)
+    edge = potentials._OSCILLATORY_SWITCH / R_cut
+    return np.concatenate(([0.0, 0.999 * edge, 1.001 * edge], spread))
+
+
+_spread = st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5)
+_REL, _ABS = 1e-9, 1e-12
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(pot=_potentials, spread=_spread)
+def test_vectorised_quadrature_matches_the_former_route(pot, spread):
+    q = _momenta(pot, spread)
+    values = fourier_transform_quadrature(pot, q, rel_tol=_REL, abs_tol=_ABS)
+    for qi, v in zip(q, values):
+        ref = _fourier_transform_quadrature_reference(pot, qi, rel_tol=_REL, abs_tol=_ABS)
+        assert abs(v - ref) <= 2.0 * _REL * abs(ref) + _ABS, (pot, qi)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(pot=_potentials, spread=_spread)
+def test_array_quadrature_is_elementwise(pot, spread):
+    q = _momenta(pot, spread)
+    values = fourier_transform_quadrature(pot, q, rel_tol=_REL, abs_tol=_ABS)
+    assert values.shape == q.shape
+    for qi, v in zip(q, values):
+        one = fourier_transform_quadrature(pot, qi, rel_tol=_REL, abs_tol=_ABS)
+        assert isinstance(one, float)
+        assert abs(v - one) <= 2.0 * _REL * abs(one) + _ABS, (pot, qi)
+
+
+def test_born_total_by_quadrature_evaluates_in_batches(monkeypatch):
+    # one Born total transforms 64 + 128 momenta; the former route called
+    # evaluate 30,936 times, one radius at a time
+    calls = []
+    scalar = Yukawa.evaluate
+
+    def counted(self, r):
+        calls.append(np.size(r))
+        return scalar(self, r)
+
+    monkeypatch.setattr(Yukawa, "evaluate", counted)
+    total = born_total_cross_section(Yukawa(1.0, 1.0), 1.0, 1.0, route="quadrature")
+    assert len(calls) < 64 + 128
+    assert total.value == pytest.approx(16.0 * np.pi / 5.0, rel=1e-8)
+
+
+def test_unreachable_tolerance_raises():
+    # below round-off no rule can certify the error; the subdivision cap
+    # stops the vectorised rule instead of letting it run on
+    with pytest.raises(NumericalError) as info:
+        fourier_transform_quadrature(
+            Yukawa(1.0, 1.0), np.linspace(0.1, 3.0, 10), rel_tol=1e-17, abs_tol=1e-20
+        )
+    assert 0.0 < info.value.estimate < np.inf
 
 
 def test_quadrature_route_at_zero_momentum():
