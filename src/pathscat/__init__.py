@@ -31,7 +31,6 @@ from .capture import (
     HydrogenicState,
     make_capture_spec,
     OracleEstimate,
-    richardson_lambda_limit,
 )
 from .errors import (
     AccuracyWarning,
@@ -143,7 +142,6 @@ __all__ = [
     "radial_lattice",
     "reconstruct_full_amplitude",
     "reduced_masses",
-    "richardson_lambda_limit",
     "scattered_component",
     "short_time_kernel",
     "time_sliced_propagator",

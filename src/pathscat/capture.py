@@ -15,14 +15,13 @@ capture amplitude are exposed:
   interaction at K_b = p_a - (1-gamma_b) p_b and the initial momentum
   wavefunction at K_a = (1-gamma_a) p_a - p_b. The internuclear term
   does not factorize: its momentum integral is joined by Feynman
-  parameters, done in closed form in k, and the two remaining
-  parameters are summed on a fixed graded rule.
+  parameters s and t, and done in closed form in k and in t, so each
+  amplitude is one weighted sum over a fixed graded rule in s.
 
 Every screened Coulomb carries screening constant lam >= 0. The jacobi
 routes, the internuclear Feynman sum included, are finite at lam = 0
 and are evaluated there directly; obk diverges forward at lam = 0, so
-its totals need lam > 0. `richardson_lambda_limit` extrapolates a
-smooth quantity to lam -> 0 from a geometric lam sequence. The
+its totals need lam > 0. The
 brute-force oracle integrates the raw 6-D integrand by scrambled Sobol
 points with exponential importance sampling and block-wise error
 estimates; it never reuses the momentum-space reductions it is meant
@@ -57,7 +56,6 @@ __all__ = [
     "capture_amplitude_vectors",
     "ct_differential_cross_section",
     "ct_total_cross_section",
-    "richardson_lambda_limit",
     "brute_force_oracle",
 ]
 
@@ -223,33 +221,38 @@ def _graded_half(n, top, depth):
 
 
 def _feynman_rule(n):
-    """Nodes and weights for int_0^1 ds int_0^1 dt t^3 s (1-s) f(s, t).
+    """Nodes and weights for int_0^1 ds s (1-s) f(s): (s, 1-s, weight).
 
-    Returns (s, 1-s, weight) and (t, 1-t, weight) with the factors
-    s (1-s) and t^3 folded into the weights. Each complement is formed
-    on its own, so no node rounds onto an end where Delta can vanish.
-    The integrand varies on scales 1/(1+J^2) toward both ends of s and
-    a/b toward t = 1, and at lam = 0 behaves as t^(-1/2) toward t = 0:
-    the s halves and the upper t half are graded geometrically far
-    below those scales (down to 1e-10 in s, which covers J up to 1e5,
-    and 1e-15 in 1 - t, which covers |K_b| up to 3e7), and the lower t
-    half is summed in w = sqrt(t), where that singularity is smooth.
+    The factor s (1-s) is folded into the weights, and each complement
+    is formed on its own, so no node rounds onto an end. The integrand
+    varies on scales 1/(1+J^2) toward both ends, so each half is graded
+    geometrically down to 1e-10, which covers J up to 1e5.
     """
     h, wh = _graded_half(n, 0.5, 1e-10)
     s = np.concatenate((h, 1.0 - h[::-1]))
     s_c = np.concatenate((1.0 - h, h[::-1]))
-    s_w = np.concatenate((wh, wh[::-1])) * s * s_c
-    w, ww = _graded_half(n, math.sqrt(0.5), 1e-8)
-    u, wu = _graded_half(n, 0.5, 1e-15)
-    t = np.concatenate((w**2, 1.0 - u))
-    t_c = np.concatenate((1.0 - w**2, u))
-    t_w = np.concatenate((2.0 * w * ww, wu)) * t**3
-    return (s, s_c, s_w), (t, t_c, t_w)
+    return s, s_c, np.concatenate((wh, wh[::-1])) * s * s_c
 
 
 # built once; doubling n moves the amplitudes that
-# test_internuclear_rule_is_converged samples by at most 9e-12
+# test_internuclear_rule_is_converged samples by at most 3.4e-12
 _FEYNMAN_RULE = _feynman_rule(12)
+
+
+def _t_integral(a, b, lam):
+    """int_0^1 t^3 Delta^(-7/2) dt, Delta = t a + (1-t) lam^2 + t (1-t) b.
+
+    With t = 1/(1+u) it is int_0^inf (1+u)^2 Q^(-7/2) du, Q = a
+    + (a + b + lam^2) u + lam^2 u^2, which is (4/15) (d_p + d_q)^2 of
+    2 / (sqrt(p) (q + 2 sqrt(p r))) at (p, q, r) = (a, a + b + lam^2,
+    lam^2). Every term is positive, and lam = 0 needs no limit.
+    """
+    P = np.sqrt(a)
+    Pl = P + lam
+    sigma = Pl * Pl + b
+    terms = 1.5 / (P**2 * sigma) + (2.0 * P + 3.0 * lam) / (P * sigma**2)
+    terms += 4.0 * Pl * Pl / sigma**3
+    return (4.0 / 15.0) * terms / (P**3)
 
 
 def _nn_feynman(spec, lam, J_vec, Kb_vec):
@@ -259,30 +262,25 @@ def _nn_feynman(spec, lam, J_vec, Kb_vec):
     denominators, and the k integral is then closed form:
 
         Z_A Z_B (2pi)^-3 256 pi^2 (Z_a Z_b)^(5/2) (15 pi^2/8)
-            int ds dt t^3 s (1-s) Delta^(-7/2),
-        Delta = t a(s) + (1-t) lam^2 + t (1-t) |K_b - (1-s) J|^2,
-        a(s) = s Z_b^2 + (1-s) Z_a^2 + s (1-s) J^2.
+            int ds s (1-s) int dt t^3 Delta^(-7/2),
+        Delta = t a(s) + (1-t) lam^2 + t (1-t) b(s),
+        a(s) = s Z_b^2 + (1-s) Z_a^2 + s (1-s) J^2,
+        b(s) = |K_b - (1-s) J|^2.
 
-    Every term of Delta is non-negative, so no large terms cancel. The
-    vectors may carry leading batch axes; each pair's Delta grid is the
-    product [a, 1, b] @ [t, (1-t) lam^2, t (1-t)], built and summed one
-    pair at a time, so memory does not grow with the batch.
+    The t integral is closed form too (`_t_integral`), so each amplitude
+    is one weighted sum over the s rule. b is summed from the components
+    of the difference vector, not expanded, so it does not cancel where
+    K_b is near (1-s) J. The vectors may carry leading batch axes; the
+    whole batch is one (pairs x nodes) evaluation.
     """
     Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
-    (s, s_c, s_w), (t, t_c, t_w) = _FEYNMAN_RULE
+    s, s_c, s_w = _FEYNMAN_RULE
     J_vec, Kb_vec = np.broadcast_arrays(J_vec, Kb_vec)
-    t_rows = np.stack((t, t_c * lam**2, t * t_c))
-    s_rows = np.ones((s.size, 3))
-    integral = np.empty(J_vec.shape[:-1])
-    for i in np.ndindex(integral.shape):
-        J, Kb = J_vec[i], Kb_vec[i]
-        s_rows[:, 0] = s * Z_b**2 + s_c * Z_a**2 + s * s_c * float(np.dot(J, J))
-        d = Kb - s_c[:, None] * J
-        s_rows[:, 2] = np.einsum("ij,ij->i", d, d)
-        delta = s_rows @ t_rows
-        np.power(delta, -3.5, out=delta)
-        integral[i] = s_w @ delta @ t_w
+    J2 = np.sum(J_vec**2, axis=-1)[..., None]
+    a = s * Z_b**2 + s_c * Z_a**2 + s * s_c * J2
+    b = sum((Kb_vec[..., i, None] - s_c * J_vec[..., i, None]) ** 2 for i in range(3))
+    integral = _t_integral(a, b, lam) @ s_w
     scale = 256.0 * np.pi**2 * (Z_a * Z_b) ** 2.5 * 15.0 * np.pi**2 / 8.0
     # the nuclear charges Z_A, Z_B are the hydrogenic Z_a, Z_b
     return Z_a * Z_b * scale * integral / (2.0 * np.pi) ** 3
@@ -358,28 +356,6 @@ def ct_differential_cross_section(spec, theta, lam=1.0, mode="obk", flux_ratio_p
     ratio = spec.energetics.p_b / spec.energetics.p_a
     dcs = (mu_b / (2.0 * np.pi)) ** 2 * ratio**flux_ratio_power * np.abs(A) ** 2
     return float(dcs) if np.ndim(dcs) == 0 else dcs
-
-
-def richardson_lambda_limit(evaluate, lam0=1.0, rel_tol=1e-3):
-    """lam -> 0 limit of a smooth quantity by two-step elimination.
-
-    Evaluates at lam0/(1,2,4,8); the weights (8 A3 - 6 A2 + A1)/3
-    cancel the linear and quadratic terms of the lam expansion. The
-    error estimate is the spread between the two nested extrapolations;
-    beyond rel_tol it raises instead of returning quietly.
-    """
-    if lam0 <= 0:
-        raise DomainError("extrapolation needs a positive starting screening")
-    A1, A2, A3, A4 = (evaluate(lam0 / s) for s in (1.0, 2.0, 4.0, 8.0))
-    first = (8.0 * A3 - 6.0 * A2 + A1) / 3.0
-    second = (8.0 * A4 - 6.0 * A3 + A2) / 3.0
-    err = abs(second - first)
-    scale = max(abs(first), abs(second))
-    if scale > 0 and err > rel_tol * scale:
-        raise NumericalError(
-            "screening extrapolation did not settle; shrink lam0", estimate=err
-        )
-    return second, err
 
 
 def ct_total_cross_section(

@@ -210,13 +210,14 @@ def evaluate(pot, r):
 
 
 def _cutoff_radius(pot):
-    """Smallest power-of-two radius R with |V(R)| R^2 < 1e-14, if one exists."""
-    R = 10.0
-    while R < 1e7:
-        if abs(float(pot.evaluate(R))) * R**2 < 1e-14:
-            return R
-        R *= 2.0
-    return None
+    """Smallest radius R = 10 * 2^k below 1e7 where |V(R)| R^2 is at most
+    1e-14 of its largest value on the radii 10 * 2^j, j = -14..k, if one
+    exists. The threshold is relative, as the transform is linear in V:
+    scaling V leaves R unchanged."""
+    r = 10.0 * 2.0 ** np.arange(-14, 20)
+    g = np.abs(pot.evaluate(r)) * r**2
+    cut = (g <= 1e-14 * np.maximum.accumulate(g)) & (r >= 10.0)
+    return float(r[np.argmax(cut)]) if cut.any() else None
 
 
 def _r_times_v(pot, r):

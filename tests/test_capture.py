@@ -9,14 +9,16 @@ sum, `_nn_momentum_reference`. The oracle's block kernel is checked
 against the kernel it replaced, `_oracle_block_means_reference`, which
 draws its radii with scipy's `gammaincinv` and evaluates the complex
 integrand on the same streams. The batched angular total
-is checked against the per-node loop it replaced, `_ct_total_reference`,
-and the Feynman Delta grid built by one matrix product against the
-outer-sum build it replaced, `_nn_feynman_reference`.
+is checked against the per-node loop it replaced, `_ct_total_reference`.
+The internuclear term's closed-form t integral is checked against the
+2-D Feynman rule it replaced, `_nn_feynman_2d_reference`, and against
+mpmath.
 """
 
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.spatial.transform import Rotation
 
+import pathscat
 from pathscat import capture, DomainError, NumericalError
 from pathscat.capture import (
     brute_force_oracle,
@@ -35,18 +38,18 @@ from pathscat.capture import (
     ct_total_cross_section,
     HydrogenicState,
     make_capture_spec,
-    richardson_lambda_limit,
 )
 from pathscat.born import _gauss_legendre
 from pathscat.capture import (
     _canonical_vectors,
     _FEYNMAN_RULE,
     _gamma3_inv,
+    _graded_half,
     _log_gamma3_table,
-    _nn_feynman,
     _oracle_block_means,
     _oracle_plan,
     _p3_series,
+    _t_integral,
 )
 
 
@@ -99,12 +102,30 @@ def _nn_momentum_reference(spec, lam, theta):
     return Z_A * Z_B * np.sum(integrand * weights) / (2.0 * np.pi) ** 3
 
 
-def _nn_feynman_reference(spec, lam, J_vec, Kb_vec):
-    """The internuclear term with its Delta grid built from outer products,
-    as before the grid became one matrix product; one pair of vectors."""
+def _t_rule_reference(n):
+    """The t half of the former 2-D Feynman rule: nodes t, 1 - t and
+    weights with t^3 folded in, for int_0^1 dt t^3 f(t). The lower half
+    is summed in w = sqrt(t), where the lam = 0 behaviour t^(-1/2) is
+    smooth, the upper half graded down to 1e-15 in 1 - t."""
+    w, ww = _graded_half(n, math.sqrt(0.5), 1e-8)
+    u, wu = _graded_half(n, 0.5, 1e-15)
+    t = np.concatenate((w**2, 1.0 - u))
+    t_c = np.concatenate((1.0 - w**2, u))
+    t_w = np.concatenate((2.0 * w * ww, wu)) * t**3
+    return t, t_c, t_w
+
+
+_T_RULE_REFERENCE = _t_rule_reference(12)
+
+
+def _nn_feynman_2d_reference(spec, lam, J_vec, Kb_vec):
+    """The internuclear term by the former 2-D rule: the 432-node s rule
+    times the 492-node t rule, Delta^(-7/2) summed over the whole grid,
+    one pair of vectors."""
     Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
-    (s, s_c, s_w), (t, t_c, t_w) = _FEYNMAN_RULE
+    s, s_c, s_w = _FEYNMAN_RULE
+    t, t_c, t_w = _T_RULE_REFERENCE
     a = s * Z_b**2 + s_c * Z_a**2 + s * s_c * float(np.dot(J_vec, J_vec))
     d = Kb_vec - s_c[:, None] * J_vec
     b = np.einsum("ij,ij->i", d, d)
@@ -112,6 +133,29 @@ def _nn_feynman_reference(spec, lam, J_vec, Kb_vec):
     integral = s_w @ delta**-3.5 @ t_w
     scale = 256.0 * np.pi**2 * (Z_a * Z_b) ** 2.5 * 15.0 * np.pi**2 / 8.0
     return Z_a * Z_b * scale * integral / (2.0 * np.pi) ** 3
+
+
+def _t_integral_mpmath(a, b, lam):
+    """int_0^1 t^3 Delta^(-7/2) dt by mpmath in the form t = 1/(1+u):
+    int_0^inf (1+u)^2 Q^(-7/2) du, Q = a + c u + lam^2 u^2, c = a + b +
+    lam^2. The integrand is divided by its scale a^(-7/2) / u0, u0 = a/c,
+    so that mpmath's absolute tolerance acts as a relative one, and the
+    breakpoints u0 4^k run geometrically past every scale of Q: 1, 1/u0
+    and c/lam^2. Beyond 1e20/u0 the integrand falls at least as
+    u^(-3/2) u0^(5/2), so a farther lam scale carries under 1e-10 of
+    the integral, and mpmath's last, infinite interval takes it."""
+    with mpmath.workdps(25):
+        a, b, lam = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(lam)
+        c = a + b + lam**2
+        u0 = a / c
+
+        def f(u):
+            return (1 + u) ** 2 * (1 + (c * u + lam**2 * u**2) / a) ** -3.5 / u0
+
+        top = 1e4 * min(max(1 / u0, c / lam**2 if lam else 1), 1e20 / u0)
+        n = int(mpmath.ceil(mpmath.log(top / u0, 4))) + 3
+        points = [0] + [u0 * mpmath.mpf(4) ** k for k in range(-3, n)] + [mpmath.inf]
+        return float(mpmath.quad(f, points) * u0 / a**3.5)
 
 
 def _ct_total_reference(spec, lam=1.0, mode="obk", flux_ratio_power=2, theta_min=1e-7,
@@ -248,20 +292,11 @@ def test_total_cross_section_matches_frozen_and_closed_form():
     assert tot.error <= 1e-9 * tot.value
 
 
-def test_screening_extrapolation_reaches_unscreened_value():
-    spec = _pp_spec()
-    theta = 1e-3
-
-    def dcs(lam):
-        return ct_differential_cross_section(spec, theta, lam=lam, mode="obk")
-
-    direct = ct_differential_cross_section(spec, theta, lam=0.0, mode="obk")
-    lim, _ = richardson_lambda_limit(dcs, lam0=0.25)
-    assert lim == pytest.approx(direct, rel=1e-4)
-    # the screening series is even in lam, so the quartic residue of a
-    # wide node set trips the convergence guard rather than lying
-    with pytest.raises(NumericalError):
-        richardson_lambda_limit(dcs, lam0=0.5)
+def test_screening_extrapolation_is_gone():
+    # every jacobi route is evaluated at lam = 0 directly
+    assert not hasattr(pathscat, "richardson_lambda_limit")
+    assert "richardson_lambda_limit" not in pathscat.__all__
+    assert not hasattr(capture, "richardson_lambda_limit")
 
 
 def test_amplitude_rotation_invariance():
@@ -326,24 +361,56 @@ def test_internuclear_rule_is_converged(monkeypatch):
         assert abs(doubled - value) <= 1e-8 * abs(value), case
 
 
-def test_feynman_grid_product_matches_outer_sums():
-    # one (432 x 3) @ (3 x 492) product sums the same three terms of Delta
-    # as the outer-product build, in another order; the unequal masses and
-    # charges of the second system tell Z_a from Z_b
-    theta = np.array([0.0, 1e-3, 0.1, 1.0])
-    systems = [(1.0, 1.0, 1.0, 1.0, v) for v in (0.5, 2.0, 8.0, 32.0)]
-    systems.append((1.0, 4.0, 1.0, 2.0, 2.0))
-    for *system, v in systems:
-        spec = make_capture_spec(*system, v, "Internuclear")
-        pa, pb = _canonical_vectors(spec, theta)
-        J = spec.gamma_a * pa + spec.gamma_b * pb
-        Kb = pa - (1.0 - spec.gamma_b) * pb
-        for lam in (0.0, 0.1, 1.0):
-            batch = _nn_feynman(spec, lam, J, Kb)
-            assert batch.shape == theta.shape
-            for i, t in enumerate(theta):
-                want = _nn_feynman_reference(spec, lam, J[i], Kb[i])
-                assert batch[i] == pytest.approx(want, rel=1e-13, abs=0.0), (v, lam, t)
+FORMER_RULE_SYSTEMS = [(1.0, 1.0, 1.0, 1.0), (1.0, 4.0, 1.0, 2.0),
+                       (4.0, 1.0, 2.0, 1.0), (12.0, 1.0, 6.0, 1.0)]
+
+
+@pytest.mark.parametrize("system", FORMER_RULE_SYSTEMS)
+def test_closed_form_t_integral_matches_the_former_2d_rule(system):
+    # the t integral in closed form against the 492-node t rule it
+    # replaced, on the same s rule; unequal masses and charges tell Z_a
+    # from Z_b. A Sum differs from the former rule only by its
+    # internuclear part, so it is gated on that part's size: where the
+    # two terms cancel, the Sum can be far smaller than either.
+    theta = np.append(0.0, np.geomspace(1e-6, np.pi, 20))
+    for v in (0.5, 2.0, 8.0, 64.0):
+        nn_spec = make_capture_spec(*system, v, "Internuclear")
+        sum_spec = make_capture_spec(*system, v, "Sum")
+        pa, pb = _canonical_vectors(nn_spec, theta)
+        J = nn_spec.gamma_a * pa + nn_spec.gamma_b * pb
+        Kb = pa - (1.0 - nn_spec.gamma_b) * pb
+        for lam in (0.0, 0.1, 0.5, 1.0, 2.0):
+            nn = capture_amplitude(nn_spec, theta, lam=lam, mode="jacobi")
+            whole = capture_amplitude(sum_spec, theta, lam=lam, mode="jacobi")
+            pe = whole - nn
+            for i in range(theta.size):
+                want = _nn_feynman_2d_reference(nn_spec, lam, J[i], Kb[i])
+                case = (v, lam, theta[i])
+                assert abs(nn[i] - want) <= 1e-11 * want, case
+                assert abs(whole[i] - (pe[i] + want)) <= 1e-11 * want, case
+
+
+_MAGNITUDES = st.floats(-2.0, 8.0).map(lambda k: 10.0**k)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(a=_MAGNITUDES,
+       b=st.one_of(st.just(0.0), st.floats(-6.0, 14.0).map(lambda k: 10.0**k)),
+       lam=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+def test_t_integral_matches_mpmath(a, b, lam):
+    want = _t_integral_mpmath(a, b, lam)
+    assert abs(_t_integral(a, b, lam) / want - 1) <= 1e-13
+
+
+def test_t_integral_at_zero_screening():
+    # at lam = 0 the three terms sum to one rational function of a and b
+    a = np.geomspace(1e-2, 1e8, 11)[:, None]
+    b = np.append(0.0, np.geomspace(1e-6, 1e14, 11))
+    want = (2.0 / 15.0) * (15.0 * a**2 + 10.0 * a * b + 3.0 * b**2) / (
+        (a + b) ** 3 * a**2.5)
+    np.testing.assert_allclose(_t_integral(a, b, 0.0), want, rtol=1e-14, atol=0.0)
+    # b = 0 is int_0^inf (1+u)^(-3/2) du a^(-7/2)
+    assert _t_integral(4.0, 0.0, 0.0) == pytest.approx(2.0 / 4.0**3.5, rel=1e-15)
 
 
 BENCH_RULE = {"n_segments": 6, "seg_nodes": 8, "tail_nodes": 16}

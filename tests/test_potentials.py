@@ -9,6 +9,7 @@ hbar = 1:
     v(q) = integral d^3r V(r) exp(-i q.r) = (4 pi / q) integral dr r V(r) sin(q r)
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -167,6 +168,35 @@ def test_array_quadrature_is_elementwise(pot, spread):
         one = fourier_transform_quadrature(pot, qi, rel_tol=_REL, abs_tol=_ABS)
         assert isinstance(one, float)
         assert abs(v - one) <= 2.0 * _REL * abs(one) + _ABS, (pot, qi)
+
+
+def _scaled(pot, c):
+    """The same family and shape with its strength times c."""
+    field = "Z" if isinstance(pot, ScreenedCoulomb) else "V0"
+    return dataclasses.replace(pot, **{field: c * getattr(pot, field)})
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(pot=_potentials,
+       c=st.floats(-12.0, 12.0).map(lambda k: 10.0**k),
+       sign=st.sampled_from((1.0, -1.0)))
+def test_cutoff_radius_ignores_the_potential_scale(pot, c, sign):
+    # v(q) is linear in V, so where it is truncated must not depend on
+    # how strong V is
+    scaled = _scaled(pot, sign * c)
+    assert potentials._cutoff_radius(scaled) == potentials._cutoff_radius(pot)
+
+
+def test_weak_potential_meets_its_absolute_tolerance():
+    # an absolute cutoff |V(R)| R^2 < 1e-14 truncated this weak screened
+    # Coulomb at R = 40 instead of 160: the value was 1.2e-13 off, above
+    # abs_tol, yet passed the error gate
+    pot = ScreenedCoulomb(1.1358e-9, 0.3865)
+    assert potentials._cutoff_radius(pot) == potentials._cutoff_radius(
+        ScreenedCoulomb(1.0, 0.3865)) == 160.0
+    q = 1.99 / 40.0
+    quad = fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14)
+    assert abs(quad - pot.analytic_ft(q)) <= 1e-14
 
 
 def test_born_total_by_quadrature_evaluates_in_batches(monkeypatch):
