@@ -69,9 +69,7 @@ from .propagator import (
     LatticeSpec,
     packet_width,
     PropagatorMatrix,
-    radial_lattice,
     scattered_component,
-    short_time_kernel,
     TimeGrid,
     time_sliced_propagator,
 )
@@ -139,10 +137,8 @@ __all__ = [
     "make_capture_spec",
     "momentum_transfer",
     "packet_width",
-    "radial_lattice",
     "reconstruct_full_amplitude",
     "reduced_masses",
     "scattered_component",
-    "short_time_kernel",
     "time_sliced_propagator",
 ]

@@ -237,6 +237,10 @@ def _feynman_rule(n):
 # built once; doubling n moves the amplitudes that
 # test_internuclear_rule_is_converged samples by at most 3.4e-12
 _FEYNMAN_RULE = _feynman_rule(12)
+# Pairs per (pairs x nodes) evaluation of _nn_feynman: its temporaries
+# take about 28 kB per pair, so a chunk peaks near 28 MB. Every angular
+# rule of the totals (at most 705 angles) is one chunk.
+_NN_CHUNK = 1024
 
 
 def _t_integral(a, b, lam):
@@ -271,16 +275,22 @@ def _nn_feynman(spec, lam, J_vec, Kb_vec):
     is one weighted sum over the s rule. b is summed from the components
     of the difference vector, not expanded, so it does not cancel where
     K_b is near (1-s) J. The vectors may carry leading batch axes; the
-    whole batch is one (pairs x nodes) evaluation.
+    batch is evaluated _NN_CHUNK pairs at a time, each chunk one
+    (pairs x nodes) evaluation.
     """
     Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
     s, s_c, s_w = _FEYNMAN_RULE
     J_vec, Kb_vec = np.broadcast_arrays(J_vec, Kb_vec)
-    J2 = np.sum(J_vec**2, axis=-1)[..., None]
-    a = s * Z_b**2 + s_c * Z_a**2 + s * s_c * J2
-    b = sum((Kb_vec[..., i, None] - s_c * J_vec[..., i, None]) ** 2 for i in range(3))
-    integral = _t_integral(a, b, lam) @ s_w
+    shape = J_vec.shape[:-1]
+    J_vec, Kb_vec = J_vec.reshape(-1, 3), Kb_vec.reshape(-1, 3)
+    integral = np.empty(len(J_vec))
+    for lo in range(0, len(J_vec), _NN_CHUNK):
+        J, Kb = J_vec[lo : lo + _NN_CHUNK], Kb_vec[lo : lo + _NN_CHUNK]
+        a = s * Z_b**2 + s_c * Z_a**2 + s * s_c * np.sum(J**2, axis=-1)[:, None]
+        b = sum((Kb[:, i, None] - s_c * J[:, i, None]) ** 2 for i in range(3))
+        integral[lo : lo + _NN_CHUNK] = _t_integral(a, b, lam) @ s_w
+    integral = integral.reshape(shape)
     scale = 256.0 * np.pi**2 * (Z_a * Z_b) ** 2.5 * 15.0 * np.pi**2 / 8.0
     # the nuclear charges Z_A, Z_B are the hydrogenic Z_a, Z_b
     return Z_a * Z_b * scale * integral / (2.0 * np.pi) ** 3

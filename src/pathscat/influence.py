@@ -72,7 +72,6 @@ class InfluenceResult:
     amplitude: complex
     effective_phase: complex
     endpoints: tuple
-    grid: TimeGrid
     free_reference: complex
 
 
@@ -139,7 +138,6 @@ def _endpoint_element(slice_pots, a, b, lattice, grid, mass, kinetic, sampling):
         amplitude=amp,
         effective_phase=_phase_from(amp, ref),
         endpoints=(a, b),
-        grid=grid,
         free_reference=ref,
     )
 

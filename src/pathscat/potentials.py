@@ -28,7 +28,6 @@ __all__ = [
     "ScreenedCoulomb",
     "SquareWell",
     "PairPotentials",
-    "evaluate",
     "fourier_transform",
     "fourier_transform_quadrature",
 ]
@@ -55,9 +54,6 @@ _MAX_SUBDIVISIONS = 300
 class CentralPotential:
     """Base class; concrete families are frozen dataclasses below."""
 
-    def __call__(self, r):
-        return self.evaluate(r)
-
 
 def _check_positive(**kwargs):
     for name, value in kwargs.items():
@@ -83,9 +79,6 @@ class Yukawa(CentralPotential):
     def analytic_ft(self, k):
         return 4.0 * np.pi * self.V0 / (self.alpha**2 + k**2)
 
-    def range_estimate(self):
-        return 1.0 / self.alpha
-
 
 @dataclass(frozen=True)
 class Gaussian(CentralPotential):
@@ -104,9 +97,6 @@ class Gaussian(CentralPotential):
     def analytic_ft(self, k):
         w = self.width
         return self.V0 * (2.0 * np.pi * w**2) ** 1.5 * np.exp(-(k**2) * w**2 / 2.0)
-
-    def range_estimate(self):
-        return self.width
 
 
 @dataclass(frozen=True)
@@ -133,9 +123,6 @@ class SoftCoulomb(CentralPotential):
         a = self.soft
         return -self.Z * 4.0 * np.pi * a * scipy.special.k1(a * k) / k
 
-    def range_estimate(self):
-        return 10.0 * self.soft
-
 
 @dataclass(frozen=True)
 class ScreenedCoulomb(CentralPotential):
@@ -154,9 +141,6 @@ class ScreenedCoulomb(CentralPotential):
 
     def analytic_ft(self, k):
         return -4.0 * np.pi * self.Z / (self.screen**2 + k**2)
-
-    def range_estimate(self):
-        return 1.0 / self.screen
 
 
 @dataclass(frozen=True)
@@ -185,9 +169,6 @@ class SquareWell(CentralPotential):
             closed = 4.0 * np.pi * self.V0 * (np.sin(kR) - kR * np.cos(kR)) / k**3
         return np.where(kR < _SQUARE_WELL_SWITCH, series, closed)[()]
 
-    def range_estimate(self):
-        return self.radius
-
 
 @dataclass(frozen=True)
 class PairPotentials:
@@ -200,13 +181,6 @@ class PairPotentials:
     V_A: CentralPotential
     V_B: CentralPotential
     V_AB: CentralPotential
-
-
-def evaluate(pot, r):
-    """Pointwise V(r) for r >= 0 (scalar or array)."""
-    if np.any(np.asarray(r) < 0):
-        raise DomainError("radial coordinate must be non-negative")
-    return pot.evaluate(r)
 
 
 def _cutoff_radius(pot):

@@ -2,9 +2,7 @@
 
 The broken-line path sum with time step eps becomes an ordered product
 of one-slice transfer matrices. This module builds those slices and
-pushes sampled wavefunctions through them. A radial grid starting one
-spacing away from r = 0 gives the s-wave reduction u(r) = r psi(r) of
-the 3-D problem with the wall at the origin.
+pushes sampled wavefunctions through them.
 
 Every mode-factor scheme (kinetic pade2, pade4 or exact, with endpoint
 or symmetric sampling) makes a slice separable: diagonal potential and
@@ -16,9 +14,9 @@ formed only when its entries are read: by one sine-basis product with
 the mode factors to the N-th power when the slice's node factors
 multiply to a constant (no potential, or a constant one, on hard
 walls), else as a matrix power in floor(log2 N) + popcount(N) - 1
-products. Midpoint sampling and the sampled chirp are not separable:
-their kinetic step is a dense matrix, and their N-slice kernels are
-formed by the same matrix power when built.
+products. Midpoint sampling is not separable: its kinetic step is a
+dense matrix, and its N-slice kernel is formed by the same matrix power
+when built.
 
 Conventions, fixed here and relied on everywhere else:
 
@@ -33,14 +31,15 @@ Conventions, fixed here and relied on everywhere else:
   that box are orthonormal under the dx inner product, which makes the
   band-limited kernels below exactly unitary on the lattice.
 
-The literal position-sampled chirp kernel (kinetic="sampled") is kept
-for fidelity but is useless for N > 1 on any grid that underresolves
-the chirp: modes beyond the resolvable band alias onto amplified ones
-and the product diverges exponentially. The default replaces the mode
-phases exp(-i eps k^2 / 2m) with a diagonal Pade factor of the same
-accuracy order as the sliced action, keeping every mode on the unit
-circle. kinetic="exact" gives the full phase, useful when the
-time-step error should vanish and only potential sampling remain.
+The literal position-sampled chirp is not offered as a kinetic step: on
+any grid that underresolves the chirp, modes beyond the resolvable band
+alias onto amplified ones and the N-slice product diverges
+exponentially. Its single step is free_propagator_matrix over one
+slice. The default replaces the mode phases exp(-i eps k^2 / 2m) with
+a diagonal Pade factor of the same accuracy order as the sliced action,
+keeping every mode on the unit circle. kinetic="exact" gives the full
+phase, useful when the time-step error should vanish and only
+potential sampling remain.
 """
 
 import warnings
@@ -58,19 +57,18 @@ __all__ = [
     "LatticeSpec",
     "ComplexField1D",
     "PropagatorMatrix",
-    "radial_lattice",
     "gaussian_packet",
     "packet_width",
     "boundary_leak_fraction",
     "free_propagator",
+    "free_deviation_diagnostic",
     "free_propagator_matrix",
-    "short_time_kernel",
     "time_sliced_propagator",
     "evolve",
     "scattered_component",
 ]
 
-KINETIC_FACTORS = ("pade2", "pade4", "exact", "sampled")
+KINETIC_FACTORS = ("pade2", "pade4", "exact")
 SAMPLING_MODES = ("endpoint", "midpoint", "symmetric")
 # End nodes on each side that boundary_leak_fraction inspects.
 EDGE_CELLS = 2
@@ -145,16 +143,6 @@ class LatticeSpec:
     @property
     def nodes(self):
         return np.linspace(self.x_min, self.x_max, self.points)
-
-
-def radial_lattice(r_max, points, boundary=None):
-    """Grid r_j = j dr, j = 1..points, wall exactly at r = 0.
-
-    Propagating on this lattice evolves u(r) = r psi(r), the s-wave
-    radial reduction of a free or central-potential 3-D problem.
-    """
-    dr = r_max / points
-    return LatticeSpec(dr, r_max, points, boundary or HardWall())
 
 
 @dataclass
@@ -337,11 +325,6 @@ def _mode_kernel(lattice, f):
 
 
 def _kinetic_kernel(lattice, epsilon, mass, kinetic):
-    if kinetic == "sampled":
-        x = lattice.nodes
-        sep = x[:, None] - x[None, :]
-        pref = np.sqrt(mass / (2.0 * np.pi * epsilon)) * np.exp(-0.25j * np.pi)
-        return pref * np.exp(1j * mass * sep**2 / (2.0 * epsilon))
     k = _wavenumbers(lattice)
     return _mode_kernel(lattice, _kinetic_factor(k, epsilon, mass, kinetic))
 
@@ -401,10 +384,10 @@ def _slice(pot, lattice, epsilon, mass, kinetic, sampling):
     """One slice T = diag(post) G diag(pre) as factors (pre, (op,), post).
 
     pre and post are the potential phase and absorber damping on the
-    nodes. For a separable scheme op is the kinetic factor per sine mode
-    f, so that G = S^T diag(f) S. Otherwise op is the dense matrix dx G:
-    the sampled chirp, or for midpoint sampling the kinetic kernel times
-    the phase of the potential at each pair's midpoint.
+    nodes. For endpoint and symmetric sampling op is the kinetic factor
+    per sine mode f, so that G = S^T diag(f) S. For midpoint sampling op
+    is the dense matrix dx G: the kinetic kernel times the phase of the
+    potential at each pair's midpoint.
     """
     if epsilon <= 0:
         raise DomainError("slice width must be positive")
@@ -415,11 +398,8 @@ def _slice(pot, lattice, epsilon, mass, kinetic, sampling):
         G = _kinetic_kernel(lattice, epsilon, mass, kinetic)
         return damp, (lattice.dx * G * np.exp(-1j * epsilon * Vm),), damp
     pre, post = _node_factors(potential_on_axis(pot, x), damp, epsilon, sampling)
-    if kinetic == "sampled":
-        op = lattice.dx * _kinetic_kernel(lattice, epsilon, mass, kinetic)
-    else:
-        op = _kinetic_factor(_wavenumbers(lattice), epsilon, mass, kinetic)
-    return pre, (op,), post
+    f = _kinetic_factor(_wavenumbers(lattice), epsilon, mass, kinetic)
+    return pre, (f,), post
 
 
 def _dense(step, lattice):
@@ -465,23 +445,13 @@ def _propagate(values, slices):
     return values
 
 
-def short_time_kernel(
-    pot, lattice, epsilon, mass, kinetic="pade2", sampling="endpoint"
-):
-    """One-slice transfer kernel for time step epsilon."""
-    return time_sliced_propagator(
-        pot, lattice, TimeGrid(0.0, epsilon, 1), mass, kinetic, sampling
-    )
-
-
 def time_sliced_propagator(
     pot, lattice, grid, mass, kinetic="pade2", sampling="endpoint"
 ):
     """N-fold ordered product of one-slice kernels over grid.
 
     Separable schemes keep the slice factors and build the dense product
-    only when `entries` is read; midpoint sampling and the sampled chirp
-    build it here.
+    only when `entries` is read; midpoint sampling builds it here.
     """
     step = _slice(pot, lattice, grid.epsilon, mass, kinetic, sampling)
     _, (op,), _ = step

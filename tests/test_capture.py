@@ -17,6 +17,7 @@ mpmath.
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -411,6 +412,70 @@ def test_t_integral_at_zero_screening():
     np.testing.assert_allclose(_t_integral(a, b, 0.0), want, rtol=1e-14, atol=0.0)
     # b = 0 is int_0^inf (1+u)^(-3/2) du a^(-7/2)
     assert _t_integral(4.0, 0.0, 0.0) == pytest.approx(2.0 / 4.0**3.5, rel=1e-15)
+
+
+def test_internuclear_batch_memory_is_bounded():
+    # the batch is evaluated in chunks of pairs, so a long angle array
+    # costs no more memory than one chunk; chunking moves no value
+    spec = make_capture_spec(1.0, 1.0, 1.0, 1.0, 2.0, "Internuclear")
+    theta = np.linspace(0.0, np.pi, 5000)
+    tracemalloc.start()
+    try:
+        whole = capture_amplitude(spec, theta, lam=0.1, mode="jacobi")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6  # 139 MB as one (pairs x nodes) evaluation
+    parts = np.concatenate([capture_amplitude(spec, theta[i : i + 500], lam=0.1,
+                                              mode="jacobi")
+                            for i in range(0, theta.size, 500)])
+    np.testing.assert_allclose(whole, parts, rtol=1e-14, atol=0.0)
+
+
+def _post_amplitude(spec, theta):
+    """The jacobi ProtonElectron amplitude in post form at lam = 0, from
+    closed forms: phi_b~(K_b) times the transform of phi_a(r) V_A(r),
+    V_A = -Z_A / r, at K_a, with Z_A = Z_a. The prior form instead pairs
+    phi_a~(K_a) with the transform of phi_b V_B at K_b."""
+    Z_a, Z_b = spec.initial.Z_eff, spec.final.Z_eff
+    ga, gb = spec.gamma_a, spec.gamma_b
+    p_a = np.array([0.0, 0.0, spec.energetics.p_a])
+    p_b = spec.energetics.p_b * np.array([np.sin(theta), 0.0, np.cos(theta)])
+    ka2 = np.sum(((1.0 - ga) * p_a - p_b) ** 2)
+    kb2 = np.sum((p_a - (1.0 - gb) * p_b) ** 2)
+    phi_b = 8.0 * math.sqrt(math.pi) * Z_b**2.5 / (Z_b**2 + kb2) ** 2
+    fold_a = -Z_a * math.sqrt(Z_a**3 / math.pi) * 4.0 * math.pi / (Z_a**2 + ka2)
+    return phi_b * fold_a, (Z_b**2 + kb2) / (Z_a**2 + ka2)
+
+
+POST_ANGLES = (0.0, 1e-3, 5e-3, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("system", [(1.0, 1.0, 1.0, 1.0), (4.0, 4.0, 2.0, 2.0)])
+def test_post_form_equals_prior_for_symmetric_systems(system):
+    # on the energy shell the prior and post forms agree; for A = B and
+    # Z_a = Z_b the bound states and the kinematics use the same masses
+    for v in (0.5, 2.0, 8.0):
+        spec = make_capture_spec(*system, v, "ProtonElectron")
+        for theta in POST_ANGLES:
+            prior = capture_amplitude(spec, theta, lam=0.0, mode="jacobi")
+            post, _ = _post_amplitude(spec, theta)
+            assert abs(prior / post - 1.0) <= 1e-12, (v, theta)
+
+
+@pytest.mark.parametrize("system", [(1.0, 4.0, 1.0, 2.0), (4.0, 1.0, 2.0, 1.0),
+                                    (12.0, 1.0, 6.0, 1.0)])
+def test_post_form_differs_from_prior_by_the_mass_ratio(system):
+    # the 1s states carry the electron mass while the kinematics carry
+    # the reduced masses m_a and m_b, so for unequal nuclei prior/post is
+    # (Z_b^2 + K_b^2) / (Z_a^2 + K_a^2), off 1 by O(m/M)
+    for v in (0.5, 2.0, 8.0):
+        spec = make_capture_spec(*system, v, "ProtonElectron")
+        for theta in POST_ANGLES:
+            prior = capture_amplitude(spec, theta, lam=0.0, mode="jacobi")
+            post, ratio = _post_amplitude(spec, theta)
+            assert abs((prior / post - 1.0) - (ratio - 1.0)) <= 1e-13, (v, theta)
+            assert 4e-4 <= abs(ratio - 1.0) <= 5.5e-4, (v, theta)
 
 
 BENCH_RULE = {"n_segments": 6, "seg_nodes": 8, "tail_nodes": 16}

@@ -342,6 +342,8 @@ INVALID_CONFIGS = [
      "config.mass must be a finite number"),
     ("propagator", "scheme.kinetic", "pade3",
      "config.scheme.kinetic must be one of"),
+    ("propagator", "scheme.kinetic", "sampled",
+     "config.scheme.kinetic must be one of"),
     ("propagator", "time.slices", 10**400,
      "config.time.slices must be an integer within int64"),
     ("propagator", "lattice.points", 10**400,

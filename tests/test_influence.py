@@ -27,7 +27,6 @@ from pathscat import (
     time_sliced_propagator,
     Yukawa,
 )
-from pathscat.propagator import short_time_kernel
 
 LAT = LatticeSpec(-10.0, 10.0, 101)
 GRID = TimeGrid(0.0, 1.0, 8)
@@ -42,10 +41,9 @@ def _chain(slice_potentials, lattice, grid, mass, kinetic, sampling):
     """Dense ordered product T_N dx T_(N-1) ... dx T_1 of one-slice kernels."""
     dx = lattice.dx
     K = None
+    one = TimeGrid(0.0, grid.epsilon, 1)
     for pot_j in slice_potentials:
-        T = short_time_kernel(
-            pot_j, lattice, grid.epsilon, mass, kinetic, sampling
-        ).entries
+        T = time_sliced_propagator(pot_j, lattice, one, mass, kinetic, sampling).entries
         K = T if K is None else T @ (dx * K)
     return K
 
@@ -53,11 +51,11 @@ def _chain(slice_potentials, lattice, grid, mass, kinetic, sampling):
 @pytest.mark.parametrize(
     "kinetic,sampling",
     [("pade2", "endpoint"), ("pade4", "symmetric"), ("exact", "endpoint"),
-     ("pade2", "midpoint"), ("sampled", "endpoint"), ("sampled", "symmetric")],
+     ("pade2", "midpoint")],
 )
 def test_endpoint_elements_match_dense_chain(kinetic, sampling):
     # the dense product of slice kernels is the oracle for the engine,
-    # including its dense-slice branch (midpoint, sampled chirp)
+    # including its dense-slice branch (midpoint sampling)
     V_A, V_B = Gaussian(-0.35, 1.0), Gaussian(0.2, 0.7)
     path = FixedPath(GRID, np.linspace(-1.5, 2.5, GRID.N + 1))
     ia = int(np.argmin(np.abs(LAT.nodes + 2.0)))
@@ -150,7 +148,7 @@ def test_weak_coupling_phase_matches_first_order_sandwich():
     shape = lambda x: np.exp(-0.5 * x**2)
     ia = int(np.argmin(np.abs(LAT.nodes + 2.0)))
     ib = int(np.argmin(np.abs(LAT.nodes - 2.0)))
-    G = short_time_kernel(None, LAT, GRID.epsilon, 1.0).entries
+    G = time_sliced_propagator(None, LAT, TimeGrid(0.0, GRID.epsilon, 1), 1.0).entries
     g = shape(LAT.nodes)
     dx = LAT.dx
 

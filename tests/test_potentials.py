@@ -32,7 +32,6 @@ from pathscat import (
     Yukawa,
 )
 from pathscat import potentials
-from pathscat.potentials import evaluate
 
 
 def test_yukawa_spot_values():
@@ -256,11 +255,6 @@ def test_transforms_are_real():
         assert np.imag(v) == 0.0
 
 
-def test_negative_radius_rejected():
-    with pytest.raises(DomainError):
-        evaluate(Yukawa(1.0, 1.0), -0.5)
-
-
 def test_parameter_validation():
     with pytest.raises(DomainError):
         Yukawa(1.0, -1.0)
@@ -268,12 +262,6 @@ def test_parameter_validation():
         Gaussian(1.0, 0.0)
     with pytest.raises(DomainError):
         SquareWell(1.0, -2.0)
-
-
-def test_range_estimates_scale_with_parameters():
-    assert Yukawa(1.0, 0.25).range_estimate() == pytest.approx(4.0)
-    assert Gaussian(1.0, 2.5).range_estimate() == pytest.approx(2.5)
-    assert SquareWell(1.0, 3.0).range_estimate() == pytest.approx(3.0)
 
 
 def test_pair_container_allows_missing_members():

@@ -29,13 +29,12 @@ from pathscat import (
     HardWall,
     LatticeSpec,
     packet_width,
-    radial_lattice,
     scattered_component,
     TimeGrid,
     time_sliced_propagator,
     Yukawa,
 )
-from pathscat.propagator import _dst, short_time_kernel
+from pathscat.propagator import _dst
 
 # n + 1 prime makes the DST-I transform length 2(n + 1) a prime times two
 PRIME_PLUS_ONE = (12, 16, 22, 96, 100, 126)
@@ -189,12 +188,12 @@ def test_half_interval_composition_is_exact():
 
 
 def test_chapman_kolmogorov_by_tapered_lattice_quadrature():
-    # two epsilon steps of the literal sampled kernel reproduce the 2
+    # two epsilon steps of the literal sampled chirp reproduce the 2
     # epsilon closed form once the intermediate integral is smoothly
     # truncated; plain truncation would leave O(1/L) Fresnel tails
     L, npts, eps = 30.0, 4096, 1.0
     lat = LatticeSpec(-L, L, npts)
-    Ke = short_time_kernel(None, lat, eps, 1.0, kinetic="sampled")
+    Ke = free_propagator_matrix(lat, TimeGrid(0.0, eps, 1), 1.0)
     x = lat.nodes
     w = 0.25 * (1 + erf((x + 0.6 * L) / (0.1 * L))) * (1 + erf((0.6 * L - x) / (0.1 * L)))
     sel = np.where(np.abs(x) <= 5.0)[0][::8]
@@ -202,14 +201,6 @@ def test_chapman_kolmogorov_by_tapered_lattice_quadrature():
     exact = free_propagator(x[sel][:, None], 2 * eps, x[None, sel], 0.0, 1.0)
     dev = np.max(np.abs(comp - exact)) / np.max(np.abs(exact))
     assert dev <= 1e-6  # measured 5.8e-10
-
-
-def test_single_slice_equals_short_time_kernel():
-    pot = lambda x: 0.1 * x**2
-    grid = TimeGrid(0.0, 0.25, 1)
-    K = time_sliced_propagator(pot, LAT, grid, 1.0)
-    T = short_time_kernel(pot, LAT, 0.25, 1.0)
-    assert np.array_equal(K.entries, T.entries)
 
 
 def test_constant_potential_factors_out_as_global_phase():
@@ -241,21 +232,13 @@ def test_free_spreading_law():
 
 
 def test_sampled_chirp_kernel_single_step_row_sum_stability():
-    # the literal kernel is usable for one step when the lattice
-    # resolves the chirp across the whole box
+    # the literal sampled chirp is usable for one step when the lattice
+    # resolves it across the whole box
     lat = LatticeSpec(-2.0, 2.0, 1024)
     psi0 = gaussian_packet(lat, 0.0, 0.0, 0.4)
-    Ks = short_time_kernel(None, lat, 0.01, 1.0, kinetic="sampled")
+    Ks = free_propagator_matrix(lat, TimeGrid(0.0, 0.01, 1), 1.0)
     psi1 = ComplexField1D(lat, (Ks.entries @ psi0.values) * lat.dx)
     assert psi1.norm() == pytest.approx(psi0.norm(), rel=1e-3)
-
-
-def test_sampled_chirp_kernel_products_alias():
-    # documented pathology: on a lattice too coarse for the chirp the
-    # iterated product amplifies aliased tails instead of converging
-    K = time_sliced_propagator(None, LAT, TimeGrid(0.0, 1.0, 4), 1.0, kinetic="sampled")
-    psi1 = evolve(gaussian_packet(LAT, 0.0, 0.0, 1.0), K, leak_tolerance=None)
-    assert psi1.norm() > 2.0
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -289,7 +272,7 @@ def test_split_step_apply_matches_dense_product(
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(
-    kinetic=st.sampled_from(["pade2", "pade4", "exact", "sampled"]),
+    kinetic=st.sampled_from(["pade2", "pade4", "exact"]),
     sampling=st.sampled_from(["endpoint", "symmetric", "midpoint"]),
     absorbing=st.booleans(),
     potential=st.sampled_from(["none", "constant", "gaussian"]),
@@ -305,11 +288,7 @@ def test_kernel_entries_match_the_former_product(
         else HardWall()
     lat = LatticeSpec(-4.0, 4.0, n, boundary=boundary)
     mass = rng.uniform(0.5, 2.0)
-    if kinetic == "sampled":
-        # a slice long enough that the chirp is resolved across the box
-        eps = 2.0 * mass * (lat.x_max - lat.x_min) * lat.dx / np.pi
-    else:
-        eps = rng.uniform(0.005, 0.05)
+    eps = rng.uniform(0.005, 0.05)
     c = rng.uniform(-1.0, 1.0)
     pot = {"none": None, "constant": lambda x: c, "gaussian": Gaussian(c, 1.5)}[potential]
     args = (mass, kinetic, sampling)
@@ -425,10 +404,3 @@ def test_free_kernel_diagnostic_reports_small_deviation():
     lat = LatticeSpec(-20.0, 20.0, 256)
     K = time_sliced_propagator(None, lat, TimeGrid(0.0, 1.0, 32), 1.0)
     assert free_deviation_diagnostic(K, 1.0) <= 1e-4  # measured 1.3e-5
-
-
-def test_radial_lattice_places_wall_at_origin():
-    lat = radial_lattice(10.0, 64)
-    assert lat.nodes[0] == pytest.approx(10.0 / 64)
-    assert lat.nodes[-1] == pytest.approx(10.0)
-    assert isinstance(lat.boundary, HardWall)
