@@ -30,13 +30,18 @@ P(3, x) = 1 - e^(-x)(1 + x + x^2/2) to round-off (`_gamma3_inv`: one
 Halley step from a tabulated starting guess). Each point stands for
 its antithetic pair (s, w), (-s, -w), whose mean is the real part of
 the raw integrand, and each block draws from its own child of
-SeedSequence(seed).
+SeedSequence(seed). Every phase vector lies in the x-z plane of the
+canonical frame, so a block evaluates no sin: one cos per sampled
+direction, one cos and one exp per term, and one more cos for |s + w|
+in the jacobi internuclear term.
 """
 
 import functools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.special
@@ -465,23 +470,29 @@ def _gamma3_inv(u):
     return x - t / (1.0 - t * (1.0 / x - 0.5))
 
 
-def _sample_iso_exp(U):
-    """Map three uniforms per row to a unit-rate radius and a direction.
+class _Draw(NamedTuple):
+    """One block's unit-rate draws of one vector: its radius and direction.
 
     The radius x = P^-1(3, u) comes from _gamma3_inv, the closed-form
-    inverse of the Gamma(3) distribution function; the direction is
-    uniform on the sphere, as a (3, n) array. The point (x/kappa) times
-    the direction has density kappa^3 e^(-x)/(8 pi) in 3-D.
+    inverse of the Gamma(3) distribution function. The direction is
+    uniform on the sphere: its polar cosine mu, its sin(theta) and its
+    azimuth phi, plus u_x = sin(theta) cos(phi), the one Cartesian
+    component besides mu that a phase reads; its y component is never
+    formed. The point (x/kappa) times the direction has density
+    kappa^3 e^(-x)/(8 pi) in 3-D.
     """
-    x = _gamma3_inv(np.clip(U[:, 0], 1e-15, 1.0 - 1e-15))
-    mu = 2.0 * U[:, 1] - 1.0
-    phi = 2.0 * np.pi * U[:, 2]
-    st = np.sqrt(1.0 - mu**2)
-    direction = np.empty((3, len(x)))
-    direction[0] = st * np.cos(phi)
-    direction[1] = st * np.sin(phi)
-    direction[2] = mu
-    return x, direction
+
+    x: np.ndarray
+    mu: np.ndarray
+    sin_theta: np.ndarray
+    phi: np.ndarray
+    u_x: np.ndarray
+
+    @classmethod
+    def of(cls, x, mu, phi):
+        """The draw of radius x along (mu, phi): one cos per point."""
+        sin_theta = np.sqrt(1.0 - mu**2)
+        return cls(x, mu, sin_theta, phi, sin_theta * np.cos(phi))
 
 
 def _oracle_plan(spec, lam, mode, interaction):
@@ -502,39 +513,19 @@ def _oracle_plan(spec, lam, mode, interaction):
     return kappa_s, kappa_w
 
 
-def _dot(vec, points):
-    """vec . point for each column of a (3, n) array."""
-    return vec[0] * points[0] + vec[1] * points[1] + vec[2] * points[2]
+def _oracle_phases(spec, theta, mode, interaction):
+    """The phase vectors a and b of one term's raw integrand e^(i (a.s + b.w)).
 
-
-def _oracle_integrand(spec, theta, lam, mode, interaction):
-    """Raw 6-D integrand over the sampled pair (s, w), no reductions,
-    as the mean over the antithetic pair (s, w), (-s, -w).
-
-    Every raw integrand is mag e^(i (a.s + b.w)) with mag a function of
-    radii alone, so f(-s, -w) = conj f(s, w) and the pair's mean is the
-    real Re f = mag cos(a.s + b.w). Returns that for points given as
-    (3, n) arrays with their radii. The phase vectors a and b, the mass
-    ratios and the orbital normalisations are built here, once per
-    oracle call.
+    Both are combinations of p_a and p_b, which _canonical_vectors puts
+    in the x-z plane, so their y components are exactly 0.
     """
-    Z_a = spec.initial.Z_eff
-    Z_b = spec.final.Z_eff
-    # phi_b(r_b) phi_a(s_r) V(w_r) = amp e^(-Z_b r_b - Z_a s_r - lam w_r) / w_r
-    amp = math.sqrt(Z_b**3 / math.pi) * math.sqrt(Z_a**3 / math.pi)
-    amp *= -Z_b if interaction == "ProtonElectron" else Z_a * Z_b
     p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
     if mode == "obk":
         # phase q.R with R = s - w for the proton-electron term, R = w internuclear
         q_vec = p_a_vec - p_b_vec
-        a = q_vec if interaction == "ProtonElectron" else np.zeros(3)
-        b = -q_vec if interaction == "ProtonElectron" else q_vec
-
-        def integrand(s, s_r, w, w_r):
-            mag = amp * np.exp(-(Z_a + Z_b) * s_r - lam * w_r) / w_r
-            return mag * np.cos(_dot(a, s) + _dot(b, w))
-
-        return integrand
+        if interaction == "ProtonElectron":
+            return q_vec, -q_vec
+        return np.zeros(3), q_vec
     ga = spec.gamma_a
     gb = spec.gamma_b
     c = ga + gb - ga * gb
@@ -543,59 +534,120 @@ def _oracle_integrand(spec, theta, lam, mode, interaction):
     # coordinate r_b), x_s = -ga internuclear (w is the internuclear separation)
     x_s = 1.0 - ga if interaction == "ProtonElectron" else -ga
     k = p_a_vec - (1.0 - gb) * p_b_vec
-    a = x_s * k - c * p_b_vec
-    b = -k
+    return x_s * k - c * p_b_vec, -k
 
-    def integrand(s, s_r, w, w_r):
-        if interaction == "ProtonElectron":
-            r_b_r = w_r
-        else:
-            r_b = s + w
-            r_b_r = np.sqrt(_dot(r_b, r_b))
-        mag = amp * np.exp(-Z_b * r_b_r - Z_a * s_r - lam * w_r) / w_r
-        return mag * np.cos(_dot(a, s) + _dot(b, w))
+
+def _norm_of_sum(s_r, s, w_r, w):
+    """|s + w| for radii s_r, w_r along the directions of the draws s, w.
+
+    The law of cosines, as (s_r - w_r)^2 + 2 s_r w_r (1 + cos angle(s, w))
+    with cos angle(s, w) = sin sin cos(phi_s - phi_w) + mu_s mu_w: one
+    cos per point. Round-off can take 1 + cos below 0 by a few ulps for
+    antiparallel directions, so the square is clamped at 0.
+    """
+    cos_sw = s.sin_theta * w.sin_theta * np.cos(s.phi - w.phi) + s.mu * w.mu
+    square = (s_r - w_r) ** 2 + 2.0 * s_r * w_r * (1.0 + cos_sw)
+    return np.sqrt(np.maximum(square, 0.0))
+
+
+def _oracle_integrand(spec, theta, lam, mode, interaction):
+    """One term's raw 6-D integrand over its sampling density, no
+    reductions, as the mean over the antithetic pair (s, w), (-s, -w).
+
+    Every raw integrand is mag e^(i (a.s + b.w)) with mag a function of
+    radii alone, so f(-s, -w) = conj f(s, w) and the pair's mean is the
+    real Re f = mag cos(a.s + b.w). Returns Re f / p for one block's
+    draws (s, w) of _oracle_draws, where p = (kappa_s kappa_w)^3
+    e^(-x_s - x_w) / (8 pi)^2 at the rates of _oracle_plan.
+
+    a and b have no y component (_oracle_phases), so a.s = s_r (a_x u_x
+    + a_z mu): one cos per point. mag's e^(-rate_s s_r - rate_w w_r),
+    with the rates taken from the orbitals and lam, joins 1/p's
+    e^(x_s + x_w) in one exp of (1 - rate_s/kappa_s) x_s + (1 -
+    rate_w/kappa_w) x_w, which is exactly 0 where the rates equal kappa;
+    a kappa off the rates costs variance, never bias. The jacobi
+    internuclear term adds -Z_b |s + w| to that exponent, and one more
+    cos (_norm_of_sum). Every constant is built here, once per oracle
+    call.
+    """
+    Z_a = spec.initial.Z_eff
+    Z_b = spec.final.Z_eff
+    kappa_s, kappa_w = _oracle_plan(spec, lam, mode, interaction)
+    # phi_b(r_b) phi_a(s_r) V(w_r) = amp e^(-Z_b r_b - Z_a s_r - lam w_r) / w_r
+    amp = math.sqrt(Z_b**3 / math.pi) * math.sqrt(Z_a**3 / math.pi)
+    amp *= -Z_b if interaction == "ProtonElectron" else Z_a * Z_b
+    # times 1/p up to e^(x_s + x_w), and 1/w_r = kappa_w / x_w
+    amp *= (8.0 * np.pi) ** 2 * kappa_w / (kappa_s * kappa_w) ** 3
+    a, b = _oracle_phases(spec, theta, mode, interaction)
+    a_x, a_z = a[0] / kappa_s, a[2] / kappa_s
+    b_x, b_z = b[0] / kappa_w, b[2] / kappa_w
+    internuclear = mode == "jacobi" and interaction == "Internuclear"
+    if mode == "obk":
+        rate_s, rate_w = Z_a + Z_b, lam
+    elif internuclear:
+        rate_s, rate_w = Z_a, lam
+    else:
+        rate_s, rate_w = Z_a, Z_b + lam  # r_b is w
+    c_s = 1.0 - rate_s / kappa_s
+    c_w = 1.0 - rate_w / kappa_w
+
+    def integrand(s, w):
+        phase = s.x * (a_x * s.u_x + a_z * s.mu) + w.x * (b_x * w.u_x + b_z * w.mu)
+        exponent = c_s * s.x + c_w * w.x
+        if internuclear:
+            exponent -= Z_b * _norm_of_sum(s.x / kappa_s, s, w.x / kappa_w, w)
+        vals = np.cos(phase)
+        vals *= np.exp(exponent)
+        vals *= amp
+        vals /= w.x
+        return vals
 
     return integrand
 
 
 def _oracle_draws(stream):
-    """One block's unit-rate draws of s and w from one scrambled Sobol set
-    drawn from the SeedSequence stream; the uniforms are dropped on
-    return, before any term is evaluated."""
+    """One block's unit-rate draws of s and w, as two _Draw, from one
+    scrambled Sobol set drawn from the SeedSequence stream.
+
+    Row i's six uniforms give point i: columns 0 and 3 the radii of s
+    and w, then mu = 2u - 1 and phi = 2 pi u from columns 1, 2 and 4, 5.
+    Both radii come first and the uniforms are dropped before any cos,
+    so the block's memory peaks inside the second _gamma3_inv, at about
+    4.5 MB. Keep that peak low: the heap a block frees is handed back to
+    the OS once it passes the allocator's trim threshold, and every
+    later block then page-faults it in again.
+
+    scipy's Sobol(rng=...) spawns its scrambling stream from the
+    generator, and so from the stream itself: a second call on the same
+    SeedSequence object draws other points. Each call takes a fresh
+    child.
+    """
     sob = scipy.stats.qmc.Sobol(d=6, scramble=True, rng=np.random.default_rng(stream))
     U = sob.random(ORACLE_BLOCK)
-    return _sample_iso_exp(U[:, :3]), _sample_iso_exp(U[:, 3:])
+    radii = [_gamma3_inv(np.clip(U[:, i], 1e-15, 1.0 - 1e-15)) for i in (0, 3)]
+    angles = [(2.0 * U[:, i] - 1.0, 2.0 * np.pi * U[:, i + 1]) for i in (1, 4)]
+    del U
+    return tuple(_Draw.of(x, mu, phi) for x, (mu, phi) in zip(radii, angles))
 
 
 def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
     """Mean of each term's importance-weighted integrand over each block.
 
     Returns a real array of shape (len(terms), blocks). Block b draws its
-    Sobol points and radii once, from child b of SeedSequence(seed), so
-    no two blocks, of one seed or of two, share a stream; every term
-    reuses them at its own rates. One pool runs every block and the
+    Sobol points, radii and the cos of each azimuth once, from child b of
+    SeedSequence(seed), so no two blocks, of one seed or of two, share a
+    stream; every term reuses them at its own rates, and adds its own cos
+    and one exp (_oracle_integrand). One pool runs every block and the
     means come back in block order, so the thread count cannot change
     them.
     """
-    plans = []
-    for term in terms:
-        kappa_s, kappa_w = _oracle_plan(spec, lam, mode, term)
-        integrand = _oracle_integrand(spec, theta, lam, mode, term)
-        plans.append((kappa_s, kappa_w, integrand))
+    integrands = [_oracle_integrand(spec, theta, lam, mode, term) for term in terms]
     n_blocks = max(2, math.ceil(samples / ORACLE_BLOCK))
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
 
     def block_means(b):
-        (x_s, dir_s), (x_w, dir_w) = _oracle_draws(streams[b])
-        # 1 / (sampling density) up to the rates: (8 pi)^2 e^(x_s + x_w)
-        weight = (8.0 * np.pi) ** 2 * np.exp(x_s + x_w)
-        means = []
-        for kappa_s, kappa_w, integrand in plans:
-            s_r = x_s / kappa_s
-            w_r = x_w / kappa_w
-            vals = integrand(dir_s * s_r, s_r, dir_w * w_r, w_r) * weight
-            means.append(float(np.mean(vals)) / (kappa_s * kappa_w) ** 3)
-        return means
+        s, w = _oracle_draws(streams[b])
+        return [float(np.mean(integrand(s, w))) for integrand in integrands]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -617,13 +669,14 @@ def brute_force_oracle(
     """Direct Sobol evaluation of the capture integral, value and error.
 
     Block b draws from child b of SeedSequence(seed), so seed must be
-    non-negative, and the block means reduce in index order, so thread
-    count cannot change the result. Each draw stands for its antithetic
-    pair, whose mean is real: the value is a complex with imaginary part
-    exactly 0, and its error is the standard error of the real block
-    means. The Sum interaction runs its two terms on the same blocks, so
-    its error comes from the summed block means, which carry the terms'
-    correlation. `samples` counts integrand evaluations.
+    non-negative, and the block means reduce in index order, so the
+    thread count, an integer n_threads >= 1, cannot change the result.
+    Each draw stands for its antithetic pair, whose mean is real: the
+    value is a complex with imaginary part exactly 0, and its error is
+    the standard error of the real block means. The Sum interaction runs
+    its two terms on the same blocks, so its error comes from the summed
+    block means, which carry the terms' correlation. `samples` counts
+    integrand evaluations.
     """
     _require_open(spec)
     if samples < 100000:
@@ -634,6 +687,11 @@ def brute_force_oracle(
         raise DomainError(f"oracle seed must be non-negative, got {seed}")
     if lam < 0:
         raise DomainError("screening constant must be non-negative")
+    integral = isinstance(n_threads, numbers.Integral)
+    if not integral or isinstance(n_threads, bool) or n_threads < 1:
+        raise DomainError(
+            f"oracle n_threads must be an integer >= 1, got {n_threads!r}"
+        )
     terms = ("ProtonElectron", "Internuclear")
     if spec.interaction != "Sum":
         terms = (spec.interaction,)

@@ -43,11 +43,14 @@ from pathscat.capture import (
 from pathscat.born import _gauss_legendre
 from pathscat.capture import (
     _canonical_vectors,
+    _Draw,
     _FEYNMAN_RULE,
     _gamma3_inv,
     _graded_half,
     _log_gamma3_table,
+    _norm_of_sum,
     _oracle_block_means,
+    _oracle_phases,
     _oracle_plan,
     _p3_series,
     _t_integral,
@@ -237,14 +240,16 @@ def _oracle_integrand_reference(spec, lam, mode, interaction, p_a_vec, p_b_vec, 
     return phi_b(r_b_r) * phi_a(s_r) * V * phase
 
 
-def _oracle_block_means_reference(spec, theta, interaction, samples, lam, mode, seed):
+def _oracle_block_means_reference(spec, theta, interaction, samples, lam, mode, seed,
+                                  magnitudes=False):
     """Complex block means of one term by the former kernel, one block at
     a time, on the oracle's streams: block b from child b of
-    SeedSequence(seed)."""
+    SeedSequence(seed). With magnitudes, also each block's mean of
+    |f/p|, the size of the summands before they cancel."""
     kappa_s, kappa_w = _oracle_plan(spec, lam, mode, interaction)
     p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
     n_blocks = max(2, math.ceil(samples / capture.ORACLE_BLOCK))
-    means = []
+    means, sizes = [], []
     for stream in np.random.SeedSequence(seed).spawn(n_blocks):
         sob = scipy.stats.qmc.Sobol(d=6, scramble=True,
                                     rng=np.random.default_rng(stream))
@@ -255,6 +260,9 @@ def _oracle_block_means_reference(spec, theta, interaction, samples, lam, mode, 
             spec, lam, mode, interaction, p_a_vec, p_b_vec, s, w
         ) / (ps * pw)
         means.append(complex(np.mean(vals)))
+        sizes.append(float(np.mean(np.abs(vals))))
+    if magnitudes:
+        return np.asarray(means), np.asarray(sizes)
     return np.asarray(means)
 
 
@@ -654,6 +662,30 @@ def test_oracle_block_kernel_matches_the_former_kernel():
                                               abs=0.0), case
 
 
+@settings(max_examples=8, deadline=None, database=None)
+@given(system=st.tuples(st.floats(1.0, 20.0), st.floats(1.0, 20.0),
+                        st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+       v=st.floats(0.5, 8.0), theta=_angles(), lam=st.floats(0.1, 2.0),
+       mode=st.sampled_from(capture.MODES),
+       interaction=st.sampled_from(("ProtonElectron", "Internuclear")),
+       seed=st.integers(0, 2**32 - 1))
+def test_oracle_block_means_match_the_former_kernel_on_any_system(
+        system, v, theta, lam, mode, interaction, seed):
+    # every block mean, on the same streams; heavy masses at high speed
+    # and wide angles give phases a.s + b.w up to about 1e6 rad, whose
+    # round-off (an ulp of the phase) reaches 1e-10 of a summand in both
+    # kernels, so the bound is on the summands' size mean |f/p|, not on
+    # the block mean they cancel to (measured over 60 random cases: at
+    # most 1.5e-12 of mean |f/p|, and up to 1.0e-9 of |mean|)
+    spec = make_capture_spec(*system, v, interaction)
+    samples = 1 << 17
+    means = _oracle_block_means(spec, theta, (interaction,), samples, lam, mode,
+                                seed, 1)[0]
+    want, size = _oracle_block_means_reference(spec, theta, interaction, samples,
+                                               lam, mode, seed, magnitudes=True)
+    assert np.all(np.abs(means - want.real) <= 1e-10 * size)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(system=st.tuples(st.floats(1.0, 20.0), st.floats(1.0, 20.0),
                         st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
@@ -722,6 +754,62 @@ def test_gamma3_inverse_switch_points_and_step_count():
     assert np.max(np.abs(_gamma3_inv(u) / want - 1.0)) <= 1e-12
 
 
+def test_canonical_frame_and_oracle_phases_lie_in_the_x_z_plane():
+    # the oracle forms a.s from the x and z components alone, so every
+    # phase vector must have a y component of exactly 0
+    theta = np.array([0.0, 1e-8, 1e-3, 0.5 * math.pi, 2.0, math.pi])
+    for system in ((1.0, 1.0, 1.0, 1.0), (1.0, 4.0, 1.0, 2.0)):
+        spec = make_capture_spec(*system, 2.0)
+        for angles in (0.5 * math.pi, theta):
+            p_a_vec, p_b_vec = _canonical_vectors(spec, angles)
+            assert p_a_vec[1] == 0.0
+            assert np.all(p_b_vec[..., 1] == 0.0)
+        for angle in theta:
+            for mode in capture.MODES:
+                for term in ("ProtonElectron", "Internuclear"):
+                    a, b = _oracle_phases(spec, angle, mode, term)
+                    assert a.shape == b.shape == (3,)
+                    assert a[1] == 0.0 and b[1] == 0.0, (system, angle, mode, term)
+
+
+def _draw(mu, phi):
+    """A _Draw of unit radius with polar cosine mu and azimuth phi."""
+    return _Draw.of(np.ones_like(mu), mu, phi)
+
+
+def _cartesian(r, d):
+    return r[:, None] * np.column_stack((d.sin_theta * np.cos(d.phi),
+                                         d.sin_theta * np.sin(d.phi), d.mu))
+
+
+def test_norm_of_sum_by_the_law_of_cosines_matches_the_cartesian_norm():
+    # |s + w|^2 from the radii and one cos of the azimuth difference
+    # agrees with the norm of the Cartesian sum to 8 eps (s_r + w_r)^2
+    # (measured: 4.4 eps on these random pairs, 0.6 eps on the nearly
+    # antiparallel ones); near cancellation that leaves |s + w| within sqrt(8 eps)
+    # (s_r + w_r), and the square, clamped at 0, never turns it into NaN
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(5)
+    n = 50000
+    s, w = (_draw(rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2.0 * math.pi, n))
+            for _ in range(2))
+    pairs = [(s, w, *rng.exponential(3.0, (2, n)))]
+    # w opposite s, off by 1e-12 to 1e-2 in mu and phi, with equal radii
+    # or radii apart by up to 1e-4
+    mu, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
+    delta = 10.0 ** rng.uniform(-12.0, -2.0, (2, n)) * rng.uniform(-1.0, 1.0, (2, n))
+    s_r = rng.exponential(3.0, n)
+    apart = rng.choice([0.0, 1e-12, 1e-8, 1e-4], n) * rng.uniform(-1.0, 1.0, n)
+    w_r = s_r * (1.0 + apart)
+    pairs.append((_draw(mu, phi), _draw(np.clip(delta[0] - mu, -1.0, 1.0),
+                                        phi + math.pi + delta[1]), s_r, w_r))
+    for s, w, s_r, w_r in pairs:
+        law = _norm_of_sum(s_r, s, w_r, w)
+        want = np.linalg.norm(_cartesian(s_r, s) + _cartesian(w_r, w), axis=1)
+        assert np.all(law >= 0.0)
+        assert np.all(np.abs(law**2 - want**2) <= 8.0 * eps * (s_r + w_r) ** 2)
+
+
 def test_oracle_error_shrinks_with_samples():
     spec = _pp_spec()
     small = brute_force_oracle(spec, 1e-3, samples=1 << 17, mode="obk", seed=3)
@@ -751,6 +839,15 @@ def test_oracle_rejects_a_negative_seed():
     # the blocks draw from SeedSequence(seed), which takes no negative seed
     with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
         brute_force_oracle(_pp_spec(), 1e-3, samples=1 << 17, seed=-1)
+
+
+@pytest.mark.parametrize("n_threads", [0, -2, 2.5, True])
+def test_oracle_rejects_a_thread_count_that_is_not_a_positive_integer(monkeypatch,
+                                                                      n_threads):
+    # refused before any Sobol draw, as seed, samples and lam are
+    monkeypatch.setattr(capture, "_oracle_block_means", _no_sampling)
+    with pytest.raises(DomainError, match="n_threads must be an integer >= 1"):
+        brute_force_oracle(_pp_spec(), 1e-3, samples=1 << 17, n_threads=n_threads)
 
 
 def test_oracle_rejects_negative_screening(monkeypatch):
