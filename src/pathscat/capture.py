@@ -32,8 +32,9 @@ its antithetic pair (s, w), (-s, -w), whose mean is the real part of
 the raw integrand, and each block draws from its own child of
 SeedSequence(seed). Every phase vector lies in the x-z plane of the
 canonical frame, so a block evaluates no sin: one cos per sampled
-direction, one cos and one exp per term, and one more cos for |s + w|
-in the jacobi internuclear term.
+direction and one cos per term. The sampling rates equal the orbital
+and screening rates, so their exponentials cancel; only the jacobi
+internuclear term adds one exp and one more cos, for its e^(-Z_b |s + w|).
 """
 
 import functools
@@ -66,7 +67,10 @@ __all__ = [
 
 INTERACTIONS = ("ProtonElectron", "Internuclear", "Sum")
 MODES = ("obk", "jacobi")
-FLUX_RATIO_POWERS = (1, 2)
+# The angular rule of ct_total_cross_section: geometric segments on
+# [_THETA_MIN, _THETA_SPLIT], one tail panel above, a flat cap below.
+_THETA_MIN = 1e-7
+_THETA_SPLIT = 0.1
 # Sobol points per oracle block; each block is one independent error sample.
 ORACLE_BLOCK = 1 << 15
 # Below P(3, 1/2) _gamma3_inv takes P from its series.
@@ -357,61 +361,48 @@ def capture_amplitude(spec, theta, lam=1.0, mode="obk"):
     return capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam, mode)
 
 
-def ct_differential_cross_section(spec, theta, lam=1.0, mode="obk", flux_ratio_power=2):
-    """dsigma/dOmega = (mu_b / 2 pi)^2 (p_b/p_a)^power |A|^2.
+def ct_differential_cross_section(spec, theta, lam=1.0, mode="obk"):
+    """dsigma/dOmega = (mu_b / 2 pi)^2 (p_b/p_a)^2 |A|^2.
 
-    Default power 2 squares the flux ratio; standard flux algebra gives
-    power 1, hence the switch. A scalar theta gives a float, an array of
-    angles an array from one batched amplitude call.
+    A scalar theta gives a float, an array of angles an array from one
+    batched amplitude call.
     """
-    if flux_ratio_power not in FLUX_RATIO_POWERS:
-        raise DomainError("flux_ratio_power must be 1 or 2")
     A = capture_amplitude(spec, theta, lam, mode)
     mu_b = spec.kin.mu_b
     ratio = spec.energetics.p_b / spec.energetics.p_a
-    dcs = (mu_b / (2.0 * np.pi)) ** 2 * ratio**flux_ratio_power * np.abs(A) ** 2
+    dcs = (mu_b / (2.0 * np.pi)) ** 2 * ratio**2 * np.abs(A) ** 2
     return float(dcs) if np.ndim(dcs) == 0 else dcs
 
 
-def ct_total_cross_section(
-    spec,
-    lam=1.0,
-    mode="obk",
-    flux_ratio_power=2,
-    theta_min=1e-7,
-    theta_split=0.1,
-    n_segments=12,
-    seg_nodes=24,
-    tail_nodes=64,
-):
+def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=24,
+                           tail_nodes=64):
     """sigma = 2 pi int dsigma sin(theta) dtheta, forward-peak aware.
 
     Capture at heavy-particle momenta concentrates within milliradians,
-    so [theta_min, theta_split] is covered by n_segments geometric
+    so [_THETA_MIN, _THETA_SPLIT] is covered by n_segments geometric
     segments of seg_nodes Gauss-Legendre nodes each, the remainder by
-    tail_nodes nodes, and the sub-theta_min cap by a flat-peak patch.
+    tail_nodes nodes, and the sub-_THETA_MIN cap by a flat-peak patch.
     Each rule's nodes form one angle array, so dsigma is one batched
     call per rule. The error estimate is the change under node doubling.
     """
     _require_open(spec)
     counts = (n_segments, seg_nodes, tail_nodes)
-    if min(counts) < 1 or not 0.0 < theta_min < theta_split < np.pi:
+    if min(counts) < 1:
         raise DomainError(
-            "angular rule needs n_segments, seg_nodes, tail_nodes >= 1 and "
-            f"0 < theta_min < theta_split < pi, got {counts}, {theta_min}, {theta_split}"
+            f"angular rule needs n_segments, seg_nodes, tail_nodes >= 1, got {counts}"
         )
 
     def rule(scale):
-        edges = np.geomspace(theta_min, theta_split, n_segments + 1)
+        edges = np.geomspace(_THETA_MIN, _THETA_SPLIT, n_segments + 1)
         segments = _panels(scale * seg_nodes, edges)
-        tail = _panels(scale * tail_nodes, np.array([theta_split, np.pi]))
+        tail = _panels(scale * tail_nodes, np.array([_THETA_SPLIT, np.pi]))
         theta, g = (np.concatenate(pair) for pair in zip(segments, tail))
-        # flat-peak cap below theta_min: dsigma is smooth at theta = 0
-        weights = np.append(2.0 * np.pi * np.sin(theta) * g, np.pi * theta_min**2)
-        return np.append(theta, theta_min), weights
+        # flat-peak cap below _THETA_MIN: dsigma is smooth at theta = 0
+        weights = np.append(2.0 * np.pi * np.sin(theta) * g, np.pi * _THETA_MIN**2)
+        return np.append(theta, _THETA_MIN), weights
 
     def dcs(theta):
-        return ct_differential_cross_section(spec, theta, lam, mode, flux_ratio_power)
+        return ct_differential_cross_section(spec, theta, lam, mode)
 
     value, error, evaluations = _angular_total(dcs, rule)
     return CaptureTotal(value=value, error=error, evaluations=evaluations)
@@ -497,7 +488,8 @@ class _Draw(NamedTuple):
 
 def _oracle_plan(spec, lam, mode, interaction):
     """Importance-sampling constants; the second vector is the one the
-    interaction decays in, so its rate always includes lam."""
+    interaction decays in, so its rate always includes lam. They are the
+    integrand's own decay rates, which _oracle_integrand relies on."""
     Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
     if mode == "jacobi":
@@ -561,14 +553,12 @@ def _oracle_integrand(spec, theta, lam, mode, interaction):
     e^(-x_s - x_w) / (8 pi)^2 at the rates of _oracle_plan.
 
     a and b have no y component (_oracle_phases), so a.s = s_r (a_x u_x
-    + a_z mu): one cos per point. mag's e^(-rate_s s_r - rate_w w_r),
-    with the rates taken from the orbitals and lam, joins 1/p's
-    e^(x_s + x_w) in one exp of (1 - rate_s/kappa_s) x_s + (1 -
-    rate_w/kappa_w) x_w, which is exactly 0 where the rates equal kappa;
-    a kappa off the rates costs variance, never bias. The jacobi
-    internuclear term adds -Z_b |s + w| to that exponent, and one more
-    cos (_norm_of_sum). Every constant is built here, once per oracle
-    call.
+    + a_z mu): one cos per point. _oracle_plan's kappa equals the
+    orbital and lam rates of mag's e^(-rate_s s_r - rate_w w_r) in every
+    mode and term, so that factor cancels 1/p's e^(x_s + x_w) exactly and
+    no exp is left for it. Only the jacobi internuclear term keeps one:
+    its e^(-Z_b |s + w|), with one more cos (_norm_of_sum). Every
+    constant is built here, once per oracle call.
     """
     Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
@@ -582,22 +572,12 @@ def _oracle_integrand(spec, theta, lam, mode, interaction):
     a_x, a_z = a[0] / kappa_s, a[2] / kappa_s
     b_x, b_z = b[0] / kappa_w, b[2] / kappa_w
     internuclear = mode == "jacobi" and interaction == "Internuclear"
-    if mode == "obk":
-        rate_s, rate_w = Z_a + Z_b, lam
-    elif internuclear:
-        rate_s, rate_w = Z_a, lam
-    else:
-        rate_s, rate_w = Z_a, Z_b + lam  # r_b is w
-    c_s = 1.0 - rate_s / kappa_s
-    c_w = 1.0 - rate_w / kappa_w
 
     def integrand(s, w):
         phase = s.x * (a_x * s.u_x + a_z * s.mu) + w.x * (b_x * w.u_x + b_z * w.mu)
-        exponent = c_s * s.x + c_w * w.x
-        if internuclear:
-            exponent -= Z_b * _norm_of_sum(s.x / kappa_s, s, w.x / kappa_w, w)
         vals = np.cos(phase)
-        vals *= np.exp(exponent)
+        if internuclear:
+            vals *= np.exp(-Z_b * _norm_of_sum(s.x / kappa_s, s, w.x / kappa_w, w))
         vals *= amp
         vals /= w.x
         return vals
@@ -637,9 +617,8 @@ def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
     Sobol points, radii and the cos of each azimuth once, from child b of
     SeedSequence(seed), so no two blocks, of one seed or of two, share a
     stream; every term reuses them at its own rates, and adds its own cos
-    and one exp (_oracle_integrand). One pool runs every block and the
-    means come back in block order, so the thread count cannot change
-    them.
+    (_oracle_integrand). One pool runs every block and the means come
+    back in block order, so the thread count cannot change them.
     """
     integrands = [_oracle_integrand(spec, theta, lam, mode, term) for term in terms]
     n_blocks = max(2, math.ceil(samples / ORACLE_BLOCK))

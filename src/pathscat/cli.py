@@ -4,6 +4,8 @@ One YAML config describes one computation. `_COMMANDS` lists the keys
 each command accepts, and `_validate` checks a config against them.
 Physical parameters have no defaults; an optional numerical knob that a
 config leaves out is not passed on, so the library's default applies.
+charge-transfer has no optional key: its angular rule and flux factor
+are the library's fixed ones.
 
 Every run writes a plot-ready CSV and a JSON document with the echoed
 config, payload, and diagnostics, each through a temporary file renamed
@@ -41,7 +43,6 @@ from .capture import (
     capture_amplitude,
     ct_differential_cross_section,
     ct_total_cross_section,
-    FLUX_RATIO_POWERS,
     INTERACTIONS,
     make_capture_spec,
     MODES,
@@ -184,7 +185,7 @@ def _validate(value, schema, context):
                               f"got {value!r}")
         return value
     if isinstance(schema, tuple):
-        # the type check first keeps True and 2.0 out of (1, 2)
+        # the type check first: a number given for a string choice is a type error
         value = _leaf(value, type(schema[0]), context)
         if value not in schema:
             hint = _hint(value, schema)
@@ -444,13 +445,9 @@ def _capture_spec(cfg):
 
 def _run_charge_transfer(cfg, threads):
     spec = _capture_spec(cfg)
-    mode, lam = cfg["mode"], cfg["lam"]
-    options = _optional(cfg, "flux_ratio_power")
-    total = ct_total_cross_section(
-        spec, lam=lam, mode=mode, **options, **cfg.get("total", {})
-    )
-    angles = cfg["angles"]
-    dsigma = ct_differential_cross_section(spec, angles, lam=lam, mode=mode, **options)
+    mode, lam, angles = cfg["mode"], cfg["lam"], cfg["angles"]
+    total = ct_total_cross_section(spec, lam=lam, mode=mode)
+    dsigma = ct_differential_cross_section(spec, angles, lam=lam, mode=mode)
     rows = list(zip(angles, dsigma))
     payload = {
         "kind": "ChargeTransferBorn",
@@ -523,18 +520,7 @@ _COMMANDS = {
         "endpoints": {"a": float, "b": float},
         "scheme?": _SCHEME,
     }),
-    "charge-transfer": (_run_charge_transfer, {
-        **_CAPTURE,
-        "angles": _ANGLES,
-        "flux_ratio_power?": FLUX_RATIO_POWERS,
-        "total?": Built(
-            {"theta_min?": float, "theta_split?": float, "segments?": int,
-             "seg_nodes?": int, "tail_nodes?": int},
-            lambda **rule: {
-                ("n_segments" if k == "segments" else k): v for k, v in rule.items()
-            },
-        ),
-    }),
+    "charge-transfer": (_run_charge_transfer, {**_CAPTURE, "angles": _ANGLES}),
     "oracle": (
         _run_oracle, {**_CAPTURE, "theta": float, "samples": int, "seed": _SEED}
     ),

@@ -162,13 +162,14 @@ def _t_integral_mpmath(a, b, lam):
         return float(mpmath.quad(f, points) * u0 / a**3.5)
 
 
-def _ct_total_reference(spec, lam=1.0, mode="obk", flux_ratio_power=2, theta_min=1e-7,
-                        theta_split=0.1, n_segments=12, seg_nodes=24, tail_nodes=64):
+def _ct_total_reference(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=24,
+                        tail_nodes=64):
     """The angular total by the per-node loop it used before dsigma took
     an angle array: one scalar dsigma call per node, summed in order."""
+    theta_min, theta_split = 1e-7, 0.1
 
     def dcs(theta):
-        return ct_differential_cross_section(spec, theta, lam, mode, flux_ratio_power)
+        return ct_differential_cross_section(spec, theta, lam, mode)
 
     def quadrature(seg_n, tail_n):
         edges = np.geomspace(theta_min, theta_split, n_segments + 1)
@@ -533,12 +534,11 @@ def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("rule", [
-    {"theta_min": 0.5}, {"theta_min": 0.0}, {"theta_split": math.pi},
     {"n_segments": 0}, {"seg_nodes": 0}, {"tail_nodes": -3},
 ])
 def test_total_refuses_an_angular_rule_out_of_range(monkeypatch, rule):
-    # theta_min above theta_split once gave 6.4e-28 for a total of 1.26,
-    # no segments a total of 1e-7 with error 0, and no nodes a leggauss error
+    # no segments once gave a total of 1e-7 with error 0, and no nodes a
+    # leggauss error
     def no_dsigma(*args):
         raise AssertionError("dsigma evaluated for a rule out of range")
 
@@ -892,5 +892,3 @@ def test_spec_and_angle_validation():
         capture_amplitude(_pp_spec(), -0.1)
     with pytest.raises(DomainError):
         capture_amplitude(_pp_spec(), 1e-3, mode="cartesian")
-    with pytest.raises(DomainError):
-        ct_differential_cross_section(_pp_spec(), 1e-3, flux_ratio_power=3)

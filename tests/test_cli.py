@@ -135,21 +135,6 @@ def test_exit_code_for_closed_channel(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "DomainError"
 
 
-@pytest.mark.parametrize("key,value", [
-    ("theta_min", 0.5), ("theta_min", 0.0), ("theta_split", 1e-8), ("segments", 0),
-    ("seg_nodes", 0), ("tail_nodes", -3),
-])
-def test_angular_rule_out_of_range_is_a_domain_error(tmp_path, capsys, key, value):
-    # each of these once returned a wrong total, or a leggauss traceback
-    demo = next(p for p in DEMO_CONFIGS if p.stem == "charge-transfer")
-    out = tmp_path / "out"
-    code = cli.main(["charge-transfer", "--config", str(demo), "--out", str(out),
-                     "--set", f"total.{key}={value}"])
-    assert code == 4
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "DomainError"
-    assert not any(out.iterdir())
-
-
 def test_negative_screening_exits_before_sampling(tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("the oracle drew samples")
@@ -344,6 +329,8 @@ INVALID_CONFIGS = [
      "config.scheme.kinetic must be one of"),
     ("propagator", "scheme.kinetic", "sampled",
      "config.scheme.kinetic must be one of"),
+    ("propagator", "time.slices", True,
+     "config.time.slices must be an integer, got True"),
     ("propagator", "time.slices", 10**400,
      "config.time.slices must be an integer within int64"),
     ("propagator", "lattice.points", 10**400,
@@ -377,7 +364,7 @@ INVALID_CONFIGS = [
     ("charge-transfer", "quad.nkk", 96,
      "unknown key 'quad' in config"),
     ("charge-transfer", "total.seg_node", 24,
-     "unknown key 'seg_node' in config.total; did you mean 'seg_nodes'?"),
+     "unknown key 'total' in config"),
     ("charge-transfer", "v", 1e-200,
      "config: relative speed v=1e-200 puts the collision energy out of range"),
     ("charge-transfer", "v", 1e200,
@@ -385,9 +372,9 @@ INVALID_CONFIGS = [
     ("charge-transfer", "system.Z_b", _DROP,
      "missing required key 'Z_b' in config.system"),
     ("charge-transfer", "flux_ratio_power", True,
-     "config.flux_ratio_power must be an integer"),
+     "unknown key 'flux_ratio_power' in config"),
     ("charge-transfer", "flux_ratio_power", 3,
-     "config.flux_ratio_power must be one of (1, 2)"),
+     "unknown key 'flux_ratio_power' in config"),
     ("charge-transfer", "mode", "jacobbi",
      "config.mode must be one of ('obk', 'jacobi'), got 'jacobbi'; "
      "did you mean 'jacobi'?"),

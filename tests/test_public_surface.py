@@ -1,9 +1,16 @@
 """The package's public names: what each module exports, and what is gone."""
 
+import inspect
+import json
+from pathlib import Path
+
 import pytest
+import yaml
 
 import pathscat
-from pathscat import born, capture, DomainError, influence, potentials, propagator
+from pathscat import born, capture, cli, DomainError, influence, potentials, propagator
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = [born, capture, influence, potentials, propagator]
 
@@ -40,3 +47,31 @@ def test_unused_attributes_are_gone():
         assert not hasattr(family, "range_estimate")
         assert not callable(family)
     assert "grid" not in influence.InfluenceResult.__dataclass_fields__
+
+
+def test_capture_cross_sections_take_only_the_options_a_caller_sets():
+    def parameters(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert parameters(capture.ct_differential_cross_section) == [
+        "spec", "theta", "lam", "mode"]
+    assert parameters(capture.ct_total_cross_section) == [
+        "spec", "lam", "mode", "n_segments", "seg_nodes", "tail_nodes"]
+    assert not hasattr(capture, "FLUX_RATIO_POWERS")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("flux_ratio_power", 1), ("total", {"seg_nodes": 48}),
+], ids=["flux_ratio_power", "total"])
+def test_charge_transfer_refuses_the_removed_keys(tmp_path, capsys, key, value):
+    config = yaml.safe_load((ROOT / "demos" / "configs" / "charge-transfer.yaml")
+                            .read_text())
+    config[key] = value
+    path = tmp_path / "charge-transfer.yaml"
+    path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    assert cli.main(["charge-transfer", "--config", str(path), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ConfigError",
+                     "message": f"unknown key {key!r} in config"}
+    assert not any(out.iterdir())
