@@ -12,6 +12,7 @@ vectorised sinc integral for every momentum below an oscillatory switch,
 and a sine-weighted rule per momentum above it or on a long-range tail.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -187,7 +188,11 @@ def _cutoff_radius(pot):
     """Smallest radius R = 10 * 2^k below 1e7 where |V(R)| R^2 is at most
     1e-14 of its largest value on the radii 10 * 2^j, j = -14..k, if one
     exists. The threshold is relative, as the transform is linear in V:
-    scaling V leaves R unchanged."""
+    scaling V leaves R unchanged. A family is linear in its first field,
+    so R is found at unit strength, where no tiny strength underflows
+    V(R) to zero early."""
+    if dataclasses.is_dataclass(pot):
+        pot = dataclasses.replace(pot, **{dataclasses.fields(pot)[0].name: 1.0})
     r = 10.0 * 2.0 ** np.arange(-14, 20)
     g = np.abs(pot.evaluate(r)) * r**2
     cut = (g <= 1e-14 * np.maximum.accumulate(g)) & (r >= 10.0)

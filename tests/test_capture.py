@@ -534,11 +534,12 @@ def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("rule", [
+    {"n_segments": -2}, {"seg_nodes": -1}, {"tail_nodes": 0},
     {"n_segments": 0}, {"seg_nodes": 0}, {"tail_nodes": -3},
 ])
 def test_total_refuses_an_angular_rule_out_of_range(monkeypatch, rule):
     # no segments once gave a total of 1e-7 with error 0, and no nodes a
-    # leggauss error
+    # leggauss error; a negative count is refused before numpy sees it
     def no_dsigma(*args):
         raise AssertionError("dsigma evaluated for a rule out of range")
 
