@@ -13,7 +13,7 @@ per momentum above that or on a long-range tail).
 
 import numpy as np
 
-from pathscat import NumericalError, ScreenedCoulomb, SoftCoulomb, Yukawa
+from pathscat import NumericalError, SoftCoulomb, Yukawa
 from pathscat.born import born_differential_cross_section, born_total_cross_section
 
 p, mass = 1.0, 1.0
@@ -37,13 +37,15 @@ print("quadrature error estimate:", total.error)
 # Screening and the Rutherford limit
 # ----------------------------------------------------------------------
 # As the screening length diverges the screened-Coulomb cross section
-# approaches 4 Z^2 m^2 / q^4. Watch the 90-degree point converge.
+# approaches 4 Z^2 m^2 / q^4. Watch the 90-degree point converge. A
+# screened Coulomb attraction -Z exp(-screen r) / r is an attractive
+# Yukawa, Yukawa(-Z, screen).
 
 theta = np.pi / 2.0
 q2 = 2.0 * p**2 * (1.0 - np.cos(theta))
 print("\nscreen     dcs(90deg)        Rutherford 4/q^4 =", 4.0 / q2**2)
 for screen in (1.0, 0.1, 0.01, 1e-3):
-    dcs = born_differential_cross_section(ScreenedCoulomb(1.0, screen), p, mass, theta)
+    dcs = born_differential_cross_section(Yukawa(-1.0, screen), p, mass, theta)
     print(f"{screen:7.3f}   {dcs:.10f}")
 
 # the soft-core potential's transform is closed form too,

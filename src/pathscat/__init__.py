@@ -51,7 +51,6 @@ from .potentials import (
     fourier_transform_quadrature,
     Gaussian,
     PairPotentials,
-    ScreenedCoulomb,
     SoftCoulomb,
     SquareWell,
     Yukawa,
@@ -109,7 +108,6 @@ __all__ = [
     "PairPotentials",
     "PathscatError",
     "PropagatorMatrix",
-    "ScreenedCoulomb",
     "SoftCoulomb",
     "SquareWell",
     "TimeGrid",

@@ -29,6 +29,7 @@ __all__ = [
 # "auto" takes closed-form transforms where a family has one; "quadrature"
 # forces the independent numerical transform.
 ROUTES = ("auto", "quadrature")
+_COARSE_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ def _transform(pot, q, route):
 def born_amplitude(pot, p, mass, theta, route="auto"):
     """f(theta), elementwise over an array of angles; real for real
     central potentials at this order."""
+    if not mass > 0:
+        raise DomainError(f"mass must be positive, got {mass}")
     q = momentum_transfer(p, theta)
     return -mass / (2.0 * np.pi) * _transform(pot, q, route)
 
@@ -115,21 +118,19 @@ def _angular_total(dcs, rule):
     return fine, abs(fine - coarse), theta.size
 
 
-def born_total_cross_section(pot, p, mass, n_theta=64, route="auto"):
+def born_total_cross_section(pot, p, mass, route="auto"):
     """sigma = 2 pi int dsigma sin(theta) dtheta, Gauss-Legendre on [0, pi].
 
-    The error estimate is the change under node doubling; the returned
-    value is the doubled-node quadrature. A potential whose v(0) diverges,
-    such as one with a 1/r tail, has no finite total and raises
-    NumericalError.
+    The rule is fixed: the returned value takes 2 * _COARSE_NODES = 128
+    nodes, and the error estimate is its change from _COARSE_NODES. A
+    potential whose v(0) diverges, such as one with a 1/r tail, has no
+    finite total and raises NumericalError.
     """
-    if n_theta < 16:
-        raise DomainError("need at least 16 quadrature nodes")
     if not np.isfinite(fourier_transform(pot, 0.0)):
         raise NumericalError("v(0) is not finite, so the total cross section diverges")
 
     def rule(scale):
-        theta, g = _panels(scale * n_theta, np.array([0.0, np.pi]))
+        theta, g = _panels(scale * _COARSE_NODES, np.array([0.0, np.pi]))
         return theta, 2.0 * np.pi * np.sin(theta) * g
 
     def dcs(theta):

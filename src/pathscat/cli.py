@@ -4,8 +4,9 @@ One YAML config describes one computation. `_COMMANDS` lists the keys
 each command accepts, and `_validate` checks a config against them.
 Physical parameters have no defaults; an optional numerical knob that a
 config leaves out is not passed on, so the library's default applies.
-charge-transfer has no optional key: its angular rule and flux factor
-are the library's fixed ones.
+Neither born-elastic nor charge-transfer sets the angular rule of its
+total: both use the library's fixed rule, and charge-transfer's flux
+factor is fixed too.
 
 Every run writes a plot-ready CSV and a JSON document with the echoed
 config, payload, and diagnostics, each through a temporary file renamed
@@ -49,14 +50,7 @@ from .capture import (
 )
 from .errors import ConfigError, DomainError, NumericalError
 from .influence import FixedPath, influence_K1, influence_K2
-from .potentials import (
-    Gaussian,
-    PairPotentials,
-    ScreenedCoulomb,
-    SoftCoulomb,
-    SquareWell,
-    Yukawa,
-)
+from .potentials import Gaussian, PairPotentials, SoftCoulomb, SquareWell, Yukawa
 from .propagator import (
     AbsorbingLayer,
     boundary_leak_fraction,
@@ -209,7 +203,6 @@ _FAMILIES = {
     "yukawa": Built({"V0": float, "alpha": float}, Yukawa),
     "gaussian": Built({"V0": float, "width": float}, Gaussian),
     "soft-coulomb": Built({"Z": float, "soft": float}, SoftCoulomb),
-    "screened-coulomb": Built({"Z": float, "screen": float}, ScreenedCoulomb),
     "square-well": Built({"V0": float, "radius": float}, SquareWell),
 }
 _POTENTIAL = Tagged("family", {"none": Built({}, lambda: None), **_FAMILIES})
@@ -405,7 +398,7 @@ def _run_evolve(cfg, threads):
 def _run_born(cfg, threads):
     pot, p, mass, angles = cfg["potential"], cfg["p"], cfg["mass"], cfg["angles"]
     route = _optional(cfg, "route")
-    total = born_total_cross_section(pot, p, mass, **_optional(cfg, "n_theta"), **route)
+    total = born_total_cross_section(pot, p, mass, **route)
     dsigma = born_differential_cross_section(pot, p, mass, angles, **route)
     payload = {
         "kind": "ElasticBorn",
@@ -504,7 +497,6 @@ _COMMANDS = {
         "mass": float,
         "p": float,
         "angles": _ANGLES,
-        "n_theta?": int,
         "route?": ROUTES,
     }),
     "influence": (_run_influence, {

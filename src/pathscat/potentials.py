@@ -1,6 +1,7 @@
 """Central potential families and their 3-D Fourier transforms.
 
-Each family evaluates V(r) pointwise and knows its momentum-space form
+Each family is a frozen dataclass whose first field is its strength. It
+evaluates V(r) pointwise and knows its momentum-space form
 
     v(q) = int d^3r V(|r|) exp(i q.r),
 
@@ -10,6 +11,8 @@ they exist; a radial quadrature serves as fallback and as the
 cross-check oracle for the analytic paths. On a finite support it is one
 vectorised sinc integral for every momentum below an oscillatory switch,
 and a sine-weighted rule per momentum above it or on a long-range tail.
+
+A screened Coulomb attraction -Z exp(-s r) / r is Yukawa(-Z, s).
 """
 
 import dataclasses
@@ -26,7 +29,6 @@ __all__ = [
     "Yukawa",
     "Gaussian",
     "SoftCoulomb",
-    "ScreenedCoulomb",
     "SquareWell",
     "PairPotentials",
     "fourier_transform",
@@ -52,10 +54,6 @@ _OSCILLATORY_SWITCH = 128.0 * np.pi
 _MAX_SUBDIVISIONS = 300
 
 
-class CentralPotential:
-    """Base class; concrete families are frozen dataclasses below."""
-
-
 def _check_positive(**kwargs):
     for name, value in kwargs.items():
         if not value > 0:
@@ -63,7 +61,7 @@ def _check_positive(**kwargs):
 
 
 @dataclass(frozen=True)
-class Yukawa(CentralPotential):
+class Yukawa:
     """V(r) = V0 * exp(-alpha r) / r."""
 
     V0: float
@@ -82,7 +80,7 @@ class Yukawa(CentralPotential):
 
 
 @dataclass(frozen=True)
-class Gaussian(CentralPotential):
+class Gaussian:
     """V(r) = V0 * exp(-r^2 / (2 width^2))."""
 
     V0: float
@@ -101,7 +99,7 @@ class Gaussian(CentralPotential):
 
 
 @dataclass(frozen=True)
-class SoftCoulomb(CentralPotential):
+class SoftCoulomb:
     """V(r) = -Z / sqrt(r^2 + soft^2), long range."""
 
     Z: float
@@ -126,26 +124,7 @@ class SoftCoulomb(CentralPotential):
 
 
 @dataclass(frozen=True)
-class ScreenedCoulomb(CentralPotential):
-    """V(r) = -Z * exp(-screen r) / r."""
-
-    Z: float
-    screen: float
-
-    def __post_init__(self):
-        _check_positive(screen=self.screen)
-
-    def evaluate(self, r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -self.Z * np.exp(-self.screen * r) / r
-
-    def analytic_ft(self, k):
-        return -4.0 * np.pi * self.Z / (self.screen**2 + k**2)
-
-
-@dataclass(frozen=True)
-class SquareWell(CentralPotential):
+class SquareWell:
     """V(r) = V0 for r < radius, 0 outside."""
 
     V0: float
@@ -176,12 +155,13 @@ class PairPotentials:
     """The three interactions of the two-center problem.
 
     V_A: electron with nucleus A, V_B: electron with nucleus B,
-    V_AB: internuclear.
+    V_AB: internuclear. Each is a family above, a callable of the signed
+    coordinate, or None for no interaction.
     """
 
-    V_A: CentralPotential
-    V_B: CentralPotential
-    V_AB: CentralPotential
+    V_A: object
+    V_B: object
+    V_AB: object
 
 
 def _cutoff_radius(pot):

@@ -42,6 +42,8 @@ phase, useful when the time-step error should vanish and only
 potential sampling remain.
 """
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -72,6 +74,15 @@ KINETIC_FACTORS = ("pade2", "pade4", "exact")
 SAMPLING_MODES = ("endpoint", "midpoint", "symmetric")
 # End nodes on each side that boundary_leak_fraction inspects.
 EDGE_CELLS = 2
+
+
+def _check_count(count, least, what):
+    """Refuse a count that is not an integer (bools and floats included)
+    or is below least."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {count!r}")
+    if count < least:
+        raise DomainError(f"{what} must be at least {least}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -105,10 +116,11 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_a) and math.isfinite(self.t_b)):
+            raise DomainError("time grid bounds must be finite")
         if not self.t_b > self.t_a:
             raise DomainError("time grid requires t_b > t_a")
-        if self.N < 1 or self.N != int(self.N):
-            raise DomainError("slice count must be a positive integer")
+        _check_count(self.N, 1, "slice count")
 
     @property
     def epsilon(self):
@@ -129,10 +141,11 @@ class LatticeSpec:
     boundary: object = field(default_factory=HardWall)
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise DomainError("lattice bounds must be finite")
         if not self.x_max > self.x_min:
             raise DomainError("lattice requires x_max > x_min")
-        if self.points < 8:
-            raise DomainError("lattice needs at least 8 points")
+        _check_count(self.points, 8, "lattice point count")
         if not isinstance(self.boundary, (HardWall, AbsorbingLayer)):
             raise DomainError("boundary must be HardWall or AbsorbingLayer")
 
@@ -248,27 +261,20 @@ def boundary_leak_fraction(psi):
     return float(edge / peak)
 
 
-def free_propagator(x_b, t_b, x_a, t_a, mass, dim=1):
-    """Closed-form free kernel in 1 or 3 dimensions.
+def free_propagator(x_b, t_b, x_a, t_a, mass):
+    """Closed-form free kernel in one dimension.
 
-    (m / 2 pi i dt)^(d/2) exp(i m |x_b - x_a|^2 / (2 dt)),
-    square-root branch fixed so the prefactor phase is exp(-i pi d/4).
-    For dim=3 the endpoints may be 3-vectors (last axis of length 3)
-    or plain radial separations.
+    (m / 2 pi i dt)^(1/2) exp(i m (x_b - x_a)^2 / (2 dt)),
+    square-root branch fixed so the prefactor phase is exp(-i pi/4).
     """
     dt = t_b - t_a
     if dt <= 0:
         raise DomainError("free propagator requires t_b > t_a")
-    if dim not in (1, 3):
-        raise DomainError("dim must be 1 or 3")
+    if not mass > 0:
+        raise DomainError(f"mass must be positive, got {mass}")
     diff = np.asarray(x_b, dtype=float) - np.asarray(x_a, dtype=float)
-    if dim == 3 and diff.ndim >= 1 and diff.shape[-1] == 3:
-        dist2 = np.sum(diff * diff, axis=-1)
-    else:
-        dist2 = diff * diff
-    pref = (mass / (2.0 * np.pi * dt)) ** (dim / 2.0) * np.exp(
-        -1j * np.pi * dim / 4.0
-    )
+    dist2 = diff * diff
+    pref = (mass / (2.0 * np.pi * dt)) ** 0.5 * np.exp(-1j * np.pi / 4.0)
     out = pref * np.exp(1j * mass * dist2 / (2.0 * dt))
     return out if np.ndim(out) else complex(out)
 
@@ -276,7 +282,7 @@ def free_propagator(x_b, t_b, x_a, t_a, mass, dim=1):
 def free_propagator_matrix(lattice, grid, mass):
     """Closed-form kernel sampled on the lattice, for comparisons."""
     x = lattice.nodes
-    entries = free_propagator(x[:, None], grid.t_b, x[None, :], grid.t_a, mass, dim=1)
+    entries = free_propagator(x[:, None], grid.t_b, x[None, :], grid.t_a, mass)
     return PropagatorMatrix(lattice, grid, entries)
 
 
@@ -301,6 +307,8 @@ def _sine_modes(lattice):
 
 
 def _kinetic_factor(k, epsilon, mass, kinetic):
+    if not mass > 0:
+        raise DomainError(f"mass must be positive, got {mass}")
     lam = k**2 / (2.0 * mass)
     if kinetic == "exact":
         return np.exp(-1j * epsilon * lam)
@@ -516,28 +524,17 @@ def free_deviation_diagnostic(K, mass):
     return float(np.max(dev))
 
 
-def scattered_component(
-    psi_a,
-    pot,
-    lattice,
-    grid,
-    mass,
-    kinetic="pade2",
-    sampling="endpoint",
-    leak_tolerance=1e-3,
-):
+def scattered_component(psi_a, pot, lattice, grid, mass):
     """(K - K0) applied to psi_a, with K0 the same scheme at V = 0.
 
-    Using the identical discretization for both terms makes the result
-    exactly zero for V = 0 and isolates the potential's effect from
-    time-step error.
+    Both kernels use the default scheme (pade2 kinetic factor, endpoint
+    sampling). Using the identical discretization for both terms makes
+    the result exactly zero for V = 0 and isolates the potential's
+    effect from time-step error. Only the full evolution warns of edge
+    leak.
     """
-    K = time_sliced_propagator(
-        pot, lattice, grid, mass, kinetic=kinetic, sampling=sampling
-    )
-    K0 = time_sliced_propagator(
-        None, lattice, grid, mass, kinetic=kinetic, sampling=sampling
-    )
-    full = evolve(psi_a, K, leak_tolerance=leak_tolerance)
+    K = time_sliced_propagator(pot, lattice, grid, mass)
+    K0 = time_sliced_propagator(None, lattice, grid, mass)
+    full = evolve(psi_a, K)
     free = evolve(psi_a, K0, leak_tolerance=None)
     return ComplexField1D(lattice, full.values - free.values)

@@ -29,7 +29,6 @@ from pathscat import (
     PairPotentials,
     reconstruct_full_amplitude,
     scattered_component,
-    ScreenedCoulomb,
     SquareWell,
     TimeGrid,
     time_sliced_propagator,
@@ -141,9 +140,7 @@ def test_rutherford_limit():
     rutherford = 4.0 / q2**2  # 4 Z^2 m^2 / q^4 at Z = m = hbar = 1
     deviations = []
     for screen in (0.1, 0.01, 1e-3, 1e-4):
-        dcs = born_differential_cross_section(
-            ScreenedCoulomb(1.0, screen), p, 1.0, theta
-        )
+        dcs = born_differential_cross_section(Yukawa(-1.0, screen), p, 1.0, theta)
         deviations.append(abs(dcs - rutherford) / rutherford)
     assert all(a > b for a, b in zip(deviations, deviations[1:]))
     assert deviations[-1] <= 1e-3

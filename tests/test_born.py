@@ -15,7 +15,6 @@ import yaml
 
 import pathscat
 from pathscat import born, cli
-from pathscat.potentials import CentralPotential
 from pathscat import (
     born_amplitude,
     born_differential_cross_section,
@@ -25,7 +24,6 @@ from pathscat import (
     gaussian_packet,
     momentum_transfer,
     NumericalError,
-    ScreenedCoulomb,
     SoftCoulomb,
     SquareWell,
     Yukawa,
@@ -58,11 +56,6 @@ def test_yukawa_total_cross_section_closed_form():
     assert total.nodes == 128
 
 
-def test_total_cross_section_node_floor():
-    with pytest.raises(DomainError):
-        born_total_cross_section(YUK, 1.0, 1.0, n_theta=8)
-
-
 def test_quadrature_route_agrees_with_closed_form():
     for p in (0.5, 1.0, 2.0, 5.0):
         for theta in np.linspace(0.0, np.pi, 9):
@@ -84,7 +77,7 @@ def test_rutherford_limit_of_screened_coulomb():
     # the cross section the 4 Z^2 m^2 / q^4 law
     p, theta, Z = 1.0, np.pi / 2, 1.0
     q = momentum_transfer(p, theta)
-    pot = ScreenedCoulomb(Z, 1e-4 * q)
+    pot = Yukawa(-Z, 1e-4 * q)
     rutherford = 4.0 * Z**2 / q**4
     dcs = born_differential_cross_section(pot, p, 1.0, theta)
     assert dcs == pytest.approx(rutherford, rel=1e-3)
@@ -103,7 +96,7 @@ def _born_cli(tmp_path, potential, angles, **extra):
 def test_born_elastic_cli_matches_the_library(tmp_path):
     code, out = _born_cli(
         tmp_path, {"family": "gaussian", "V0": -0.2, "width": 1.0},
-        {"min": 0.0, "max": float(np.pi), "n": 7}, n_theta=32,
+        {"min": 0.0, "max": float(np.pi), "n": 7},
     )
     assert code == 0
     pot, thetas = Gaussian(-0.2, 1.0), np.linspace(0.0, np.pi, 7)
@@ -112,10 +105,10 @@ def test_born_elastic_cli_matches_the_library(tmp_path):
     assert rows == [[t, d] for t, d in zip(
         thetas, born_differential_cross_section(pot, 1.0, 1.0, thetas))]
     payload = json.loads((out / "born-elastic.json").read_text())["payload"]
-    total = born_total_cross_section(pot, 1.0, 1.0, n_theta=32)
+    total = born_total_cross_section(pot, 1.0, 1.0)
     assert payload["sigma_total"] == total.value
     assert payload["quadrature_error"] == total.error
-    assert payload["n_theta"] == total.nodes == 64
+    assert payload["n_theta"] == total.nodes == 128
 
 
 @pytest.mark.parametrize("module", [pathscat, born])
@@ -135,7 +128,7 @@ def test_far_field_helpers_are_gone(module):
 
 def test_total_of_a_coulomb_tail_diverges():
     # dsigma ~ 1/q^4 at small q, so the angular integral has no finite
-    # value; a quadrature would return a number that grows with n_theta
+    # value; a quadrature would return a number that grows with its nodes
     for route in born.ROUTES:
         with pytest.raises(NumericalError, match="diverges at q = 0"):
             born_total_cross_section(SoftCoulomb(1.0, 0.8), 1.0, 1.0, route=route)
@@ -156,7 +149,7 @@ def test_dsigma_on_an_angle_array_is_elementwise(route):
     # "auto" takes each family's closed form on the whole array;
     # "quadrature" takes one vectorised radial integral on it
     theta = np.linspace(0.0, np.pi, 7)
-    families = (YUK, Gaussian(-0.2, 1.0), SquareWell(-0.5, 1.0), ScreenedCoulomb(1.0, 0.7))
+    families = (YUK, Gaussian(-0.2, 1.0), SquareWell(-0.5, 1.0), Yukawa(-1.0, 0.7))
     for pot in families:
         batch = born_differential_cross_section(pot, 1.0, 1.0, theta, route=route)
         single = [born_differential_cross_section(pot, 1.0, 1.0, t, route=route)
@@ -179,11 +172,11 @@ def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
 
     monkeypatch.setattr(born, "born_differential_cross_section", counted)
     for route in born.ROUTES:
-        born_total_cross_section(YUK, 1.0, 1.0, n_theta=16, route=route)
-    assert sizes == [16, 32, 16, 32]
+        born_total_cross_section(YUK, 1.0, 1.0, route=route)
+    assert sizes == [64, 128, 64, 128]
 
 
-class _YukawaShape(CentralPotential):
+class _YukawaShape:
     """The unit Yukawa as a family with no closed-form transform."""
 
     def evaluate(self, r):
@@ -193,6 +186,14 @@ class _YukawaShape(CentralPotential):
 def test_total_without_a_closed_form_takes_quadrature_per_angle():
     # "auto" falls back to the quadrature route on the whole array
     pot = _YukawaShape()
-    total = born_total_cross_section(pot, 1.0, 1.0, n_theta=16)
+    total = born_total_cross_section(pot, 1.0, 1.0)
     assert total.value == pytest.approx(
-        born_total_cross_section(YUK, 1.0, 1.0, n_theta=16).value, rel=1e-8)
+        born_total_cross_section(YUK, 1.0, 1.0).value, rel=1e-8)
+
+
+@pytest.mark.parametrize("mass", [-1.0, 0.0, float("nan")])
+def test_a_mass_that_is_not_positive_is_refused(mass):
+    with pytest.raises(DomainError, match="mass must be positive"):
+        born_amplitude(YUK, 1.0, mass, 0.3)
+    with pytest.raises(DomainError, match="mass must be positive"):
+        born_total_cross_section(YUK, 1.0, mass)

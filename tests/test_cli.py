@@ -151,6 +151,21 @@ def test_negative_screening_exits_before_sampling(tmp_path, capsys, monkeypatch)
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["propagator", "evolve", "born-elastic"])
+@pytest.mark.parametrize("mass", ["-1", "0"])
+def test_a_mass_that_is_not_positive_exits_without_output(tmp_path, capsys, command,
+                                                          mass):
+    demo = next(p for p in DEMO_CONFIGS if p.stem == command)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(demo), "--out", str(out),
+                     "--set", f"mass={mass}"])
+    assert code == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "DomainError",
+                     "message": f"mass must be positive, got {float(mass)}"}
+    assert not any(out.iterdir())
+
+
 def test_non_finite_potential_exits_without_output(tmp_path, capsys):
     # every other sample of the ion path -2 -> 2 sits on an electron node,
     # and every sample on the midpoint of some node pair, where the Yukawa

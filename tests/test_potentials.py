@@ -26,7 +26,6 @@ from pathscat import (
     Gaussian,
     NumericalError,
     PairPotentials,
-    ScreenedCoulomb,
     SoftCoulomb,
     SquareWell,
     Yukawa,
@@ -39,16 +38,6 @@ def test_yukawa_spot_values():
     # 4 pi / (q^2 + 1) at q = 0 and q = 1
     assert fourier_transform(pot, 0.0) == pytest.approx(4.0 * np.pi, rel=1e-15)
     assert fourier_transform(pot, 1.0) == pytest.approx(2.0 * np.pi, rel=1e-15)
-
-
-def test_screened_coulomb_is_attractive_yukawa():
-    a = ScreenedCoulomb(2.0, 0.5)
-    b = Yukawa(-2.0, 0.5)
-    q = np.linspace(0.0, 20.0, 7)
-    for qi in q:
-        assert fourier_transform(a, qi) == pytest.approx(
-            fourier_transform(b, qi), rel=1e-15
-        )
 
 
 def test_square_well_transform_zero_momentum_is_volume_integral():
@@ -83,7 +72,7 @@ def test_square_well_transform_at_small_kr():
     [
         Yukawa(1.3, 0.8),
         Gaussian(-0.4, 1.7),
-        ScreenedCoulomb(1.0, 1.0),
+        Yukawa(-1.0, 1.0),
         SquareWell(0.25, 3.0),
     ],
 )
@@ -128,7 +117,6 @@ def _fourier_transform_quadrature_reference(pot, q, rel_tol=1e-10, abs_tol=1e-14
 _potentials = st.one_of(
     st.builds(Yukawa, st.floats(-2.0, 2.0).filter(bool), st.floats(0.3, 2.0)),
     st.builds(Gaussian, st.floats(-2.0, 2.0).filter(bool), st.floats(0.5, 2.0)),
-    st.builds(ScreenedCoulomb, st.floats(0.2, 3.0), st.floats(0.3, 2.0)),
     st.builds(SquareWell, st.floats(-2.0, 2.0).filter(bool), st.floats(0.3, 3.0)),
 )
 
@@ -171,8 +159,7 @@ def test_array_quadrature_is_elementwise(pot, spread):
 
 def _scaled(pot, c):
     """The same family and shape with its strength times c."""
-    field = "Z" if isinstance(pot, ScreenedCoulomb) else "V0"
-    return dataclasses.replace(pot, **{field: c * getattr(pot, field)})
+    return dataclasses.replace(pot, V0=c * pot.V0)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -190,9 +177,9 @@ def test_weak_potential_meets_its_absolute_tolerance():
     # an absolute cutoff |V(R)| R^2 < 1e-14 truncated this weak screened
     # Coulomb at R = 40 instead of 160: the value was 1.2e-13 off, above
     # abs_tol, yet passed the error gate
-    pot = ScreenedCoulomb(1.1358e-9, 0.3865)
+    pot = Yukawa(-1.1358e-9, 0.3865)
     assert potentials._cutoff_radius(pot) == potentials._cutoff_radius(
-        ScreenedCoulomb(1.0, 0.3865)) == 160.0
+        Yukawa(-1.0, 0.3865)) == 160.0
     q = 1.99 / 40.0
     quad = fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14)
     assert abs(quad - pot.analytic_ft(q)) <= 1e-14

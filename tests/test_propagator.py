@@ -7,6 +7,8 @@ limiting rather than the propagator. Acting on a band-limited state is
 what the object is for, and there the scheme converges.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -34,7 +36,7 @@ from pathscat import (
     time_sliced_propagator,
     Yukawa,
 )
-from pathscat.propagator import _dst
+from pathscat.propagator import _dst, SAMPLING_MODES
 
 # n + 1 prime makes the DST-I transform length 2(n + 1) a prime times two
 PRIME_PLUS_ONE = (12, 16, 22, 96, 100, 126)
@@ -82,6 +84,36 @@ def test_lattice_validation():
     lat = LatticeSpec(0.0, 1.0, 11)
     assert lat.dx == pytest.approx(0.1)
     assert lat.nodes[0] == 0.0 and lat.nodes[-1] == 1.0
+    assert TimeGrid(0.0, 1.0, np.int64(4)).epsilon == 0.25
+    assert LatticeSpec(-1.0, 1.0, np.int32(16)).nodes.size == 16
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: TimeGrid(0.0, 1.0, 4.0), "slice count must be an integer, got 4.0"),
+    (lambda: TimeGrid(0.0, 1.0, True), "slice count must be an integer, got True"),
+    (lambda: TimeGrid(0.0, np.inf, 4), "time grid bounds must be finite"),
+    (lambda: TimeGrid(-np.inf, 1.0, 4), "time grid bounds must be finite"),
+    (lambda: LatticeSpec(-1.0, 1.0, 16.0),
+     "lattice point count must be an integer, got 16.0"),
+    (lambda: LatticeSpec(-np.inf, 1.0, 16), "lattice bounds must be finite"),
+    (lambda: LatticeSpec(-1.0, np.inf, 16), "lattice bounds must be finite"),
+], ids=["float-slices", "bool-slices", "inf-t_b", "inf-t_a", "float-points",
+        "inf-x_min", "inf-x_max"])
+def test_grid_counts_are_integers_and_bounds_finite(make, message):
+    # unchecked, a float count fails later in nodes or K.apply with a
+    # TypeError, and an infinite bound gives NaN nodes or epsilon = inf
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("mass", [-1.0, 0.0, float("nan")])
+def test_a_mass_that_is_not_positive_is_refused(mass):
+    with pytest.raises(DomainError, match="mass must be positive"):
+        free_propagator(1.0, 1.0, 0.0, 0.0, mass)
+    for sampling in SAMPLING_MODES:
+        with pytest.raises(DomainError, match="mass must be positive"):
+            time_sliced_propagator(None, LatticeSpec(-1.0, 1.0, 8),
+                                   TimeGrid(0.0, 1.0, 4), mass, sampling=sampling)
 
 
 def test_free_propagator_closed_form_values():
@@ -91,14 +123,6 @@ def test_free_propagator_closed_form_values():
     assert val == pytest.approx(expect, rel=1e-14)
     with pytest.raises(DomainError):
         free_propagator(0.0, 1.0, 0.0, 1.0, 1.0)
-
-
-def test_free_propagator_three_dimensional_prefactor():
-    a = np.zeros(3)
-    b = np.array([1.0, 2.0, 2.0])  # squared distance 9
-    val = free_propagator(b, 2.0, a, 0.0, 1.0, dim=3)
-    expect = (1.0 / (4.0 * np.pi)) ** 1.5 * np.exp(-3j * np.pi / 4) * np.exp(1j * 9.0 / 4.0)
-    assert val == pytest.approx(expect, rel=1e-14)
 
 
 def test_free_propagator_matrix_matches_pointwise_form():

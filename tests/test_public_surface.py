@@ -27,6 +27,8 @@ def test_module_exports_exist_and_are_reexported(module):
     (propagator, "short_time_kernel"),
     (propagator, "radial_lattice"),
     (potentials, "evaluate"),
+    (potentials, "ScreenedCoulomb"),
+    (potentials, "CentralPotential"),
 ])
 def test_unused_names_are_gone(module, name):
     assert not hasattr(module, name)
@@ -42,22 +44,29 @@ def test_unused_attributes_are_gone():
         with pytest.raises(DomainError, match="unknown kinetic factor 'sampled'"):
             propagator.time_sliced_propagator(None, lat, grid, 1.0, "sampled", sampling)
     for family in (potentials.Yukawa(1.0, 1.0), potentials.Gaussian(1.0, 1.0),
-                   potentials.SoftCoulomb(1.0, 1.0), potentials.ScreenedCoulomb(1.0, 1.0),
-                   potentials.SquareWell(1.0, 1.0)):
+                   potentials.SoftCoulomb(1.0, 1.0), potentials.SquareWell(1.0, 1.0)):
         assert not hasattr(family, "range_estimate")
         assert not callable(family)
     assert "grid" not in influence.InfluenceResult.__dataclass_fields__
 
 
-def test_capture_cross_sections_take_only_the_options_a_caller_sets():
-    def parameters(fn):
-        return list(inspect.signature(fn).parameters)
+def _parameters(fn):
+    return list(inspect.signature(fn).parameters)
 
-    assert parameters(capture.ct_differential_cross_section) == [
+
+def test_capture_cross_sections_take_only_the_options_a_caller_sets():
+    assert _parameters(capture.ct_differential_cross_section) == [
         "spec", "theta", "lam", "mode"]
-    assert parameters(capture.ct_total_cross_section) == [
+    assert _parameters(capture.ct_total_cross_section) == [
         "spec", "lam", "mode", "n_segments", "seg_nodes", "tail_nodes"]
     assert not hasattr(capture, "FLUX_RATIO_POWERS")
+
+
+def test_born_and_propagator_take_only_the_options_a_caller_sets():
+    assert _parameters(born.born_total_cross_section) == ["pot", "p", "mass", "route"]
+    assert _parameters(propagator.scattered_component) == [
+        "psi_a", "pot", "lattice", "grid", "mass"]
+    assert _parameters(propagator.free_propagator) == ["x_b", "t_b", "x_a", "t_a", "mass"]
 
 
 @pytest.mark.parametrize("key,value", [
@@ -74,4 +83,22 @@ def test_charge_transfer_refuses_the_removed_keys(tmp_path, capsys, key, value):
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"type": "ConfigError",
                      "message": f"unknown key {key!r} in config"}
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("n_theta", 64, "unknown key 'n_theta' in config"),
+    ("potential", {"family": "screened-coulomb", "Z": 1.0, "screen": 1.0},
+     "config.potential.family must be one of ('yukawa', 'gaussian', 'soft-coulomb', "
+     "'square-well'), got 'screened-coulomb'; did you mean 'soft-coulomb'?"),
+], ids=["n_theta", "screened-coulomb"])
+def test_born_elastic_refuses_the_removed_keys(tmp_path, capsys, key, value, message):
+    config = yaml.safe_load((ROOT / "demos" / "configs" / "born-elastic.yaml").read_text())
+    config[key] = value
+    path = tmp_path / "born-elastic.yaml"
+    path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    assert cli.main(["born-elastic", "--config", str(path), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "ConfigError", "message": message}
     assert not any(out.iterdir())
