@@ -35,6 +35,11 @@ canonical frame, so a block evaluates no sin: one cos per sampled
 direction and one cos per term. The sampling rates equal the orbital
 and screening rates, so their exponentials cancel; only the jacobi
 internuclear term adds one exp and one more cos, for its e^(-Z_b |s + w|).
+
+scipy is imported only by the oracle, not with this module: scipy.special
+builds the radius table and scipy.stats.qmc draws the Sobol points, both
+loaded on the calling thread before any worker thread starts. The
+amplitudes and totals need numpy alone.
 """
 
 import functools
@@ -45,8 +50,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.special
-import scipy.stats.qmc
 
 from .born import _angular_total, _panels
 from .errors import DomainError, NumericalError
@@ -424,6 +427,8 @@ def _log_gamma3_table():
     min(u, 1 - u) = expit(-|tau|), so neither tail is rounded. Built at
     the first oracle call, not at import.
     """
+    import scipy.special
+
     tau = np.linspace(-_TAU_MAX, _TAU_MAX, _TAU_INTERVALS + 1)
     small = scipy.special.expit(-np.abs(tau))
     x = np.where(tau <= 0.0, scipy.special.gammaincinv(3.0, small),
@@ -444,21 +449,52 @@ def _gamma3_inv(u):
     cancels there.
     """
     log_x, slope = _log_gamma3_table()
-    pos = (np.log(u / (1.0 - u)) + _TAU_MAX) * (_TAU_INTERVALS / (2.0 * _TAU_MAX))
-    i = pos.astype(np.intp)
+    # Every step writes into one of five work arrays and rounds each value
+    # as the formulas in the comments do; pos is
+    # (log(u / (1 - u)) + _TAU_MAX) * scale
+    x = np.subtract(1.0, u)
+    np.divide(u, x, out=x)
+    np.log(x, out=x)
+    x += _TAU_MAX
+    x *= _TAU_INTERVALS / (2.0 * _TAU_MAX)
+    i = x.astype(np.intp)
     np.clip(i, 0, _TAU_INTERVALS - 1, out=i)
-    x = np.exp(log_x[i] + (pos - i) * slope[i])
-    e = np.exp(-x)
-    q = e * (1.0 + x + 0.5 * x * x)
+    # x = exp(log_x[i] + (pos - i) * slope[i]), and e = exp(-x)
+    x -= i
+    e = np.take(slope, i)
+    x *= e
+    x += np.take(log_x, i, out=e)
+    del i
+    np.exp(x, out=x)
+    np.negative(x, out=e)
+    np.exp(e, out=e)
+    # q = e (1 + x + x^2/2) and P' = x^2 e / 2, from h = x^2/2
+    h = np.multiply(0.5, x)
+    h *= x
+    q = np.add(1.0, x)
+    q += h
+    q *= e
+    h *= e
     # f is P - u = (1 - Q) - u below 1/2 and (1 - u) - Q above; rest is u
     # below 1/2 and 0 above, so 1 - (u - rest) is 1 or the exact 1 - u
-    rest = u * (u < 0.5)
-    f = ((1.0 - (u - rest)) - q) - rest
+    rest = np.multiply(u, u < 0.5, out=e)
+    f = np.subtract(u, rest)
+    np.subtract(1.0, f, out=f)
+    f -= q
+    f -= rest
+    del q
     low = np.flatnonzero(u < _U_SERIES)
     f[low] = _p3_series(x[low]) - u[low]
-    # Newton step f/P', then Halley's correction with P''/(2 P') = 1/x - 1/2
-    t = f / (0.5 * x * x * e)
-    return x - t / (1.0 - t * (1.0 / x - 0.5))
+    # Newton step t = f/P', then Halley's correction with
+    # P''/(2 P') = 1/x - 1/2: x - t / (1 - t (1/x - 1/2))
+    f /= h
+    np.divide(1.0, x, out=h)
+    h -= 0.5
+    h *= f
+    np.subtract(1.0, h, out=h)
+    f /= h
+    x -= f
+    return x
 
 
 class _Draw(NamedTuple):
@@ -585,24 +621,26 @@ def _oracle_integrand(spec, theta, lam, mode, interaction):
     return integrand
 
 
-def _oracle_draws(stream):
+def _oracle_draws(sobol, stream):
     """One block's unit-rate draws of s and w, as two _Draw, from one
-    scrambled Sobol set drawn from the SeedSequence stream.
+    scrambled set of the Sobol class sobol (scipy.stats.qmc.Sobol) drawn
+    from the SeedSequence stream.
 
     Row i's six uniforms give point i: columns 0 and 3 the radii of s
     and w, then mu = 2u - 1 and phi = 2 pi u from columns 1, 2 and 4, 5.
     Both radii come first and the uniforms are dropped before any cos,
-    so the block's memory peaks inside the second _gamma3_inv, at about
-    4.5 MB. Keep that peak low: the heap a block frees is handed back to
-    the OS once it passes the allocator's trim threshold, and every
-    later block then page-faults it in again.
+    and _gamma3_inv works in place, so the draws peak at about 3.4 MB
+    under tracemalloc (Sobol's own draw peaks at 3.1 MB); the block's
+    4.7 MB peak is in its integrands. Keep these peaks low: the heap a block frees is handed
+    back to the OS once it passes the allocator's trim threshold, and
+    every later block then page-faults it in again.
 
     scipy's Sobol(rng=...) spawns its scrambling stream from the
     generator, and so from the stream itself: a second call on the same
     SeedSequence object draws other points. Each call takes a fresh
     child.
     """
-    sob = scipy.stats.qmc.Sobol(d=6, scramble=True, rng=np.random.default_rng(stream))
+    sob = sobol(d=6, scramble=True, rng=np.random.default_rng(stream))
     U = sob.random(ORACLE_BLOCK)
     radii = [_gamma3_inv(np.clip(U[:, i], 1e-15, 1.0 - 1e-15)) for i in (0, 3)]
     angles = [(2.0 * U[:, i] - 1.0, 2.0 * np.pi * U[:, i + 1]) for i in (1, 4)]
@@ -620,12 +658,17 @@ def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
     (_oracle_integrand). One pool runs every block and the means come
     back in block order, so the thread count cannot change them.
     """
+    from scipy.stats import qmc
+
+    # scipy and the radius table load here, on the caller's thread, so no
+    # worker thread imports or builds anything
+    _log_gamma3_table()
     integrands = [_oracle_integrand(spec, theta, lam, mode, term) for term in terms]
     n_blocks = max(2, math.ceil(samples / ORACLE_BLOCK))
     streams = np.random.SeedSequence(seed).spawn(n_blocks)
 
     def block_means(b):
-        s, w = _oracle_draws(streams[b])
+        s, w = _oracle_draws(qmc.Sobol, streams[b])
         return [float(np.mean(integrand(s, w))) for integrand in integrands]
 
     if threads > 1:

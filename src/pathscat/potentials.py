@@ -13,6 +13,10 @@ vectorised sinc integral for every momentum below an oscillatory switch,
 and a sine-weighted rule per momentum above it or on a long-range tail.
 
 A screened Coulomb attraction -Z exp(-s r) / r is Yukawa(-Z, s).
+
+scipy is imported where it is used, not with this module: scipy.special
+in SoftCoulomb's closed form (K1), scipy.integrate in the two radial
+quadratures. The other closed forms need numpy alone.
 """
 
 import dataclasses
@@ -20,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
 from .errors import DomainError, NumericalError
 
@@ -119,6 +121,8 @@ class SoftCoulomb:
             raise NumericalError(
                 "SoftCoulomb has a 1/r tail: v(q) diverges at q = 0", estimate=np.inf
             )
+        import scipy.special
+
         a = self.soft
         return -self.Z * 4.0 * np.pi * a * scipy.special.k1(a * k) / k
 
@@ -193,6 +197,7 @@ def _sinc_integral(pot, q, R_cut, rel_tol, abs_tol):
     """4 pi int_0^R_cut r^2 V(r) sinc(q r) dr at every momentum of the 1-D
     array q by one adaptive Gauss-Kronrod cubature, which certifies each
     momentum's error separately; sinc(0) = 1 gives the q = 0 moment."""
+    import scipy.integrate
 
     def integrand(r):
         r = r[:, 0]
@@ -228,6 +233,8 @@ def _sinc_integral(pot, q, R_cut, rel_tol, abs_tol):
 def _weighted_sine(pot, q, upper, rel_tol, abs_tol):
     """(4 pi / q) int_0^upper r V(r) sin(q r) dr for one momentum q > 0 by
     the sine-weighted rule (QAWO, or QAWF for an infinite upper limit)."""
+    import scipy.integrate
+
     val, est = scipy.integrate.quad(
         lambda r: (4.0 * np.pi / q) * _r_times_v(pot, r),
         0.0,

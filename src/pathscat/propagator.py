@@ -40,6 +40,9 @@ a diagonal Pade factor of the same accuracy order as the sliced action,
 keeping every mode on the unit circle. kinetic="exact" gives the full
 phase, useful when the time-step error should vanish and only
 potential sampling remain.
+
+scipy is imported where it is used, not with this module: scipy.fft at
+the first split-step DST (`_dst`). Dense kernels need numpy alone.
 """
 
 import math
@@ -48,7 +51,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import AccuracyWarning, DomainError
 
@@ -274,8 +276,15 @@ def free_propagator(x_b, t_b, x_a, t_a, mass):
         raise DomainError(f"mass must be positive, got {mass}")
     diff = np.asarray(x_b, dtype=float) - np.asarray(x_a, dtype=float)
     dist2 = diff * diff
+    del diff
     pref = (mass / (2.0 * np.pi * dt)) ** 0.5 * np.exp(-1j * np.pi / 4.0)
-    out = pref * np.exp(1j * mass * dist2 / (2.0 * dt))
+    # pref * exp(1j * mass * dist2 / (2 dt)) in one complex array, each
+    # operation with the operands in that order
+    out = np.asarray(1j * mass * dist2)
+    del dist2
+    np.divide(out, 2.0 * dt, out=out)
+    np.exp(out, out=out)
+    np.multiply(pref, out, out=out)
     return out if np.ndim(out) else complex(out)
 
 
@@ -297,13 +306,15 @@ def _sine_modes(lattice):
 
     S_jm = sqrt(2/box) sin(pi j m / (n + 1)), the phase reduced mod 2 pi
     in integers, so S is the orthonormal DST-I matrix over sqrt(dx) to
-    rounding and dense kernels agree with split-step ones.
+    rounding and dense kernels agree with split-step ones. The reduced
+    phase takes 2(n + 1) values, so S gathers from a table of them.
     """
     n = lattice.points
     box = (lattice.x_max - lattice.x_min) + 2.0 * lattice.dx
     j = np.arange(1, n + 1)
     phase = np.outer(j, j) % (2 * (n + 1))
-    return np.sqrt(2.0 / box) * np.sin(np.pi * phase / (n + 1))
+    table = np.sqrt(2.0 / box) * np.sin(np.pi * np.arange(2 * (n + 1)) / (n + 1))
+    return table[phase]
 
 
 def _kinetic_factor(k, epsilon, mass, kinetic):
@@ -425,6 +436,8 @@ def _power(T, N, dx):
 def _dst(values, axis):
     """Orthonormal DST-I along axis >= 0; a complex array goes as one
     real batch of its (..., 2) float view, bit-identical to scipy's."""
+    import scipy.fft
+
     if not np.iscomplexobj(values):
         return scipy.fft.dst(values, type=1, axis=axis, norm="ortho")
     pairs = np.ascontiguousarray(values, dtype=complex).view(float)

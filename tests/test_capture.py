@@ -755,6 +755,37 @@ def test_gamma3_inverse_switch_points_and_step_count():
     assert np.max(np.abs(_gamma3_inv(u) / want - 1.0)) <= 1e-12
 
 
+def _gamma3_inv_reference(u):
+    """The former _gamma3_inv: the same formula, a fresh array per step."""
+    log_x, slope = _log_gamma3_table()
+    pos = (np.log(u / (1.0 - u)) + capture._TAU_MAX) * (
+        capture._TAU_INTERVALS / (2.0 * capture._TAU_MAX))
+    i = pos.astype(np.intp)
+    np.clip(i, 0, capture._TAU_INTERVALS - 1, out=i)
+    x = np.exp(log_x[i] + (pos - i) * slope[i])
+    e = np.exp(-x)
+    q = e * (1.0 + x + 0.5 * x * x)
+    rest = u * (u < 0.5)
+    f = ((1.0 - (u - rest)) - q) - rest
+    low = np.flatnonzero(u < capture._U_SERIES)
+    f[low] = _p3_series(x[low]) - u[low]
+    t = f / (0.5 * x * x * e)
+    return x - t / (1.0 - t * (1.0 / x - 0.5))
+
+
+def test_gamma3_inverse_in_place_is_bit_identical_to_the_former_steps():
+    tails = np.geomspace(1e-15, 0.5, 400)
+    near = np.concatenate([s * (1.0 + np.linspace(-0.02, 0.02, 101))
+                           for s in (capture._U_SERIES, 0.5)])
+    u = np.concatenate([tails, 1.0 - tails, np.linspace(0.0, 1.0, 1001)[1:-1], near])
+    block = np.clip(np.random.default_rng(3).random(capture.ORACLE_BLOCK),
+                    1e-15, 1.0 - 1e-15)
+    for values in (u, block):
+        before = values.copy()
+        assert np.array_equal(_gamma3_inv(values), _gamma3_inv_reference(values))
+        assert np.array_equal(values, before)
+
+
 def test_canonical_frame_and_oracle_phases_lie_in_the_x_z_plane():
     # the oracle forms a.s from the x and z components alone, so every
     # phase vector must have a y component of exactly 0

@@ -36,7 +36,7 @@ from pathscat import (
     time_sliced_propagator,
     Yukawa,
 )
-from pathscat.propagator import _dst, SAMPLING_MODES
+from pathscat.propagator import _dst, _sine_modes, SAMPLING_MODES
 
 # n + 1 prime makes the DST-I transform length 2(n + 1) a prime times two
 PRIME_PLUS_ONE = (12, 16, 22, 96, 100, 126)
@@ -123,6 +123,28 @@ def test_free_propagator_closed_form_values():
     assert val == pytest.approx(expect, rel=1e-14)
     with pytest.raises(DomainError):
         free_propagator(0.0, 1.0, 0.0, 1.0, 1.0)
+
+
+def _free_propagator_reference(x_b, t_b, x_a, t_a, mass):
+    """The former free_propagator body: a fresh array per operation."""
+    dt = t_b - t_a
+    diff = np.asarray(x_b, dtype=float) - np.asarray(x_a, dtype=float)
+    dist2 = diff * diff
+    pref = (mass / (2.0 * np.pi * dt)) ** 0.5 * np.exp(-1j * np.pi / 4.0)
+    out = pref * np.exp(1j * mass * dist2 / (2.0 * dt))
+    return out if np.ndim(out) else complex(out)
+
+
+@pytest.mark.parametrize("n", [8, 101, 512])
+@pytest.mark.parametrize("t_b, t_a, mass", [(1.0, 0.0, 1.0), (2e-3, 0.0, 1836.0),
+                                            (0.7, 0.2, 0.5)])
+def test_free_propagator_in_place_is_bit_identical_to_the_former_steps(n, t_b, t_a, mass):
+    x = np.linspace(-20.0, 20.0, n)
+    for x_b, x_a in ((x[:, None], x[None, :]), (x, 0.5), (3.0, 0.0)):
+        got = free_propagator(x_b, t_b, x_a, t_a, mass)
+        want = _free_propagator_reference(x_b, t_b, x_a, t_a, mass)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
 
 
 def test_free_propagator_matrix_matches_pointwise_form():
@@ -355,6 +377,21 @@ def test_varying_node_factors_take_one_matrix_power(matrix_power_exponents):
     K = time_sliced_propagator(Gaussian(-0.5, 1.5), lat, TimeGrid(0.0, 1.0, 24), 1.0)
     K.entries
     assert matrix_power_exponents == [24]
+
+
+def _sine_modes_reference(lattice):
+    """The former _sine_modes: one sin per matrix entry."""
+    n = lattice.points
+    box = (lattice.x_max - lattice.x_min) + 2.0 * lattice.dx
+    j = np.arange(1, n + 1)
+    phase = np.outer(j, j) % (2 * (n + 1))
+    return np.sqrt(2.0 / box) * np.sin(np.pi * phase / (n + 1))
+
+
+@pytest.mark.parametrize("n", [8, 101, 255, 256, 511, 767, 768])
+def test_sine_modes_table_gather_is_bit_identical_to_the_former_formula(n):
+    lat = LatticeSpec(-6.0, 7.5, n)
+    assert np.array_equal(_sine_modes(lat), _sine_modes_reference(lat))
 
 
 @pytest.mark.parametrize("n", [255, 256, 767, 768])
