@@ -31,10 +31,12 @@ Halley step from a tabulated starting guess). Each point stands for
 its antithetic pair (s, w), (-s, -w), whose mean is the real part of
 the raw integrand, and each block draws from its own child of
 SeedSequence(seed). Every phase vector lies in the x-z plane of the
-canonical frame, so a block evaluates no sin: one cos per sampled
-direction and one cos per term. The sampling rates equal the orbital
-and screening rates, so their exponentials cancel; only the jacobi
-internuclear term adds one exp and one more cos, for its e^(-Z_b |s + w|).
+canonical frame, so a phase reads two components of each direction. A
+block takes one trig call per sampled direction and one per term, each
+a tan of the half angle (_cos_sin) where a cos would be. The sampling
+rates equal the orbital and screening rates, so their exponentials
+cancel; only the jacobi internuclear term adds one exp, for its
+e^(-Z_b |s + w|), whose norm is a dot product of the directions.
 
 scipy is imported only by the oracle, not with this module: scipy.special
 builds the radius table and scipy.stats.qmc draws the Sobol points, both
@@ -497,29 +499,54 @@ def _gamma3_inv(u):
     return x
 
 
+def _cos_sin(angle):
+    """cos and sin of an angle array from t = tan(angle/2), as
+    (1 - t^2)/(1 + t^2) and 2t/(1 + t^2).
+
+    numpy 2.4 on an x86-64 CPU with AVX-512 runs float64 tan in a SIMD
+    loop and cos and sin in scalar ones: there one call took about a
+    quarter of the time of one np.cos (0.24 ms against 1.0 ms per 32k
+    values). Without a SIMD tan it costs about one cos plus four array
+    operations. t is within an ulp of the true tangent, and both values
+    are within 4 eps of np.cos and np.sin for |angle| up to 1e6. No
+    float is an odd multiple of pi, so t stays finite (1.6e16 at the
+    float nearest pi), and t^2 cannot overflow.
+    """
+    t = np.multiply(0.5, angle)
+    np.tan(t, out=t)
+    d = np.multiply(t, t)
+    cos = np.subtract(1.0, d)
+    d += 1.0
+    cos /= d
+    t += t
+    t /= d
+    return cos, t
+
+
 class _Draw(NamedTuple):
     """One block's unit-rate draws of one vector: its radius and direction.
 
     The radius x = P^-1(3, u) comes from _gamma3_inv, the closed-form
     inverse of the Gamma(3) distribution function. The direction is
-    uniform on the sphere: its polar cosine mu, its sin(theta) and its
-    azimuth phi, plus u_x = sin(theta) cos(phi), the one Cartesian
-    component besides mu that a phase reads; its y component is never
-    formed. The point (x/kappa) times the direction has density
+    uniform on the sphere: its polar cosine mu and its other two
+    Cartesian components u_x = sin(theta) cos(phi) and u_y = sin(theta)
+    sin(phi). The point (x/kappa) times the direction has density
     kappa^3 e^(-x)/(8 pi) in 3-D.
     """
 
     x: np.ndarray
     mu: np.ndarray
-    sin_theta: np.ndarray
-    phi: np.ndarray
     u_x: np.ndarray
+    u_y: np.ndarray
 
     @classmethod
     def of(cls, x, mu, phi):
-        """The draw of radius x along (mu, phi): one cos per point."""
+        """The draw of radius x along (mu, phi): one tan per point (_cos_sin)."""
         sin_theta = np.sqrt(1.0 - mu**2)
-        return cls(x, mu, sin_theta, phi, sin_theta * np.cos(phi))
+        u_x, u_y = _cos_sin(phi)
+        u_x *= sin_theta
+        u_y *= sin_theta
+        return cls(x, mu, u_x, u_y)
 
 
 def _oracle_plan(spec, lam, mode, interaction):
@@ -569,11 +596,11 @@ def _norm_of_sum(s_r, s, w_r, w):
     """|s + w| for radii s_r, w_r along the directions of the draws s, w.
 
     The law of cosines, as (s_r - w_r)^2 + 2 s_r w_r (1 + cos angle(s, w))
-    with cos angle(s, w) = sin sin cos(phi_s - phi_w) + mu_s mu_w: one
-    cos per point. Round-off can take 1 + cos below 0 by a few ulps for
+    with cos angle(s, w) the dot product of the two unit directions: no
+    trig call. Round-off can take 1 + cos below 0 by a few ulps for
     antiparallel directions, so the square is clamped at 0.
     """
-    cos_sw = s.sin_theta * w.sin_theta * np.cos(s.phi - w.phi) + s.mu * w.mu
+    cos_sw = s.u_x * w.u_x + s.u_y * w.u_y + s.mu * w.mu
     square = (s_r - w_r) ** 2 + 2.0 * s_r * w_r * (1.0 + cos_sw)
     return np.sqrt(np.maximum(square, 0.0))
 
@@ -589,12 +616,13 @@ def _oracle_integrand(spec, theta, lam, mode, interaction):
     e^(-x_s - x_w) / (8 pi)^2 at the rates of _oracle_plan.
 
     a and b have no y component (_oracle_phases), so a.s = s_r (a_x u_x
-    + a_z mu): one cos per point. _oracle_plan's kappa equals the
-    orbital and lam rates of mag's e^(-rate_s s_r - rate_w w_r) in every
-    mode and term, so that factor cancels 1/p's e^(x_s + x_w) exactly and
-    no exp is left for it. Only the jacobi internuclear term keeps one:
-    its e^(-Z_b |s + w|), with one more cos (_norm_of_sum). Every
-    constant is built here, once per oracle call.
+    + a_z mu), and the cos of the phase is one tan per point (_cos_sin;
+    its sin is dropped). _oracle_plan's kappa equals the orbital and lam
+    rates of mag's e^(-rate_s s_r - rate_w w_r) in every mode and term,
+    so that factor cancels 1/p's e^(x_s + x_w) exactly and no exp is
+    left for it. Only the jacobi internuclear term keeps one: its
+    e^(-Z_b |s + w|), whose norm takes no trig call (_norm_of_sum).
+    Every constant is built here, once per oracle call.
     """
     Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
@@ -611,7 +639,9 @@ def _oracle_integrand(spec, theta, lam, mode, interaction):
 
     def integrand(s, w):
         phase = s.x * (a_x * s.u_x + a_z * s.mu) + w.x * (b_x * w.u_x + b_z * w.mu)
-        vals = np.cos(phase)
+        vals = _cos_sin(phase)[0]
+        # freed before _norm_of_sum's temporaries, which set the block's peak
+        del phase
         if internuclear:
             vals *= np.exp(-Z_b * _norm_of_sum(s.x / kappa_s, s, w.x / kappa_w, w))
         vals *= amp
@@ -628,12 +658,13 @@ def _oracle_draws(sobol, stream):
 
     Row i's six uniforms give point i: columns 0 and 3 the radii of s
     and w, then mu = 2u - 1 and phi = 2 pi u from columns 1, 2 and 4, 5.
-    Both radii come first and the uniforms are dropped before any cos,
-    and _gamma3_inv works in place, so the draws peak at about 3.4 MB
-    under tracemalloc (Sobol's own draw peaks at 3.1 MB); the block's
-    4.7 MB peak is in its integrands. Keep these peaks low: the heap a block frees is handed
-    back to the OS once it passes the allocator's trim threshold, and
-    every later block then page-faults it in again.
+    Both radii come first and the uniforms are dropped before either
+    direction, and _gamma3_inv works in place, so the draws peak at about
+    3.4 MB under tracemalloc (Sobol's own draw peaks at 3.1 MB), which is
+    also a one-term block's peak; a jacobi Sum block peaks at 3.9 MB, in
+    its internuclear integrand. Keep these peaks low: the heap a block
+    frees is handed back to the OS once it passes the allocator's trim
+    threshold, and every later block then page-faults it in again.
 
     scipy's Sobol(rng=...) spawns its scrambling stream from the
     generator, and so from the stream itself: a second call on the same
@@ -652,11 +683,12 @@ def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
     """Mean of each term's importance-weighted integrand over each block.
 
     Returns a real array of shape (len(terms), blocks). Block b draws its
-    Sobol points, radii and the cos of each azimuth once, from child b of
+    Sobol points, radii and directions once, from child b of
     SeedSequence(seed), so no two blocks, of one seed or of two, share a
-    stream; every term reuses them at its own rates, and adds its own cos
-    (_oracle_integrand). One pool runs every block and the means come
-    back in block order, so the thread count cannot change them.
+    stream; every term reuses them at its own rates, and adds the cos of
+    its own phase (_oracle_integrand). One pool runs every block and the
+    means come back in block order, so the thread count cannot change
+    them.
     """
     from scipy.stats import qmc
 
