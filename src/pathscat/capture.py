@@ -55,6 +55,7 @@ import numpy as np
 
 from .born import _angular_total, _panels
 from .errors import DomainError, NumericalError
+from .propagator import _check_count
 from .units import OPEN, channel_energetics, reduced_masses
 
 __all__ = [
@@ -391,11 +392,9 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
     call per rule. The error estimate is the change under node doubling.
     """
     _require_open(spec)
-    counts = (n_segments, seg_nodes, tail_nodes)
-    if min(counts) < 1:
-        raise DomainError(
-            f"angular rule needs n_segments, seg_nodes, tail_nodes >= 1, got {counts}"
-        )
+    for count, what in ((n_segments, "n_segments"), (seg_nodes, "seg_nodes"),
+                        (tail_nodes, "tail_nodes")):
+        _check_count(count, 1, what)
 
     def rule(scale):
         edges = np.geomspace(_THETA_MIN, _THETA_SPLIT, n_segments + 1)
@@ -733,10 +732,11 @@ def brute_force_oracle(
     integrand evaluations.
     """
     _require_open(spec)
-    if samples < 100000:
-        raise DomainError("oracle needs at least 1e5 samples")
+    _check_count(samples, 100000, "oracle samples")
     if mode not in MODES:
         raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise DomainError(f"oracle seed must be an integer, got {seed!r}")
     if seed < 0:
         raise DomainError(f"oracle seed must be non-negative, got {seed}")
     if lam < 0:

@@ -63,6 +63,7 @@ from .propagator import (
     LatticeSpec,
     packet_width,
     SAMPLING_MODES,
+    SEPARABLE_SAMPLING_MODES,
     TimeGrid,
     time_sliced_propagator,
 )
@@ -510,7 +511,7 @@ _COMMANDS = {
         ),
         "path": _PATH,
         "endpoints": {"a": float, "b": float},
-        "scheme?": _SCHEME,
+        "scheme?": {**_SCHEME, "sampling?": SEPARABLE_SAMPLING_MODES},
     }),
     "charge-transfer": (_run_charge_transfer, {**_CAPTURE, "angles": _ANGLES}),
     "oracle": (

@@ -17,8 +17,13 @@ A pointwise effective potential is deliberately not offered; only the
 time-integrated phase is well defined here.
 
 Every slice, the product lattice's included, samples its potentials
-with the propagator's `potential_on_axis` and splits its phase and
-absorber damping with `_node_factors`, exactly as one-particle slices do.
+with the propagator's `potential_on_axis` and is built by its `_slices`
+from the node potentials at the slice's two ends, exactly as
+one-particle slices are. Slice j runs from t_(j-1) to t_j: endpoint
+sampling puts the whole phase at its arrival sample, and symmetric
+sampling half at its departure sample and half at its arrival sample,
+which keeps it second order on a moving path. Midpoint sampling is not
+separable and is not offered here.
 """
 
 from dataclasses import dataclass
@@ -28,10 +33,11 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .propagator import (
     _absorber_profile,
+    _kinetic_factor,
     _kinetic_kernel,
-    _node_factors,
     _propagate,
-    _slice,
+    _slices,
+    _wavenumbers,
     potential_on_axis,
     TimeGrid,
 )
@@ -85,55 +91,54 @@ def _node_index(lattice, pos, name):
     return i
 
 
-def _arrival_samples(path, grid):
-    """The companion's positions at the arrival times of slices 1..N."""
-    if path.grid != grid:
-        raise DomainError("fixed path and contraction use different time grids")
-    return path.samples[1:]
-
-
-def _slice_potential(j, terms):
-    """Slice j's potential on the lattice x: the sum over its terms
-    (name, pot, coordinate) of pot sampled at coordinate(x). A sample that
-    is not finite is reported at the slice and at the lattice node, or for
-    midpoint sampling the node pair, where it occurred."""
-
-    def potential(x):
-        total = np.zeros_like(x)
-        for name, pot, coordinate in terms:
-            try:
-                total += potential_on_axis(pot, coordinate(x))
-            except DomainError as err:
-                node = getattr(err, "node", None)
-                if node is None:
-                    raise
-                if x.ndim == 1:
-                    where = f"lattice node {node[0]}"
-                else:
-                    where = f"node pair {node}"
-                raise DomainError(
-                    f"slice {j}, {where} (x = {float(x[node])!r}): {name} = {err}"
-                ) from None
-        return total
-
-    return potential
-
-
 def _phase_from(amplitude, reference):
     if amplitude == 0 or reference == 0:
         raise NumericalError("vanishing amplitude; phase extraction undefined")
     return 1j * complex(np.log(amplitude / reference))
 
 
-def _endpoint_element(slice_pots, a, b, lattice, grid, mass, kinetic, sampling):
+def _influence(terms, path, a, b, lattice, grid, mass, kinetic, sampling):
+    """(a -> b) element of the path sum whose slices see the sum of the
+    terms(x, s), triples (name, pot, coordinate) for x the lattice nodes
+    and s the companion's samples at the slice ends.
+
+    Each term is sampled once on the (slice ends) x (nodes) array; a
+    sample that is not finite is reported at the earliest slice that
+    reads it and at its lattice node. Endpoint sampling reads only the
+    arrival samples t_1 ... t_N.
+    """
+    if path.grid != grid:
+        raise DomainError("fixed path and contraction use different time grids")
     ia = _node_index(lattice, a, "start endpoint")
     ib = _node_index(lattice, b, "final endpoint")
+    first = 0 if sampling == "symmetric" else 1  # the first slice end read
+    x, s = np.broadcast_arrays(lattice.nodes, path.samples[first:, None])
+    V, bad = 0.0, []
+    for name, pot, coordinate in terms(x, s):
+        try:
+            V = V + potential_on_axis(pot, coordinate)
+        except DomainError as err:
+            if getattr(err, "node", None) is None:
+                raise
+            bad.append((err.node, name, err))
+    if bad:
+        (row, node), name, err = min(bad, key=lambda item: item[0][0])
+        raise DomainError(
+            f"slice {max(first + row, 1)}, lattice node {node} "
+            f"(x = {float(x[row, node])!r}): {name} = {err}"
+        ) from None
+    eps, N = grid.epsilon, grid.N
+    ops = (_kinetic_factor(_wavenumbers(lattice), eps, mass, kinetic),)
+    damp = _absorber_profile(lattice, eps)
+    zero = np.zeros((1, lattice.points))
+    # slice j departs from V[j - 1] and arrives at V[j - first]; endpoint
+    # sampling never reads the departure rows
+    slices = _slices(V[:N], V[-N:], damp, eps, ops, sampling)
+    free = _slices(zero, zero, damp, eps, ops, sampling) * N
     delta = np.zeros(lattice.points)
     delta[ia] = 1.0 / lattice.dx
-    scheme = (lattice, grid.epsilon, mass, kinetic, sampling)
-    slices = (_slice(pot, *scheme) for pot in slice_pots)
     amp = complex(_propagate(delta, slices)[ib])
-    ref = complex(_propagate(delta, (_slice(None, *scheme),) * grid.N)[ib])
+    ref = complex(_propagate(delta, free)[ib])
     return InfluenceResult(
         amplitude=amp,
         effective_phase=_phase_from(amp, ref),
@@ -155,17 +160,13 @@ def influence_K1(
 ):
     """Heavy-particle path sum with the electron trajectory frozen.
 
-    Slice j sees V_B(r_j - R) + V_AB(R) with r_j the electron sample at
-    the slice's arrival time. Returns the (R_a -> R_b) matrix element.
+    Slice j sees V_B(r - R) + V_AB(R), with r the electron's samples at
+    the slice's ends. Returns the (R_a -> R_b) matrix element.
     """
-    slice_pots = (
-        _slice_potential(
-            j,
-            (("V_B", pots.V_B, lambda R, r=r: r - R), ("V_AB", pots.V_AB, lambda R: R)),
-        )
-        for j, r in enumerate(_arrival_samples(electron_path, grid), start=1)
+    return _influence(
+        lambda R, r: (("V_B", pots.V_B, r - R), ("V_AB", pots.V_AB, R)),
+        electron_path, R_a, R_b, lattice, grid, M, kinetic, sampling,
     )
-    return _endpoint_element(slice_pots, R_a, R_b, lattice, grid, M, kinetic, sampling)
 
 
 def influence_K2(
@@ -181,17 +182,13 @@ def influence_K2(
 ):
     """Electron path sum with the heavy trajectory frozen.
 
-    Slice j sees V_A(r) + V_B(r - R_j) with R_j the ion sample at the
-    slice's arrival time.
+    Slice j sees V_A(r) + V_B(r - R), with R the ion's samples at the
+    slice's ends.
     """
-    slice_pots = (
-        _slice_potential(
-            j,
-            (("V_A", pots.V_A, lambda r: r), ("V_B", pots.V_B, lambda r, R=R: r - R)),
-        )
-        for j, R in enumerate(_arrival_samples(ion_path, grid), start=1)
+    return _influence(
+        lambda r, R: (("V_A", pots.V_A, r), ("V_B", pots.V_B, r - R)),
+        ion_path, r_a, r_b, lattice, grid, m, kinetic, sampling,
     )
-    return _endpoint_element(slice_pots, r_a, r_b, lattice, grid, m, kinetic, sampling)
 
 
 def reconstruct_full_amplitude(
@@ -212,19 +209,18 @@ def reconstruct_full_amplitude(
     through N slices: the electron's kinetic kernel along axis 0, the
     ion's along axis 1, and the full coupled phase exp(-i eps (V_A(r) +
     V_AB(R) + V_B(r - R))) with both axes' absorber damping, split as in
-    a one-particle slice. The returned value is the kernel density
-    K(r_b, R_b; r_a, R_a); it serves as the oracle for factorization and
-    influence-functional identities. The kinetic kernels are dense
-    matrices: under the MAX_PRODUCT_POINTS cap a batched matrix product
-    is cheaper than a DST-I pair along each axis.
+    a one-particle slice by endpoint or symmetric sampling. The returned
+    value is the kernel density K(r_b, R_b; r_a, R_a); it serves as the
+    oracle for factorization and influence-functional identities. The
+    kinetic kernels are dense matrices: under the MAX_PRODUCT_POINTS cap
+    a batched matrix product is cheaper than a DST-I pair along each
+    axis.
     """
     if lattice_e.points * lattice_i.points > MAX_PRODUCT_POINTS:
         raise DomainError(
             f"product lattice {lattice_e.points} x {lattice_i.points} exceeds "
             f"the cap of {MAX_PRODUCT_POINTS} points"
         )
-    if sampling not in ("endpoint", "symmetric"):
-        raise DomainError("product-lattice contraction supports endpoint/symmetric")
     r_a, r_b = r_endpoints
     R_a, R_b = R_endpoints
     ia_e = _node_index(lattice_e, r_a, "electron start")
@@ -241,12 +237,11 @@ def reconstruct_full_amplitude(
         potential_on_axis(pots.V_A, xe)
         + potential_on_axis(pots.V_AB, xi)
         + potential_on_axis(pots.V_B, xe - xi)
-    )
+    )[None]
     damp = np.outer(
         _absorber_profile(lattice_e, eps), _absorber_profile(lattice_i, eps)
     )
-    pre, post = _node_factors(V, damp, eps, sampling)
     psi = np.zeros((lattice_e.points, lattice_i.points))
     psi[ia_e, ia_i] = 1.0 / (lattice_e.dx * lattice_i.dx)
-    psi = _propagate(psi, ((pre, (G_e, G_i), post),) * grid.N)
+    psi = _propagate(psi, _slices(V, V, damp, eps, (G_e, G_i), sampling) * grid.N)
     return complex(psi[ib_e, ib_i])

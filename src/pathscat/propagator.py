@@ -14,9 +14,12 @@ formed only when its entries are read: by one sine-basis product with
 the mode factors to the N-th power when the slice's node factors
 multiply to a constant (no potential, or a constant one, on hard
 walls), else as a matrix power in floor(log2 N) + popcount(N) - 1
-products. Midpoint sampling is not separable: its kinetic step is a
-dense matrix, and its N-slice kernel is formed by the same matrix power
-when built.
+products. `_slices` builds the separable slices of every contraction:
+this module's, the influence functionals' and the product lattice's.
+
+Midpoint sampling lives only in time_sliced_propagator. It is not
+separable: its slice is a dense matrix, and its N-slice kernel is formed
+eagerly by the same matrix power. It is first order and not unitary.
 
 Conventions, fixed here and relied on everywhere else:
 
@@ -74,6 +77,9 @@ __all__ = [
 
 KINETIC_FACTORS = ("pade2", "pade4", "exact")
 SAMPLING_MODES = ("endpoint", "midpoint", "symmetric")
+# The samplings whose slices are separable, and the only ones influence
+# functionals and the product lattice take.
+SEPARABLE_SAMPLING_MODES = ("endpoint", "symmetric")
 # End nodes on each side that boundary_leak_fraction inspects.
 EDGE_CELLS = 2
 
@@ -213,7 +219,8 @@ class PropagatorMatrix:
                 G = _mode_kernel(lat, f**N)
                 self._entries = (d[0] ** (N - 1) * post)[:, None] * G * pre[None, :]
             else:
-                self._entries = _power(_dense(self.step, lat), N, lat.dx)
+                T = post[:, None] * _mode_kernel(lat, f) * pre[None, :]
+                self._entries = _power(T, N, lat.dx)
         return self._entries
 
     def apply(self, values):
@@ -389,43 +396,27 @@ def _absorber_profile(lattice, epsilon):
     return np.exp(-0.5 * epsilon * W)
 
 
-def _node_factors(V, damp, epsilon, sampling):
-    """Diagonal slice factors (pre, post) from node potentials and damping."""
-    if sampling == "endpoint":
-        return damp, damp * np.exp(-1j * epsilon * V)
-    if sampling == "symmetric":
-        half = damp * np.exp(-0.5j * epsilon * V)
-        return half, half
-    raise DomainError(f"unknown sampling mode {sampling!r}; options: {SAMPLING_MODES}")
+def _slices(V_depart, V_arrive, damp, epsilon, ops, sampling):
+    """Slices (pre, ops, post), one per row of the node potentials at the
+    slices' departure and arrival times, V_depart and V_arrive.
 
-
-def _slice(pot, lattice, epsilon, mass, kinetic, sampling):
-    """One slice T = diag(post) G diag(pre) as factors (pre, (op,), post).
-
-    pre and post are the potential phase and absorber damping on the
-    nodes. For endpoint and symmetric sampling op is the kinetic factor
-    per sine mode f, so that G = S^T diag(f) S. For midpoint sampling op
-    is the dense matrix dx G: the kinetic kernel times the phase of the
-    potential at each pair's midpoint.
+    ops holds the kinetic operator of each axis. Endpoint sampling puts
+    the whole phase exp(-i eps V) at arrival and never reads V_depart;
+    symmetric sampling puts half of it at each end. Both ends carry the
+    half-slice absorber damping. Midpoint sampling is not separable and
+    is refused here.
     """
-    if epsilon <= 0:
-        raise DomainError("slice width must be positive")
-    x = lattice.nodes
-    damp = _absorber_profile(lattice, epsilon)
-    if sampling == "midpoint":
-        Vm = potential_on_axis(pot, 0.5 * (x[:, None] + x[None, :]))
-        G = _kinetic_kernel(lattice, epsilon, mass, kinetic)
-        return damp, (lattice.dx * G * np.exp(-1j * epsilon * Vm),), damp
-    pre, post = _node_factors(potential_on_axis(pot, x), damp, epsilon, sampling)
-    f = _kinetic_factor(_wavenumbers(lattice), epsilon, mass, kinetic)
-    return pre, (f,), post
-
-
-def _dense(step, lattice):
-    """Kernel density T of a one-slice step."""
-    pre, (op,), post = step
-    G = _mode_kernel(lattice, op) if op.ndim == 1 else op / lattice.dx
-    return post[:, None] * G * pre[None, :]
+    if sampling == "endpoint":
+        return [(damp, ops, post) for post in damp * np.exp(-1j * epsilon * V_arrive)]
+    if sampling == "symmetric":
+        half = -0.5j * epsilon
+        pre = damp * np.exp(half * V_depart)
+        # a static potential passes one array for both ends
+        post = pre if V_arrive is V_depart else damp * np.exp(half * V_arrive)
+        return [(a, ops, b) for a, b in zip(pre, post)]
+    raise DomainError(
+        f"unknown sampling mode {sampling!r}; options: {SEPARABLE_SAMPLING_MODES}"
+    )
 
 
 def _power(T, N, dx):
@@ -472,36 +463,45 @@ def time_sliced_propagator(
     """N-fold ordered product of one-slice kernels over grid.
 
     Separable schemes keep the slice factors and build the dense product
-    only when `entries` is read; midpoint sampling builds it here.
+    only when `entries` is read. Midpoint sampling builds it here: its
+    slice is the kinetic kernel times the phase of the potential at each
+    node pair's midpoint, with the damping on both sides.
     """
-    step = _slice(pot, lattice, grid.epsilon, mass, kinetic, sampling)
-    _, (op,), _ = step
-    if op.ndim == 2:
-        T = _dense(step, lattice)
+    if sampling not in SAMPLING_MODES:
+        raise DomainError(
+            f"unknown sampling mode {sampling!r}; options: {SAMPLING_MODES}"
+        )
+    eps, x = grid.epsilon, lattice.nodes
+    damp = _absorber_profile(lattice, eps)
+    f = _kinetic_factor(_wavenumbers(lattice), eps, mass, kinetic)
+    if sampling == "midpoint":
+        Vm = potential_on_axis(pot, 0.5 * (x[:, None] + x[None, :]))
+        # formed as dx G and divided back, which keeps the entries' rounding;
+        # no n x n temporary is held through the matrix power
+        T = lattice.dx * _mode_kernel(lattice, f) * np.exp(-1j * eps * Vm)
+        del Vm
+        T = damp[:, None] * (T / lattice.dx) * damp[None, :]
         return PropagatorMatrix(lattice, grid, _power(T, grid.N, lattice.dx))
+    V = potential_on_axis(pot, x)[None]
+    (step,) = _slices(V, V, damp, eps, (f,), sampling)
     return PropagatorMatrix(lattice, grid, step=step)
 
 
-def evolve(psi_a, K, leak_tolerance=1e-3):
-    """psi_b(x_i) = sum_j K_ij psi_a(x_j) dx."""
+def evolve(psi_a, K):
+    """psi_b(x_i) = sum_j K_ij psi_a(x_j) dx, with a warning when the
+    result's boundary_leak_fraction exceeds 1e-3."""
     if psi_a.lattice != K.lattice:
         raise DomainError("field and propagator live on different lattices")
     out = ComplexField1D(K.lattice, K.apply(psi_a.values))
-    _warn_on_leak(out, leak_tolerance)
-    return out
-
-
-def _warn_on_leak(psi, leak_tolerance):
-    if leak_tolerance is None:
-        return
-    frac = boundary_leak_fraction(psi)
-    if frac > leak_tolerance:
+    frac = boundary_leak_fraction(out)
+    if frac > 1e-3:
         warnings.warn(
             f"evolved amplitude at lattice edge is {frac:.2e} of the peak; "
             "widen the lattice or add an absorbing layer",
             AccuracyWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
+    return out
 
 
 def free_deviation_diagnostic(K, mass):
@@ -549,5 +549,4 @@ def scattered_component(psi_a, pot, lattice, grid, mass):
     K = time_sliced_propagator(pot, lattice, grid, mass)
     K0 = time_sliced_propagator(None, lattice, grid, mass)
     full = evolve(psi_a, K)
-    free = evolve(psi_a, K0, leak_tolerance=None)
-    return ComplexField1D(lattice, full.values - free.values)
+    return ComplexField1D(lattice, full.values - K0.apply(psi_a.values))

@@ -537,10 +537,12 @@ def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
 @pytest.mark.parametrize("rule", [
     {"n_segments": -2}, {"seg_nodes": -1}, {"tail_nodes": 0},
     {"n_segments": 0}, {"seg_nodes": 0}, {"tail_nodes": -3},
+    {"seg_nodes": 8.5}, {"n_segments": 2.0}, {"seg_nodes": True},
 ])
 def test_total_refuses_an_angular_rule_out_of_range(monkeypatch, rule):
     # no segments once gave a total of 1e-7 with error 0, and no nodes a
-    # leggauss error; a negative count is refused before numpy sees it
+    # leggauss error; a negative count is refused before numpy sees it, a
+    # float count before it raises a TypeError, and True before it runs as 1
     def no_dsigma(*args):
         raise AssertionError("dsigma evaluated for a rule out of range")
 
@@ -931,6 +933,19 @@ def test_oracle_rejects_a_negative_seed():
     # the blocks draw from SeedSequence(seed), which takes no negative seed
     with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
         brute_force_oracle(_pp_spec(), 1e-3, samples=1 << 17, seed=-1)
+
+
+@pytest.mark.parametrize("counts,message", [
+    ({"seed": 7.0}, "oracle seed must be an integer, got 7.0"),
+    ({"seed": True}, "oracle seed must be an integer, got True"),
+    ({"samples": 262144.0}, "oracle samples must be an integer, got 262144.0"),
+    ({"samples": True}, "oracle samples must be an integer, got True"),
+], ids=["float-seed", "bool-seed", "float-samples", "bool-samples"])
+def test_oracle_rejects_counts_that_are_not_integers(monkeypatch, counts, message):
+    # a float seed once leaked a TypeError from SeedSequence, and True ran as 1
+    monkeypatch.setattr(capture, "_oracle_block_means", _no_sampling)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        brute_force_oracle(_pp_spec(), 1e-3, **{"samples": 1 << 17, **counts})
 
 
 @pytest.mark.parametrize("n_threads", [0, -2, 2.5, True])

@@ -168,10 +168,9 @@ def test_a_mass_that_is_not_positive_exits_without_output(tmp_path, capsys, comm
 
 def test_non_finite_potential_exits_without_output(tmp_path, capsys):
     # every other sample of the ion path -2 -> 2 sits on an electron node,
-    # and every sample on the midpoint of some node pair, where the Yukawa
-    # V_B(r - R) is infinite
+    # where the Yukawa V_B(r - R) is infinite
     influence = next(p for p in DEMO_CONFIGS if p.stem == "influence")
-    for sampling in ("endpoint", "midpoint"):
+    for sampling in ("endpoint", "symmetric"):
         out = tmp_path / sampling
         code = cli.main([
             "influence", "--config", str(influence), "--out", str(out),
@@ -376,6 +375,9 @@ INVALID_CONFIGS = [
      "config.path.start must be a number"),
     ("influence", "potentials.V_A.family", "gausian",
      "config.potentials.V_A.family must be one of"),
+    ("influence", "scheme.sampling", "midpoint",
+     "config.scheme.sampling must be one of ('endpoint', 'symmetric'), "
+     "got 'midpoint'"),
     ("charge-transfer", "quad.nkk", 96,
      "unknown key 'quad' in config"),
     ("charge-transfer", "total.seg_node", 24,

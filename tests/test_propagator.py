@@ -456,7 +456,9 @@ def test_boundary_leak_warning_and_absorber():
         -10.0, 10.0, 256, boundary=AbsorbingLayer(width=3.0, strength=20.0)
     )
     Kd = time_sliced_propagator(None, damped, grid, 1.0)
-    psi_soft = evolve(gaussian_packet(damped, 6.0, 3.0, 1.0), Kd, leak_tolerance=None)
+    # damped, the packet still reaches 1.1e-2 of its peak at the edge
+    with pytest.warns(AccuracyWarning):
+        psi_soft = evolve(gaussian_packet(damped, 6.0, 3.0, 1.0), Kd)
     assert psi_soft.norm() < 0.9 * psi_hard.norm()
     assert boundary_leak_fraction(psi_soft) < boundary_leak_fraction(psi_hard)
 
