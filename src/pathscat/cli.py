@@ -11,9 +11,10 @@ factor is fixed too.
 Every run writes a plot-ready CSV and a JSON document with the echoed
 config, payload, and diagnostics, each through a temporary file renamed
 into place. Outputs are byte-deterministic for a fixed config and seed:
-wall time goes to stderr, never into the files, and --threads only
-dispatches oracle sample blocks, each drawn from its own child of
-SeedSequence(seed), whose means reduce in index order.
+wall time goes to stderr, never into the files. --threads is a flag of
+the oracle command alone: it dispatches oracle sample blocks, each drawn
+from its own child of SeedSequence(seed), whose means reduce in index
+order.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 domain
 error. Every invalid key, type or value in a config exits with code 2,
@@ -333,10 +334,6 @@ def apply_overrides(params, overrides):
     return params
 
 
-def _optional(cfg, *keys):
-    return {key: cfg[key] for key in keys if key in cfg}
-
-
 def _field_rows(field):
     v = field.values
     return list(zip(range(field.lattice.points), field.lattice.nodes, v.real, v.imag))
@@ -365,7 +362,7 @@ def _kernel(cfg):
     )
 
 
-def _run_propagator(cfg, threads):
+def _run_propagator(cfg):
     lattice, pot, mass = cfg["lattice"], cfg["potential"], cfg["mass"]
     K = _kernel(cfg)
     nodes = lattice.nodes
@@ -382,7 +379,7 @@ def _run_propagator(cfg, threads):
     return payload, ("index", "x", "Re", "Im"), _field_rows(column)
 
 
-def _run_evolve(cfg, threads):
+def _run_evolve(cfg):
     psi0 = _built("config.packet", gaussian_packet, cfg["lattice"], **cfg["packet"])
     psi = evolve(psi0, _kernel(cfg))
     payload = {
@@ -396,9 +393,9 @@ def _run_evolve(cfg, threads):
     return payload, ("index", "x", "Re", "Im"), _field_rows(psi)
 
 
-def _run_born(cfg, threads):
+def _run_born(cfg):
     pot, p, mass, angles = cfg["potential"], cfg["p"], cfg["mass"], cfg["angles"]
-    route = _optional(cfg, "route")
+    route = {"route": cfg["route"]} if "route" in cfg else {}
     total = born_total_cross_section(pot, p, mass, **route)
     dsigma = born_differential_cross_section(pot, p, mass, angles, **route)
     payload = {
@@ -410,7 +407,7 @@ def _run_born(cfg, threads):
     return payload, ("theta_rad", "dsigma_dOmega_au"), list(zip(angles, dsigma))
 
 
-def _run_influence(cfg, threads):
+def _run_influence(cfg):
     kind, grid, ends = cfg["kind"], cfg["time"], cfg["endpoints"]
     path = _built("config.path", FixedPath, grid, cfg["path"](grid.N + 1))
     fn = influence_K1 if kind == "K1" else influence_K2
@@ -437,7 +434,7 @@ def _capture_spec(cfg):
     )
 
 
-def _run_charge_transfer(cfg, threads):
+def _run_charge_transfer(cfg):
     spec = _capture_spec(cfg)
     mode, lam, angles = cfg["mode"], cfg["lam"], cfg["angles"]
     total = ct_total_cross_section(spec, lam=lam, mode=mode)
@@ -544,7 +541,11 @@ def _write_outputs(base, header, rows, document):
 
 
 def run(command, params, out_dir, threads=1):
-    """Validate one config, run it, and write csv + json into out_dir."""
+    """Validate one config, run it, and write csv + json into out_dir.
+
+    threads reaches the oracle command alone, whose sample blocks it
+    dispatches; every other command runs on the caller's thread.
+    """
     os.makedirs(out_dir, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise ConfigError(f"output directory {out_dir!r} is not writable")
@@ -552,7 +553,8 @@ def run(command, params, out_dir, threads=1):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         runner, schema = _COMMANDS[command]
-        payload, header, rows = runner(_validate(params, schema, "config"), threads)
+        extra = (threads,) if runner is _run_oracle else ()
+        payload, header, rows = runner(_validate(params, schema, "config"), *extra)
     elapsed = time.perf_counter() - started
     document = {
         "schema_version": "1",
@@ -584,12 +586,12 @@ def main(argv=None):
             metavar="PATH=VALUE",
             help="override a config key, e.g. --set time.slices=128",
         )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for oracle sample blocks (results unchanged)",
-        )
+    sub.choices["oracle"].add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for oracle sample blocks (results unchanged)",
+    )
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -600,7 +602,7 @@ def main(argv=None):
                 f"config declares command {command!r} but {args.command!r} was invoked"
             )
         params = apply_overrides(params, args.set)
-        run(command, params, args.out, threads=max(1, args.threads))
+        run(command, params, args.out, threads=max(1, getattr(args, "threads", 1)))
     except (OSError, ConfigError) as exc:
         print(json.dumps({"error": {"type": "ConfigError", "message": str(exc)}}))
         return 2

@@ -1,5 +1,13 @@
 """Exception taxonomy and accuracy warnings shared across the package."""
 
+__all__ = [
+    "PathscatError",
+    "DomainError",
+    "NumericalError",
+    "ConfigError",
+    "AccuracyWarning",
+]
+
 
 class PathscatError(Exception):
     """Base class for all package-specific errors."""

@@ -4,8 +4,8 @@ The broken-line path sum with time step eps becomes an ordered product
 of one-slice transfer matrices. This module builds those slices and
 pushes sampled wavefunctions through them.
 
-Every mode-factor scheme (kinetic pade2, pade4 or exact, with endpoint
-or symmetric sampling) makes a slice separable: diagonal potential and
+Every mode-factor scheme (kinetic pade2 or exact, with endpoint or
+symmetric sampling) makes a slice separable: diagonal potential and
 absorber factors around a kinetic factor that is diagonal in the DST-I
 sine basis. Such a slice is kept as its factors and applied by
 split-step in O(n log n), two orthonormal DSTs per slice (Feit, Fleck &
@@ -38,11 +38,12 @@ The literal position-sampled chirp is not offered as a kinetic step: on
 any grid that underresolves the chirp, modes beyond the resolvable band
 alias onto amplified ones and the N-slice product diverges
 exponentially. Its single step is free_propagator_matrix over one
-slice. The default replaces the mode phases exp(-i eps k^2 / 2m) with
-a diagonal Pade factor of the same accuracy order as the sliced action,
-keeping every mode on the unit circle. kinetic="exact" gives the full
-phase, useful when the time-step error should vanish and only
-potential sampling remain.
+slice. The default, kinetic="pade2", replaces the mode phases
+exp(-i eps k^2 / 2m) with their Cayley form, a diagonal Pade factor of
+the same accuracy order as the sliced action that keeps every mode on
+the unit circle. kinetic="exact" gives the full phase at the same cost,
+so the kinetic step carries no time-step error and only potential
+sampling remains.
 
 scipy is imported where it is used, not with this module: scipy.fft at
 the first split-step DST (`_dst`). Dense kernels need numpy alone.
@@ -75,7 +76,7 @@ __all__ = [
     "scattered_component",
 ]
 
-KINETIC_FACTORS = ("pade2", "pade4", "exact")
+KINETIC_FACTORS = ("pade2", "exact")
 SAMPLING_MODES = ("endpoint", "midpoint", "symmetric")
 # The samplings whose slices are separable, and the only ones influence
 # functionals and the product lattice take.
@@ -333,10 +334,6 @@ def _kinetic_factor(k, epsilon, mass, kinetic):
     if kinetic == "pade2":
         z = 0.5 * epsilon * lam
         return (1.0 - 1j * z) / (1.0 + 1j * z)
-    if kinetic == "pade4":
-        z = epsilon * lam
-        num = 1.0 - 0.5j * z - z**2 / 12.0
-        return num / np.conj(num)
     raise DomainError(f"unknown kinetic factor {kinetic!r}; options: {KINETIC_FACTORS}")
 
 

@@ -12,6 +12,16 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+__all__ = [
+    "PROTON_MASS_RATIO",
+    "CollisionKinematics",
+    "reduced_masses",
+    "OPEN",
+    "CLOSED",
+    "ChannelEnergetics",
+    "channel_energetics",
+]
+
 PROTON_MASS_RATIO = 1836.152673
 
 

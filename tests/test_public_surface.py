@@ -8,11 +8,13 @@ import pytest
 import yaml
 
 import pathscat
-from pathscat import born, capture, cli, DomainError, influence, potentials, propagator
+from pathscat import (
+    born, capture, cli, DomainError, errors, influence, potentials, propagator, units,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MODULES = [born, capture, influence, potentials, propagator]
+MODULES = [born, capture, errors, influence, potentials, propagator, units]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -21,6 +23,12 @@ def test_module_exports_exist_and_are_reexported(module):
         assert hasattr(module, name), name
         assert name in pathscat.__all__, name
         assert getattr(pathscat, name) is getattr(module, name), name
+
+
+def test_each_public_name_has_one_home():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names)) == 54
+    assert pathscat.__all__ == sorted(names)
 
 
 @pytest.mark.parametrize("module,name", [
@@ -38,11 +46,14 @@ def test_unused_names_are_gone(module, name):
 
 
 def test_unused_attributes_are_gone():
-    assert propagator.KINETIC_FACTORS == ("pade2", "pade4", "exact")
+    assert propagator.KINETIC_FACTORS == ("pade2", "exact")
     lat, grid = propagator.LatticeSpec(-1.0, 1.0, 8), propagator.TimeGrid(0.0, 1.0, 1)
-    for sampling in propagator.SAMPLING_MODES:
-        with pytest.raises(DomainError, match="unknown kinetic factor 'sampled'"):
-            propagator.time_sliced_propagator(None, lat, grid, 1.0, "sampled", sampling)
+    for kinetic in ("sampled", "pade4"):
+        message = f"unknown kinetic factor '{kinetic}'"
+        for sampling in propagator.SAMPLING_MODES:
+            with pytest.raises(DomainError, match=message):
+                propagator.time_sliced_propagator(None, lat, grid, 1.0, kinetic,
+                                                  sampling)
     for family in (potentials.Yukawa(1.0, 1.0), potentials.Gaussian(1.0, 1.0),
                    potentials.SoftCoulomb(1.0, 1.0), potentials.SquareWell(1.0, 1.0)):
         assert not hasattr(family, "range_estimate")
@@ -102,3 +113,28 @@ def test_born_elastic_refuses_the_removed_keys(tmp_path, capsys, key, value, mes
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"type": "ConfigError", "message": message}
     assert not any(out.iterdir())
+
+
+def test_kernel_configs_refuse_pade4(tmp_path, capsys):
+    config = yaml.safe_load((ROOT / "demos" / "configs" / "evolve.yaml").read_text())
+    config.setdefault("scheme", {})["kinetic"] = "pade4"
+    path = tmp_path / "evolve.yaml"
+    path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(
+        "config.scheme.kinetic must be one of ('pade2', 'exact'), got 'pade4'")
+    assert not any(out.iterdir())
+
+
+def test_threads_is_an_oracle_flag_only(tmp_path, capsys):
+    config = ROOT / "demos" / "configs" / "evolve.yaml"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", "--config", str(config), "--out", str(out),
+                  "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists()
