@@ -11,10 +11,10 @@ factor is fixed too.
 Every run writes a plot-ready CSV and a JSON document with the echoed
 config, payload, and diagnostics, each through a temporary file renamed
 into place. Outputs are byte-deterministic for a fixed config and seed:
-wall time goes to stderr, never into the files. --threads is a flag of
-the oracle command alone: it dispatches oracle sample blocks, each drawn
-from its own child of SeedSequence(seed), whose means reduce in index
-order.
+wall time goes to stderr, never into the files. --threads, at least 1,
+is a flag of the oracle command alone: it dispatches sample blocks,
+each drawn from its own child of SeedSequence(seed), whose means reduce
+in index order.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 domain
 error. Every invalid key, type or value in a config exits with code 2,
@@ -63,7 +63,6 @@ from .propagator import (
     KINETIC_FACTORS,
     LatticeSpec,
     packet_width,
-    SAMPLING_MODES,
     SEPARABLE_SAMPLING_MODES,
     TimeGrid,
     time_sliced_propagator,
@@ -228,7 +227,8 @@ _TIME = Built(
     {"t_a": float, "t_b": float, "slices": int},
     lambda t_a, t_b, slices: TimeGrid(t_a, t_b, slices),
 )
-_SCHEME = {"kinetic?": KINETIC_FACTORS, "sampling?": SAMPLING_MODES}
+# Midpoint sampling is not separable and is left to the library.
+_SCHEME = {"kinetic?": KINETIC_FACTORS, "sampling?": SEPARABLE_SAMPLING_MODES}
 _ANGLES = Built(
     {"min": float, "max": float, "n": int, "spacing?": ("linear", "log")}, _theta_list
 )
@@ -508,7 +508,7 @@ _COMMANDS = {
         ),
         "path": _PATH,
         "endpoints": {"a": float, "b": float},
-        "scheme?": {**_SCHEME, "sampling?": SEPARABLE_SAMPLING_MODES},
+        "scheme?": _SCHEME,
     }),
     "charge-transfer": (_run_charge_transfer, {**_CAPTURE, "angles": _ANGLES}),
     "oracle": (
@@ -593,6 +593,11 @@ def main(argv=None):
         help="worker threads for oracle sample blocks (results unchanged)",
     )
     args = parser.parse_args(argv)
+    threads = getattr(args, "threads", 1)
+    if threads < 1:
+        sub.choices["oracle"].error(
+            f"argument --threads: must be at least 1, got {threads}"
+        )
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
@@ -602,7 +607,7 @@ def main(argv=None):
                 f"config declares command {command!r} but {args.command!r} was invoked"
             )
         params = apply_overrides(params, args.set)
-        run(command, params, args.out, threads=max(1, getattr(args, "threads", 1)))
+        run(command, params, args.out, threads=threads)
     except (OSError, ConfigError) as exc:
         print(json.dumps({"error": {"type": "ConfigError", "message": str(exc)}}))
         return 2

@@ -4,7 +4,7 @@ With the companion trajectory frozen, each time slice sees a different
 potential, so the contraction is an ordered product of slice-specific
 transfer matrices rather than a matrix power. An endpoint element is
 found by pushing one delta column through the slices with the
-propagator's split-step engine; no dense product is formed. The
+propagator's engine; no dense product of slices is formed. The
 extracted quantity is the total accumulated phase against the free
 reference, an action in atomic units (hbar = 1),
 
@@ -16,31 +16,24 @@ phases vanish identically instead of at the lattice's accuracy floor.
 A pointwise effective potential is deliberately not offered; only the
 time-integrated phase is well defined here.
 
-Every slice, the product lattice's included, samples its potentials
-with the propagator's `potential_on_axis` and is built by its `_slices`
-from the node potentials at the slice's two ends, exactly as
-one-particle slices are. Slice j runs from t_(j-1) to t_j: endpoint
+One element body serves K1, K2 and the product lattice: it samples the
+potentials once with the propagator's `potential_on_axis` on the
+(slice ends) x (nodes) grid, takes the slices from its `_slices`, which
+builds them exactly as one-particle slices are, and pushes a delta
+through them. Slice j runs from t_(j-1) to t_j: endpoint
 sampling puts the whole phase at its arrival sample, and symmetric
 sampling half at its departure sample and half at its arrival sample,
 which keeps it second order on a moving path. Midpoint sampling is not
 separable and is not offered here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .propagator import (
-    _absorber_profile,
-    _kinetic_factor,
-    _kinetic_kernel,
-    _propagate,
-    _slices,
-    _wavenumbers,
-    potential_on_axis,
-    TimeGrid,
-)
+from .propagator import _propagate, _slices, potential_on_axis, TimeGrid
 
 __all__ = [
     "FixedPath",
@@ -51,7 +44,8 @@ __all__ = [
 ]
 
 # Cap on electron x ion points of the product lattice, a small-lattice
-# oracle: each slice costs n_e n_i (n_e + n_i) operations.
+# oracle: each slice costs n_e n_i (n_e + n_i) operations, by dense
+# kinetic kernels (see propagator._slices).
 MAX_PRODUCT_POINTS = 256 * 256
 
 
@@ -86,7 +80,8 @@ def _node_index(lattice, pos, name):
     i = int(np.argmin(np.abs(nodes - pos)))
     if abs(nodes[i] - pos) > 1e-6 * lattice.dx:
         raise DomainError(
-            f"{name} = {pos} is not a lattice node; nearest node is {nodes[i]!r}"
+            f"{name} = {pos} is not a lattice node; "
+            f"nearest node is {float(nodes[i])!r}"
         )
     return i
 
@@ -97,24 +92,31 @@ def _phase_from(amplitude, reference):
     return 1j * complex(np.log(amplitude / reference))
 
 
-def _influence(terms, path, a, b, lattice, grid, mass, kinetic, sampling):
-    """(a -> b) element of the path sum whose slices see the sum of the
-    terms(x, s), triples (name, pot, coordinate) for x the lattice nodes
-    and s the companion's samples at the slice ends.
+def _element(terms, lattices, a, b, grid, masses, kinetic, sampling, path=None):
+    """(a -> b) element, one endpoint coordinate per lattice, of the path
+    sum on the lattices' product whose slices see the sum of the terms.
 
-    Each term is sampled once on the (slice ends) x (nodes) array; a
-    sample that is not finite is reported at the earliest slice that
-    reads it and at its lattice node. Endpoint sampling reads only the
-    arrival samples t_1 ... t_N.
+    terms(*coords) gives triples (name, pot, coordinate); coords are the
+    lattices' nodes, one axis each, then, when a path is given on one
+    lattice, the companion's samples at the slice ends, as an open mesh
+    after a leading axis of slice ends. Without a path the potential is
+    static: one row, read by every slice. Each term is sampled once on
+    its part of this (slice ends) x (nodes) grid; a sample that is not
+    finite is reported at the earliest slice that reads it and at its
+    lattice node. Endpoint sampling reads only the arrival samples
+    t_1 ... t_N.
     """
-    if path.grid != grid:
+    if path is not None and path.grid != grid:
         raise DomainError("fixed path and contraction use different time grids")
-    ia = _node_index(lattice, a, "start endpoint")
-    ib = _node_index(lattice, b, "final endpoint")
+    ia = tuple(_node_index(lat, x, "start endpoint") for lat, x in zip(lattices, a))
+    ib = tuple(_node_index(lat, x, "final endpoint") for lat, x in zip(lattices, b))
     first = 0 if sampling == "symmetric" else 1  # the first slice end read
-    x, s = np.broadcast_arrays(lattice.nodes, path.samples[first:, None])
-    V, bad = 0.0, []
-    for name, pot, coordinate in terms(x, s):
+    shape = tuple(lat.points for lat in lattices)
+    coords = [x[None] for x in np.ix_(*(lat.nodes for lat in lattices))]
+    if path is not None:
+        coords.append(path.samples[first:, None])
+    V, bad = np.zeros((1,) + shape), []
+    for name, pot, coordinate in terms(*coords):
         try:
             V = V + potential_on_axis(pot, coordinate)
         except DomainError as err:
@@ -122,23 +124,25 @@ def _influence(terms, path, a, b, lattice, grid, mass, kinetic, sampling):
                 raise
             bad.append((err.node, name, err))
     if bad:
-        (row, node), name, err = min(bad, key=lambda item: item[0][0])
+        (row, *node), name, err = min(bad, key=lambda item: item[0][0])
+        x = tuple(float(lat.nodes[i]) for lat, i in zip(lattices, node))
+        node, x = (node[0], x[0]) if len(node) == 1 else (tuple(node), x)
         raise DomainError(
-            f"slice {max(first + row, 1)}, lattice node {node} "
-            f"(x = {float(x[row, node])!r}): {name} = {err}"
+            f"slice {max(first + row, 1)}, lattice node {node} (x = {x!r}): "
+            f"{name} = {err}"
         ) from None
-    eps, N = grid.epsilon, grid.N
-    ops = (_kinetic_factor(_wavenumbers(lattice), eps, mass, kinetic),)
-    damp = _absorber_profile(lattice, eps)
-    zero = np.zeros((1, lattice.points))
-    # slice j departs from V[j - 1] and arrives at V[j - first]; endpoint
-    # sampling never reads the departure rows
-    slices = _slices(V[:N], V[-N:], damp, eps, ops, sampling)
-    free = _slices(zero, zero, damp, eps, ops, sampling) * N
-    delta = np.zeros(lattice.points)
-    delta[ia] = 1.0 / lattice.dx
-    amp = complex(_propagate(delta, slices)[ib])
-    ref = complex(_propagate(delta, free)[ib])
+    delta = np.zeros(shape)
+    delta[ia] = 1.0 / math.prod(lat.dx for lat in lattices)
+    slices = _slices(lattices, grid, masses, kinetic, sampling, V)
+    return complex(_propagate(delta, slices)[ib])
+
+
+def _influence(terms, path, a, b, lattice, grid, mass, kinetic, sampling):
+    """K1/K2: the element with the companion held on path, and the free
+    reference, the same element with no potential."""
+    args = ((lattice,), (a,), (b,), grid, (mass,), kinetic, sampling)
+    amp = _element(terms, *args, path=path)
+    ref = _element(lambda *coords: (), *args)
     return InfluenceResult(
         amplitude=amp,
         effective_phase=_phase_from(amp, ref),
@@ -206,42 +210,24 @@ def reconstruct_full_amplitude(
     """Two-particle kernel element by direct product-lattice contraction.
 
     The joint field psi(r, R) starts as a delta pair and is pushed
-    through N slices: the electron's kinetic kernel along axis 0, the
-    ion's along axis 1, and the full coupled phase exp(-i eps (V_A(r) +
-    V_AB(R) + V_B(r - R))) with both axes' absorber damping, split as in
-    a one-particle slice by endpoint or symmetric sampling. The returned
+    through N slices, the same element body as the influence
+    functionals': the electron's kinetic kernel along axis 0, the ion's
+    along axis 1, and the full coupled phase exp(-i eps (V_A(r) + V_AB(R)
+    + V_B(r - R))) with both axes' absorber damping, split as in a
+    one-particle slice by endpoint or symmetric sampling. The returned
     value is the kernel density K(r_b, R_b; r_a, R_a); it serves as the
-    oracle for factorization and influence-functional identities. The
-    kinetic kernels are dense matrices: under the MAX_PRODUCT_POINTS cap
-    a batched matrix product is cheaper than a DST-I pair along each
-    axis.
+    oracle for factorization and influence-functional identities.
     """
     if lattice_e.points * lattice_i.points > MAX_PRODUCT_POINTS:
         raise DomainError(
             f"product lattice {lattice_e.points} x {lattice_i.points} exceeds "
             f"the cap of {MAX_PRODUCT_POINTS} points"
         )
-    r_a, r_b = r_endpoints
-    R_a, R_b = R_endpoints
-    ia_e = _node_index(lattice_e, r_a, "electron start")
-    ib_e = _node_index(lattice_e, r_b, "electron end")
-    ia_i = _node_index(lattice_i, R_a, "ion start")
-    ib_i = _node_index(lattice_i, R_b, "ion end")
-
-    eps = grid.epsilon
-    G_e = lattice_e.dx * _kinetic_kernel(lattice_e, eps, m, kinetic)
-    G_i = lattice_i.dx * _kinetic_kernel(lattice_i, eps, M, kinetic)
-    xe = lattice_e.nodes[:, None]
-    xi = lattice_i.nodes[None, :]
-    V = (
-        potential_on_axis(pots.V_A, xe)
-        + potential_on_axis(pots.V_AB, xi)
-        + potential_on_axis(pots.V_B, xe - xi)
-    )[None]
-    damp = np.outer(
-        _absorber_profile(lattice_e, eps), _absorber_profile(lattice_i, eps)
+    (r_a, r_b), (R_a, R_b) = r_endpoints, R_endpoints
+    return _element(
+        lambda r, R: (
+            ("V_A", pots.V_A, r), ("V_AB", pots.V_AB, R), ("V_B", pots.V_B, r - R)
+        ),
+        (lattice_e, lattice_i), (r_a, R_a), (r_b, R_b), grid, (m, M), kinetic,
+        sampling,
     )
-    psi = np.zeros((lattice_e.points, lattice_i.points))
-    psi[ia_e, ia_i] = 1.0 / (lattice_e.dx * lattice_i.dx)
-    psi = _propagate(psi, _slices(V, V, damp, eps, (G_e, G_i), sampling) * grid.N)
-    return complex(psi[ib_e, ib_i])

@@ -14,8 +14,10 @@ formed only when its entries are read: by one sine-basis product with
 the mode factors to the N-th power when the slice's node factors
 multiply to a constant (no potential, or a constant one, on hard
 walls), else as a matrix power in floor(log2 N) + popcount(N) - 1
-products. `_slices` builds the separable slices of every contraction:
-this module's, the influence functionals' and the product lattice's.
+products. `_slices` builds the separable slices of every contraction,
+this module's, the influence functionals' and the product lattice's,
+from the lattices, masses, kinetic factor, sampling and node
+potentials: it forms each axis's damping and kinetic operator itself.
 
 Midpoint sampling lives only in time_sliced_propagator. It is not
 separable: its slice is a dense matrix, and its N-slice kernel is formed
@@ -49,6 +51,7 @@ scipy is imported where it is used, not with this module: scipy.fft at
 the first split-step DST (`_dst`). Dense kernels need numpy alone.
 """
 
+import functools
 import math
 import numbers
 import warnings
@@ -303,12 +306,6 @@ def free_propagator_matrix(lattice, grid, mass):
     return PropagatorMatrix(lattice, grid, entries)
 
 
-def _wavenumbers(lattice):
-    """Hard-wall box modes k_j = pi j / box, walls one spacing outside."""
-    box = (lattice.x_max - lattice.x_min) + 2.0 * lattice.dx
-    return np.pi * np.arange(1, lattice.points + 1) / box
-
-
 def _sine_modes(lattice):
     """DST-I basis S of the hard-wall box; S is its own inverse up to dx.
 
@@ -325,9 +322,13 @@ def _sine_modes(lattice):
     return table[phase]
 
 
-def _kinetic_factor(k, epsilon, mass, kinetic):
+def _kinetic_factor(lattice, epsilon, mass, kinetic):
+    """One slice's kinetic factor on each hard-wall box mode k_j = pi j /
+    box, walls one spacing outside."""
     if not mass > 0:
         raise DomainError(f"mass must be positive, got {mass}")
+    box = (lattice.x_max - lattice.x_min) + 2.0 * lattice.dx
+    k = np.pi * np.arange(1, lattice.points + 1) / box
     lam = k**2 / (2.0 * mass)
     if kinetic == "exact":
         return np.exp(-1j * epsilon * lam)
@@ -345,11 +346,6 @@ def _mode_kernel(lattice, f):
     K.real = (S.T * f.real) @ S
     K.imag = (S.T * f.imag) @ S
     return K
-
-
-def _kinetic_kernel(lattice, epsilon, mass, kinetic):
-    k = _wavenumbers(lattice)
-    return _mode_kernel(lattice, _kinetic_factor(k, epsilon, mass, kinetic))
 
 
 def potential_on_axis(pot, x):
@@ -393,27 +389,44 @@ def _absorber_profile(lattice, epsilon):
     return np.exp(-0.5 * epsilon * W)
 
 
-def _slices(V_depart, V_arrive, damp, epsilon, ops, sampling):
-    """Slices (pre, ops, post), one per row of the node potentials at the
-    slices' departure and arrival times, V_depart and V_arrive.
+def _slices(lattices, grid, masses, kinetic, sampling, V):
+    """The grid.N slices (pre, ops, post) of a path sum on the product of
+    the lattices' axes, a particle of the given mass on each.
 
-    ops holds the kinetic operator of each axis. Endpoint sampling puts
-    the whole phase exp(-i eps V) at arrival and never reads V_depart;
-    symmetric sampling puts half of it at each end. Both ends carry the
-    half-slice absorber damping. Midpoint sampling is not separable and
-    is refused here.
+    V holds the node potentials at the slice ends the sampling reads, one
+    row per end: t_1 ... t_N for endpoint sampling, which puts the whole
+    phase exp(-i eps V) at arrival, and t_0 ... t_N for symmetric
+    sampling, which puts half of it at each end. One row is a static
+    potential, read at every end. Both ends carry the half-slice absorber
+    damping, the outer product of each axis's profile. ops holds each
+    axis's kinetic operator: the per-mode factor, applied by split-step,
+    on one axis, and its dense kernel times dx on the product lattice,
+    where under influence.MAX_PRODUCT_POINTS a matrix product costs less
+    than a DST-I pair. Midpoint sampling is not separable and is refused
+    here.
     """
-    if sampling == "endpoint":
-        return [(damp, ops, post) for post in damp * np.exp(-1j * epsilon * V_arrive)]
-    if sampling == "symmetric":
-        half = -0.5j * epsilon
-        pre = damp * np.exp(half * V_depart)
-        # a static potential passes one array for both ends
-        post = pre if V_arrive is V_depart else damp * np.exp(half * V_arrive)
-        return [(a, ops, b) for a, b in zip(pre, post)]
-    raise DomainError(
-        f"unknown sampling mode {sampling!r}; options: {SEPARABLE_SAMPLING_MODES}"
+    eps = grid.epsilon
+    damp = functools.reduce(
+        np.multiply.outer, [_absorber_profile(lat, eps) for lat in lattices]
     )
+    ops = [
+        _kinetic_factor(lat, eps, mass, kinetic) for lat, mass in zip(lattices, masses)
+    ]
+    if len(lattices) > 1:
+        ops = [lat.dx * _mode_kernel(lat, f) for lat, f in zip(lattices, ops)]
+    ops, N = tuple(ops), grid.N
+    if sampling == "endpoint":
+        pre, post = [damp] * len(V), damp * np.exp(-1j * eps * V)
+    elif sampling == "symmetric":
+        ends = damp * np.exp(-0.5j * eps * V)
+        # slice j departs from row j - 1 and arrives at row j
+        pre, post = ends[:N], ends[-N:]
+    else:
+        raise DomainError(
+            f"unknown sampling mode {sampling!r}; options: {SEPARABLE_SAMPLING_MODES}"
+        )
+    slices = [(a, ops, b) for a, b in zip(pre, post)]
+    return slices * N if len(slices) == 1 else slices
 
 
 def _power(T, N, dx):
@@ -468,10 +481,11 @@ def time_sliced_propagator(
         raise DomainError(
             f"unknown sampling mode {sampling!r}; options: {SAMPLING_MODES}"
         )
-    eps, x = grid.epsilon, lattice.nodes
-    damp = _absorber_profile(lattice, eps)
-    f = _kinetic_factor(_wavenumbers(lattice), eps, mass, kinetic)
+    x = lattice.nodes
     if sampling == "midpoint":
+        eps = grid.epsilon
+        damp = _absorber_profile(lattice, eps)
+        f = _kinetic_factor(lattice, eps, mass, kinetic)
         Vm = potential_on_axis(pot, 0.5 * (x[:, None] + x[None, :]))
         # formed as dx G and divided back, which keeps the entries' rounding;
         # no n x n temporary is held through the matrix power
@@ -480,7 +494,7 @@ def time_sliced_propagator(
         T = damp[:, None] * (T / lattice.dx) * damp[None, :]
         return PropagatorMatrix(lattice, grid, _power(T, grid.N, lattice.dx))
     V = potential_on_axis(pot, x)[None]
-    (step,) = _slices(V, V, damp, eps, (f,), sampling)
+    step = _slices((lattice,), grid, (mass,), kinetic, sampling, V)[0]
     return PropagatorMatrix(lattice, grid, step=step)
 
 

@@ -7,8 +7,9 @@ center-of-mass frame by the reduced masses of the incoming and outgoing
 relative motion and by the inner reduced masses of each bound pair.
 """
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -63,8 +64,10 @@ def reduced_masses(A, B):
         mu_b = M_A (M_B + m) / (M_A + M_B + m)   outgoing relative motion
         m_a  = M_A m / (M_A + m)                 electron bound to A
         m_b  = M_B m / (M_B + m)                 electron bound to B
+
+    A and B may be arrays that broadcast; each mass is then an array.
     """
-    if not (A > 0 and B > 0):
+    if not (np.all(np.greater(A, 0)) and np.all(np.greater(B, 0))):
         raise DomainError(f"nuclear masses must be positive, got A={A}, B={B}")
     m = 1.0  # the electron mass in atomic units
     M = PROTON_MASS_RATIO
@@ -106,13 +109,20 @@ class ChannelEnergetics:
 
 
 def channel_energetics(E_a, eps_a, eps_b, kin):
-    """Classify the outgoing channel and populate the relative momenta."""
-    if E_a < 0:
+    """Classify the outgoing channel and populate the relative momenta.
+
+    Arrays that broadcast, kin's masses included, give one channel per
+    element: status is then an array of OPEN and CLOSED.
+    """
+    if np.any(np.less(E_a, 0)):
         raise DomainError(f"incoming relative energy must be >= 0, got {E_a}")
     E_b = E_a + eps_a - eps_b
-    status = OPEN if E_b >= 0 else CLOSED
-    p_a = math.sqrt(2.0 * kin.mu_a * E_a)
-    p_b = math.sqrt(2.0 * kin.mu_b * E_b) if status == OPEN else 0.0
+    is_open = E_b >= 0
+    status = np.where(is_open, OPEN, CLOSED)
+    p_a = np.sqrt(2.0 * kin.mu_a * E_a)
+    p_b = np.sqrt(2.0 * kin.mu_b * np.where(is_open, E_b, 0.0))
+    if status.ndim == 0:
+        status, p_a, p_b = str(status), float(p_a), float(p_b)
     return ChannelEnergetics(
         E_a=E_a, eps_a=eps_a, eps_b=eps_b, E_b=E_b, p_a=p_a, p_b=p_b, status=status
     )

@@ -382,29 +382,31 @@ def test_kinematics_identities():
     Eas = rng.uniform(1e-3, 100.0, n)
     eps_as = -rng.uniform(0.05, 5.0, n)
     eps_bs = -rng.uniform(0.05, 5.0, n)
-    worst = 0.0
-    for i in range(n):
-        kin = reduced_masses(As[i], Bs[i])
-        ch = channel_energetics(Eas[i], eps_as[i], eps_bs[i], kin)
-        # harmonic sums: each channel's reduced mass pairs the bare
-        # nucleus with the composite atom on the other side
-        worst = max(
-            worst,
-            abs(1.0 / kin.mu_a - (1.0 / kin.M_B + 1.0 / (kin.M_A + kin.m)))
-            * kin.mu_a,
-            abs(1.0 / kin.mu_b - (1.0 / kin.M_A + 1.0 / (kin.M_B + kin.m)))
-            * kin.mu_b,
-            abs(ch.E_b - (Eas[i] + eps_as[i] - eps_bs[i]))
-            / max(abs(ch.E_b), 1e-300),
-            abs(ch.p_a**2 / (2.0 * kin.mu_a) - Eas[i]) / Eas[i],
-        )
-        if ch.p_b > 0.0:
-            worst = max(
-                worst, abs(ch.p_b**2 / (2.0 * kin.mu_b) - ch.E_b) / abs(ch.E_b)
-            )
-        assert (ch.status == OPEN) == (ch.E_b >= 0.0)
-    # measured 4.7e-16; a few ulps of float algebra
-    assert worst <= 1e-14
+    # one vectorised call over all draws
+    kin = reduced_masses(As, Bs)
+    ch = channel_energetics(Eas, eps_as, eps_bs, kin)
+    # harmonic sums: each channel's reduced mass pairs the bare nucleus
+    # with the composite atom on the other side
+    errors = [
+        np.abs(1.0 / kin.mu_a - (1.0 / kin.M_B + 1.0 / (kin.M_A + kin.m))) * kin.mu_a,
+        np.abs(1.0 / kin.mu_b - (1.0 / kin.M_A + 1.0 / (kin.M_B + kin.m))) * kin.mu_b,
+        np.abs(ch.E_b - (Eas + eps_as - eps_bs)) / np.maximum(np.abs(ch.E_b), 1e-300),
+        np.abs(ch.p_a**2 / (2.0 * kin.mu_a) - Eas) / Eas,
+    ]
+    moving = ch.p_b > 0.0
+    p_b, mu_b, E_b = ch.p_b[moving], kin.mu_b[moving], ch.E_b[moving]
+    errors.append(np.abs(p_b**2 / (2.0 * mu_b) - E_b) / np.abs(E_b))
+    assert np.array_equal(ch.status == OPEN, ch.E_b >= 0.0)
+    # measured 4.67e-16; a few ulps of float algebra
+    assert max(float(np.max(e)) for e in errors) <= 1e-14
+    # scalar calls give the array's elements bit for bit
+    for i in rng.choice(n, 200, replace=False):
+        one = reduced_masses(As[i], Bs[i])
+        got = channel_energetics(Eas[i], eps_as[i], eps_bs[i], one)
+        assert [one.mu_a, one.mu_b, one.m_a, one.m_b] == [
+            kin.mu_a[i], kin.mu_b[i], kin.m_a[i], kin.m_b[i]]
+        assert (got.E_b, got.p_a, got.p_b, got.status) == (
+            ch.E_b[i], ch.p_a[i], ch.p_b[i], ch.status[i])
 
 
 def test_cli_determinism(tmp_path):

@@ -355,9 +355,15 @@ INVALID_CONFIGS = [
      "missing required key 'sigma0' in config.packet"),
     ("evolve", "lattice.points", 1.5,
      "config.lattice.points must be an integer"),
+    ("propagator", "scheme.sampling", "midpoint",
+     "config.scheme.sampling must be one of ('endpoint', 'symmetric'), "
+     "got 'midpoint'"),
     ("evolve", "scheme.sampling", "endpont",
-     "config.scheme.sampling must be one of ('endpoint', 'midpoint', 'symmetric'), "
+     "config.scheme.sampling must be one of ('endpoint', 'symmetric'), "
      "got 'endpont'; did you mean 'endpoint'?"),
+    ("evolve", "scheme.sampling", "midpoint",
+     "config.scheme.sampling must be one of ('endpoint', 'symmetric'), "
+     "got 'midpoint'"),
     ("born-elastic", "potential.alpah", 1.0,
      "unknown key 'alpah' in config.potential; did you mean 'alpha'?"),
     ("born-elastic", "p", _DROP,

@@ -29,6 +29,11 @@ from pathscat import (
     time_sliced_propagator,
     Yukawa,
 )
+from pathscat.propagator import (
+    _absorber_profile,
+    _kinetic_factor,
+    _mode_kernel,
+)
 
 LAT = LatticeSpec(-10.0, 10.0, 101)
 GRID = TimeGrid(0.0, 1.0, 8)
@@ -228,6 +233,70 @@ def test_factorization_when_coupling_absent(boundary, sampling):
     assert full == pytest.approx(product, rel=1e-10)
 
 
+def _former_full_amplitude(pots, r_endpoints, R_endpoints, lattice_e, lattice_i,
+                           grid, m, M, kinetic, sampling):
+    """The product-lattice body before it shared the influence functionals'
+    element body: dense kinetic kernels times dx on each axis, the summed
+    node potentials, both axes' damping, and its own slice loop."""
+    def node(lattice, pos):
+        return int(np.argmin(np.abs(lattice.nodes - pos)))
+
+    eps = grid.epsilon
+    G_e, G_i = (
+        lat.dx * _mode_kernel(lat, _kinetic_factor(lat, eps, mass, kinetic))
+        for lat, mass in ((lattice_e, m), (lattice_i, M))
+    )
+    xe = lattice_e.nodes[:, None]
+    xi = lattice_i.nodes[None, :]
+    V = (
+        pots.V_A.evaluate(np.abs(xe))
+        + pots.V_AB.evaluate(np.abs(xi))
+        + pots.V_B.evaluate(np.abs(xe - xi))
+    )
+    damp = np.outer(
+        _absorber_profile(lattice_e, eps), _absorber_profile(lattice_i, eps)
+    )
+    if sampling == "endpoint":
+        pre, post = damp, damp * np.exp(-1j * eps * V)
+    else:
+        pre = post = damp * np.exp(-0.5j * eps * V)
+    psi = np.zeros((lattice_e.points, lattice_i.points))
+    psi[node(lattice_e, r_endpoints[0]), node(lattice_i, R_endpoints[0])] = 1.0 / (
+        lattice_e.dx * lattice_i.dx
+    )
+    for _ in range(grid.N):
+        psi = pre * psi
+        psi = np.tensordot(G_e, psi, (1, 0))
+        psi = np.moveaxis(np.tensordot(G_i, psi, (1, 1)), 0, 1)
+        psi = post * psi
+    return complex(
+        psi[node(lattice_e, r_endpoints[1]), node(lattice_i, R_endpoints[1])]
+    )
+
+
+@pytest.mark.parametrize("kinetic", ["pade2", "exact"])
+@pytest.mark.parametrize("sampling", ["endpoint", "symmetric"])
+@pytest.mark.parametrize(
+    "boundary", [HardWall(), AbsorbingLayer(2.5, 3.0)], ids=["hard", "absorbing"]
+)
+def test_product_lattice_matches_its_former_body(boundary, sampling, kinetic):
+    # unequal lattices and masses; the shared element body must give the
+    # former body's elements bit for bit
+    lat_e = LatticeSpec(-8.0, 8.0, 41, boundary)
+    lat_i = LatticeSpec(-5.0, 6.0, 23, boundary)
+    grid = TimeGrid(0.0, 1.3, 5)
+    pots = PairPotentials(Gaussian(-0.3, 1.2), Gaussian(0.2, 0.8), Gaussian(0.15, 0.9))
+    for r_endpoints, R_endpoints in [
+        ((-2.0, 2.0), (-1.0, 1.0)),
+        ((0.4, -1.2), (6.0, 0.5)),
+        ((-8.0, 8.0), (-5.0, -5.0)),
+    ]:
+        args = (pots, r_endpoints, R_endpoints, lat_e, lat_i, grid, 1.3, 7.0)
+        got = reconstruct_full_amplitude(*args, kinetic=kinetic, sampling=sampling)
+        assert got == _former_full_amplitude(*args, kinetic, sampling)
+        assert got != 0
+
+
 def test_product_lattice_cap():
     big = LatticeSpec(-8.0, 8.0, 260)
     with pytest.raises(DomainError):
@@ -245,10 +314,16 @@ def test_non_finite_slice_potential_raises():
     with pytest.raises(DomainError, match="not finite at coordinate 0.0"):
         influence_K2(pots, path, -2.0, 2.0, LAT, GRID, 1.0)
     lat = LatticeSpec(-8.0, 8.0, 65)
-    with pytest.raises(DomainError, match="not finite at coordinate 0.0"):
+    with pytest.raises(DomainError) as full:
         reconstruct_full_amplitude(
             pots, (-2.0, 2.0), (-1.0, 1.0), lat, lat, GRID, 1.0, 10.0
         )
+    # a static term is read from the first slice on; the first bad node
+    # pair is the electron's and the ion's first node
+    assert str(full.value) == (
+        "slice 1, lattice node (0, 0) (x = (-8.0, -8.0)): "
+        "V_B = Yukawa(V0=0.2, alpha=1.0) is not finite at coordinate 0.0"
+    )
 
 
 @pytest.mark.parametrize(
@@ -305,3 +380,11 @@ def test_fixed_path_validation():
 def test_endpoints_must_be_lattice_nodes():
     with pytest.raises(DomainError):
         influence_K1(FREE, _static_path(0.0), -2.05, 2.0, LAT, GRID, 1.0)
+    # the product lattice words its endpoints as the influence functionals do
+    lat = LatticeSpec(-8.0, 8.0, 65)
+    with pytest.raises(DomainError) as exc:
+        reconstruct_full_amplitude(FREE, (-2.0, 2.0), (-1.0, 1.1), lat, lat, GRID,
+                                   1.0, 10.0)
+    assert str(exc.value) == (
+        "final endpoint = 1.1 is not a lattice node; nearest node is 1.0"
+    )

@@ -138,3 +138,16 @@ def test_threads_is_an_oracle_flag_only(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_refused(tmp_path, capsys, threads):
+    # the library refuses n_threads < 1; the flag must not round it up to 1
+    config = ROOT / "demos" / "configs" / "oracle.yaml"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--config", str(config), "--out", str(out),
+                  "--threads", threads])
+    assert exc.value.code == 2
+    assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
