@@ -44,7 +44,7 @@ class TotalCrossSection:
 def momentum_transfer(p, theta):
     """Elastic momentum transfer q = 2 p sin(theta/2), elementwise over an
     array of angles."""
-    if p < 0:
+    if not p >= 0:
         raise DomainError("momentum magnitude must be non-negative")
     theta = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= theta) & (theta <= np.pi)):
@@ -77,7 +77,7 @@ def born_amplitude(pot, p, mass, theta, route="auto"):
 
 def born_differential_cross_section(pot, p, mass, theta, route="auto"):
     """dsigma/dOmega = (m / 2 pi)^2 |v(q)|^2."""
-    if p <= 0:
+    if not p > 0:
         raise DomainError("incident momentum must be positive")
     f = born_amplitude(pot, p, mass, theta, route=route)
     return abs(f) ** 2

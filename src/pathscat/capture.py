@@ -7,9 +7,7 @@ capture amplitude are exposed:
 * mode="obk": the classic Brinkman-Kramers shortcut. One heavy vector
   R carries both plane-wave phases and both bound states take the
   plain electron coordinate. The amplitude collapses to v_screened(q)
-  times a bound-bound form factor at q = |p_a - p_b|. Forward
-  scattering at zero screening diverges in this mode, so unscreened
-  totals are unavailable here.
+  times a bound-bound form factor at q = |p_a - p_b|.
 * mode="jacobi": incoming and outgoing channels use their own Jacobi
   coordinates. The proton-electron amplitude factorizes into a folded
   interaction at K_b = p_a - (1-gamma_b) p_b and the initial momentum
@@ -18,25 +16,22 @@ capture amplitude are exposed:
   parameters s and t, and done in closed form in k and in t, so each
   amplitude is one weighted sum over a fixed graded rule in s.
 
-Every screened Coulomb carries screening constant lam >= 0. The jacobi
-routes, the internuclear Feynman sum included, are finite at lam = 0
-and are evaluated there directly; obk diverges forward at lam = 0, so
-its totals need lam > 0. The
-brute-force oracle integrates the raw 6-D integrand by scrambled Sobol
-points with exponential importance sampling and block-wise error
+Every screened Coulomb carries screening constant lam >= 0, and every
+entry point refuses a closed channel, an unknown mode and a lam that is
+not >= 0 with one check (_check_channel). The jacobi routes are finite
+at lam = 0. An obk total at lam = 0 diverges forward on a resonant
+channel (p_a = p_b) and raises NumericalError there.
+
+The brute-force oracle integrates the raw 6-D integrand by scrambled
+Sobol points with exponential importance sampling and block-wise error
 estimates; it never reuses the momentum-space reductions it is meant
-to check. Its radii invert the Gamma(3) distribution function
-P(3, x) = 1 - e^(-x)(1 + x + x^2/2) to round-off (`_gamma3_inv`: one
-Halley step from a tabulated starting guess). Each point stands for
-its antithetic pair (s, w), (-s, -w), whose mean is the real part of
-the raw integrand, and each block draws from its own child of
-SeedSequence(seed). Every phase vector lies in the x-z plane of the
-canonical frame, so a phase reads two components of each direction. A
-block takes one trig call per sampled direction and one per term, each
-a tan of the half angle (_cos_sin) where a cos would be. The sampling
-rates equal the orbital and screening rates, so their exponentials
-cancel; only the jacobi internuclear term adds one exp, for its
-e^(-Z_b |s + w|), whose norm is a dot product of the directions.
+to check. Each (mode, interaction) term is one entry of _oracle_term:
+its sampling rates, which equal its orbital and screening decay rates
+so that their exponentials cancel, its phase vectors and its amplitude.
+Its radii invert the Gamma(3) distribution function (`_gamma3_inv`).
+Each point stands for its antithetic pair (s, w), (-s, -w), whose mean
+is the real part of the raw integrand, and each block draws from its
+own child of SeedSequence(seed).
 
 scipy is imported only by the oracle, not with this module: scipy.special
 builds the radius table and scipy.stats.qmc draws the Sobol points, both
@@ -46,7 +41,6 @@ amplitudes and totals need numpy alone.
 
 import functools
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -99,8 +93,8 @@ class HydrogenicState:
     Z_eff: float
 
     def __post_init__(self):
-        if self.Z_eff <= 0:
-            raise DomainError("effective charge must be positive")
+        if not self.Z_eff > 0:
+            raise DomainError(f"effective charge must be positive, got {self.Z_eff}")
 
     @property
     def binding_energy(self):
@@ -165,8 +159,8 @@ class CaptureTotal:
 
 def make_capture_spec(A, B, Z_a, Z_b, v, interaction="ProtonElectron"):
     """Spec for A-center 1s -> B-center 1s capture at relative speed v."""
-    if v <= 0:
-        raise DomainError("relative speed must be positive")
+    if not v > 0:
+        raise DomainError(f"relative speed must be positive, got {v}")
     kin = reduced_masses(A, B)
     initial = HydrogenicState(Z_a)
     final = HydrogenicState(Z_b)
@@ -184,9 +178,14 @@ def make_capture_spec(A, B, Z_a, Z_b, v, interaction="ProtonElectron"):
     return CaptureChannelSpec(kin, energetics, initial, final, interaction)
 
 
-def _require_open(spec):
+def _check_channel(spec, lam, mode):
+    """The refusals every capture entry point shares; NaN lam fails them."""
     if spec.energetics.status != OPEN:
         raise DomainError("capture requires an open final channel")
+    if mode not in MODES:
+        raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
+    if not lam >= 0:
+        raise DomainError("screening constant must be non-negative")
 
 
 def _canonical_vectors(spec, theta):
@@ -217,13 +216,9 @@ def _folded_interaction(Z_b, Z_B, lam, k2):
     return -Z_B * math.sqrt(Z_b**3 / math.pi) * 4.0 * np.pi / ((Z_b + lam) ** 2 + k2)
 
 
-def _overlap(Z_a, Z_b):
-    """<phi_b|phi_a> for 1s orbitals on the same center."""
-    return 8.0 * math.sqrt(Z_a**3 * Z_b**3) / (Z_a + Z_b) ** 3
-
-
 def _form_factor(Z_a, Z_b, q2):
-    """int phi_b phi_a e^{i q.r} d3r for same-center 1s orbitals."""
+    """int phi_b phi_a e^{i q.r} d3r for same-center 1s orbitals; at q2 = 0
+    the overlap <phi_b|phi_a>."""
     s = Z_a + Z_b
     return 8.0 * math.sqrt(Z_a**3 * Z_b**3) * s / (s**2 + q2) ** 2
 
@@ -320,11 +315,7 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk"):
     (p_a_vec, p_b_vec) enter, so any rigid rotation of a pair leaves its
     value unchanged.
     """
-    _require_open(spec)
-    if mode not in MODES:
-        raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
-    if lam < 0:
-        raise DomainError("screening constant must be non-negative")
+    _check_channel(spec, lam, mode)
     p_a_vec = np.asarray(p_a_vec, dtype=float)
     p_b_vec = np.asarray(p_b_vec, dtype=float)
     Z_a = spec.initial.Z_eff
@@ -334,7 +325,7 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk"):
     if mode == "obk":
         q2 = np.sum((p_a_vec - p_b_vec) ** 2, axis=-1)
         pe = _screened_coulomb_ft(-Z_B, lam, q2) * _form_factor(Z_a, Z_b, q2)
-        nn = _screened_coulomb_ft(Z_A * Z_B, lam, q2) * _overlap(Z_a, Z_b)
+        nn = _screened_coulomb_ft(Z_A * Z_B, lam, q2) * _form_factor(Z_a, Z_b, 0.0)
     else:
         ga = spec.gamma_a
         gb = spec.gamma_b
@@ -390,11 +381,16 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
     tail_nodes nodes, and the sub-_THETA_MIN cap by a flat-peak patch.
     Each rule's nodes form one angle array, so dsigma is one batched
     call per rule. The error estimate is the change under node doubling.
+    An obk total diverges where its forward momentum transfer |p_a - p_b|
+    and lam are both 0, and raises NumericalError there.
     """
-    _require_open(spec)
+    _check_channel(spec, lam, mode)
     for count, what in ((n_segments, "n_segments"), (seg_nodes, "seg_nodes"),
                         (tail_nodes, "tail_nodes")):
         _check_count(count, 1, what)
+    if mode == "obk":
+        # the screened Coulomb at theta = 0 refuses a zero denominator
+        _screened_coulomb_ft(1.0, lam, (spec.energetics.p_a - spec.energetics.p_b) ** 2)
 
     def rule(scale):
         edges = np.geomspace(_THETA_MIN, _THETA_SPLIT, n_segments + 1)
@@ -548,47 +544,48 @@ class _Draw(NamedTuple):
         return cls(x, mu, u_x, u_y)
 
 
-def _oracle_plan(spec, lam, mode, interaction):
-    """Importance-sampling constants; the second vector is the one the
-    interaction decays in, so its rate always includes lam. They are the
-    integrand's own decay rates, which _oracle_integrand relies on."""
+def _oracle_term(spec, theta, lam, mode, interaction):
+    """One oracle term, as (kappa_s, kappa_w, a, b, amp).
+
+    The term's raw integrand over its sampling density is amp e^(i (a.s
+    + b.w)) / x_w, times e^(-Z_b |s + w|) for the jacobi internuclear
+    term, with x_w = kappa_w w_r. That holds because the sampling rates
+    kappa_s and kappa_w equal the term's orbital and screening decay
+    rates in s and w, so those exponentials cancel the density's; w is
+    the vector the interaction decays in, so its rate includes lam. a and
+    b combine p_a and p_b, which _canonical_vectors puts in the x-z
+    plane, so their y components are exactly 0.
+    """
     Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
-    if mode == "jacobi":
-        kappa_s = Z_a
-        kappa_w = Z_b + lam if interaction == "ProtonElectron" else lam
+    pe = interaction == "ProtonElectron"
+    p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
+    if mode == "obk":
+        kappa_s, kappa_w = Z_a + Z_b, lam
+        # phase q.R with R = s - w for the proton-electron term, R = w internuclear
+        q_vec = p_a_vec - p_b_vec
+        a, b = (q_vec, -q_vec) if pe else (np.zeros(3), q_vec)
     else:
-        kappa_s = Z_a + Z_b
-        kappa_w = lam
+        kappa_s, kappa_w = Z_a, (Z_b + lam if pe else lam)
+        ga, gb = spec.gamma_a, spec.gamma_b
+        c = ga + gb - ga * gb
+        # phase p_a.X - p_b.R_out with R_out = c s + (1 - gb) X, and X = x_s s - w:
+        # x_s = 1 - ga for the proton-electron term (w is the outgoing electron
+        # coordinate r_b), x_s = -ga internuclear (w is the internuclear separation)
+        x_s = 1.0 - ga if pe else -ga
+        k = p_a_vec - (1.0 - gb) * p_b_vec
+        a, b = x_s * k - c * p_b_vec, -k
     if kappa_w <= 0:
         raise DomainError(
             "oracle importance sampling needs lam > 0 for this mode/interaction"
         )
-    return kappa_s, kappa_w
-
-
-def _oracle_phases(spec, theta, mode, interaction):
-    """The phase vectors a and b of one term's raw integrand e^(i (a.s + b.w)).
-
-    Both are combinations of p_a and p_b, which _canonical_vectors puts
-    in the x-z plane, so their y components are exactly 0.
-    """
-    p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
-    if mode == "obk":
-        # phase q.R with R = s - w for the proton-electron term, R = w internuclear
-        q_vec = p_a_vec - p_b_vec
-        if interaction == "ProtonElectron":
-            return q_vec, -q_vec
-        return np.zeros(3), q_vec
-    ga = spec.gamma_a
-    gb = spec.gamma_b
-    c = ga + gb - ga * gb
-    # phase p_a.X - p_b.R_out with R_out = c s + (1 - gb) X, and X = x_s s - w:
-    # x_s = 1 - ga for the proton-electron term (w is the outgoing electron
-    # coordinate r_b), x_s = -ga internuclear (w is the internuclear separation)
-    x_s = 1.0 - ga if interaction == "ProtonElectron" else -ga
-    k = p_a_vec - (1.0 - gb) * p_b_vec
-    return x_s * k - c * p_b_vec, -k
+    # phi_b(r_b) phi_a(s_r) V(w_r) = amp e^(-Z_b r_b - Z_a s_r - lam w_r) / w_r
+    amp = math.sqrt(Z_b**3 / math.pi) * math.sqrt(Z_a**3 / math.pi)
+    amp *= -Z_b if pe else Z_a * Z_b
+    # the density is (kappa_s kappa_w)^3 e^(-x_s - x_w) / (8 pi)^2, and
+    # 1/w_r = kappa_w / x_w
+    amp *= (8.0 * np.pi) ** 2 * kappa_w / (kappa_s * kappa_w) ** 3
+    return kappa_s, kappa_w, a, b, amp
 
 
 def _norm_of_sum(s_r, s, w_r, w):
@@ -605,33 +602,16 @@ def _norm_of_sum(s_r, s, w_r, w):
 
 
 def _oracle_integrand(spec, theta, lam, mode, interaction):
-    """One term's raw 6-D integrand over its sampling density, no
-    reductions, as the mean over the antithetic pair (s, w), (-s, -w).
+    """One term's raw 6-D integrand over its sampling density, as the
+    mean over the antithetic pair (s, w), (-s, -w), for one block's draws
+    of _oracle_draws.
 
-    Every raw integrand is mag e^(i (a.s + b.w)) with mag a function of
-    radii alone, so f(-s, -w) = conj f(s, w) and the pair's mean is the
-    real Re f = mag cos(a.s + b.w). Returns Re f / p for one block's
-    draws (s, w) of _oracle_draws, where p = (kappa_s kappa_w)^3
-    e^(-x_s - x_w) / (8 pi)^2 at the rates of _oracle_plan.
-
-    a and b have no y component (_oracle_phases), so a.s = s_r (a_x u_x
-    + a_z mu), and the cos of the phase is one tan per point (_cos_sin;
-    its sin is dropped). _oracle_plan's kappa equals the orbital and lam
-    rates of mag's e^(-rate_s s_r - rate_w w_r) in every mode and term,
-    so that factor cancels 1/p's e^(x_s + x_w) exactly and no exp is
-    left for it. Only the jacobi internuclear term keeps one: its
-    e^(-Z_b |s + w|), whose norm takes no trig call (_norm_of_sum).
-    Every constant is built here, once per oracle call.
+    The integrand is mag e^(i (a.s + b.w)) with mag a function of radii
+    alone (_oracle_term), so the pair's mean is Re f = mag cos(a.s +
+    b.w): one tan per point (_cos_sin), with a.s = s_r (a_x u_x + a_z mu).
     """
-    Z_a = spec.initial.Z_eff
     Z_b = spec.final.Z_eff
-    kappa_s, kappa_w = _oracle_plan(spec, lam, mode, interaction)
-    # phi_b(r_b) phi_a(s_r) V(w_r) = amp e^(-Z_b r_b - Z_a s_r - lam w_r) / w_r
-    amp = math.sqrt(Z_b**3 / math.pi) * math.sqrt(Z_a**3 / math.pi)
-    amp *= -Z_b if interaction == "ProtonElectron" else Z_a * Z_b
-    # times 1/p up to e^(x_s + x_w), and 1/w_r = kappa_w / x_w
-    amp *= (8.0 * np.pi) ** 2 * kappa_w / (kappa_s * kappa_w) ** 3
-    a, b = _oracle_phases(spec, theta, mode, interaction)
+    kappa_s, kappa_w, a, b, amp = _oracle_term(spec, theta, lam, mode, interaction)
     a_x, a_z = a[0] / kappa_s, a[2] / kappa_s
     b_x, b_z = b[0] / kappa_w, b[2] / kappa_w
     internuclear = mode == "jacobi" and interaction == "Internuclear"
@@ -684,11 +664,11 @@ def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
     Returns a real array of shape (len(terms), blocks). Block b draws its
     Sobol points, radii and directions once, from child b of
     SeedSequence(seed), so no two blocks, of one seed or of two, share a
-    stream; every term reuses them at its own rates, and adds the cos of
-    its own phase (_oracle_integrand). The blocks run on a pool of
-    `threads` workers, or on the caller's thread when threads is 1, and
-    the means come back in block order, so the thread count cannot change
-    them.
+    stream; every term reuses them at its own rates (_oracle_term), and
+    adds the cos of its own phase (_oracle_integrand). The blocks run on
+    a pool of `threads` workers, or on the caller's thread when threads
+    is 1, and the means come back in block order, so the thread count
+    cannot change them.
     """
     from scipy.stats import qmc
 
@@ -724,31 +704,19 @@ def brute_force_oracle(
 ):
     """Direct Sobol evaluation of the capture integral, value and error.
 
-    Block b draws from child b of SeedSequence(seed), so seed must be
-    non-negative, and the block means reduce in index order, so the
-    thread count, an integer n_threads >= 1, cannot change the result.
-    Each draw stands for its antithetic pair, whose mean is real: the
-    value is a complex with imaginary part exactly 0, and its error is
-    the standard error of the real block means. The Sum interaction runs
+    Each (mode, interaction) term is one _oracle_term. Block b draws from
+    child b of SeedSequence(seed), and the block means reduce in index
+    order, so n_threads cannot change the result. The value's imaginary
+    part is exactly 0 (antithetic pairs), and its error is the standard
+    error of the real block means. The Sum interaction runs
     its two terms on the same blocks, so its error comes from the summed
     block means, which carry the terms' correlation. `samples` counts
     integrand evaluations.
     """
-    _require_open(spec)
+    _check_channel(spec, lam, mode)
     _check_count(samples, 100000, "oracle samples")
-    if mode not in MODES:
-        raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise DomainError(f"oracle seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise DomainError(f"oracle seed must be non-negative, got {seed}")
-    if lam < 0:
-        raise DomainError("screening constant must be non-negative")
-    integral = isinstance(n_threads, numbers.Integral)
-    if not integral or isinstance(n_threads, bool) or n_threads < 1:
-        raise DomainError(
-            f"oracle n_threads must be an integer >= 1, got {n_threads!r}"
-        )
+    _check_count(seed, 0, "oracle seed")
+    _check_count(n_threads, 1, "oracle n_threads")
     terms = ("ProtonElectron", "Internuclear")
     if spec.interaction != "Sum":
         terms = (spec.interaction,)

@@ -265,7 +265,7 @@ def fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14):
     can bound them relatively. A scalar q returns a float.
     """
     q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
+    if not np.all(q >= 0):
         raise DomainError("momentum transfer must be non-negative")
     if isinstance(pot, SquareWell):
         R_cut = pot.radius
@@ -304,7 +304,7 @@ def _checked(val, est, rel_tol, abs_tol):
 def fourier_transform(pot, q):
     """v(q) at a momentum or an array of momenta: a closed form takes the
     whole array in one call, otherwise fourier_transform_quadrature does."""
-    if np.any(np.asarray(q) < 0):
+    if not np.all(np.asarray(q) >= 0):
         raise DomainError("momentum transfer must be non-negative")
     if hasattr(pot, "analytic_ft"):
         return pot.analytic_ft(q)

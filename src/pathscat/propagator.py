@@ -281,7 +281,7 @@ def free_propagator(x_b, t_b, x_a, t_a, mass):
     square-root branch fixed so the prefactor phase is exp(-i pi/4).
     """
     dt = t_b - t_a
-    if dt <= 0:
+    if not dt > 0:
         raise DomainError("free propagator requires t_b > t_a")
     if not mass > 0:
         raise DomainError(f"mass must be positive, got {mass}")

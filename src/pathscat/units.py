@@ -114,7 +114,7 @@ def channel_energetics(E_a, eps_a, eps_b, kin):
     Arrays that broadcast, kin's masses included, give one channel per
     element: status is then an array of OPEN and CLOSED.
     """
-    if np.any(np.less(E_a, 0)):
+    if not np.all(np.greater_equal(E_a, 0)):
         raise DomainError(f"incoming relative energy must be >= 0, got {E_a}")
     E_b = E_a + eps_a - eps_b
     is_open = E_b >= 0

@@ -51,8 +51,7 @@ from pathscat.capture import (
     _log_gamma3_table,
     _norm_of_sum,
     _oracle_block_means,
-    _oracle_phases,
-    _oracle_plan,
+    _oracle_term,
     _p3_series,
     _t_integral,
 )
@@ -248,7 +247,7 @@ def _oracle_block_means_reference(spec, theta, interaction, samples, lam, mode, 
     a time, on the oracle's streams: block b from child b of
     SeedSequence(seed). With magnitudes, also each block's mean of
     |f/p|, the size of the summands before they cancel."""
-    kappa_s, kappa_w = _oracle_plan(spec, lam, mode, interaction)
+    kappa_s, kappa_w = _oracle_term(spec, theta, lam, mode, interaction)[:2]
     p_a_vec, p_b_vec = _canonical_vectors(spec, theta)
     n_blocks = max(2, math.ceil(samples / capture.ORACLE_BLOCK))
     means, sizes = [], []
@@ -802,7 +801,7 @@ def test_canonical_frame_and_oracle_phases_lie_in_the_x_z_plane():
         for angle in theta:
             for mode in capture.MODES:
                 for term in ("ProtonElectron", "Internuclear"):
-                    a, b = _oracle_phases(spec, angle, mode, term)
+                    _, _, a, b, _ = _oracle_term(spec, angle, 1.0, mode, term)
                     assert a.shape == b.shape == (3,)
                     assert a[1] == 0.0 and b[1] == 0.0, (system, angle, mode, term)
 
@@ -931,7 +930,7 @@ def test_oracle_rejects_thin_sampling():
 
 def test_oracle_rejects_a_negative_seed():
     # the blocks draw from SeedSequence(seed), which takes no negative seed
-    with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+    with pytest.raises(DomainError, match="^oracle seed must be at least 0, got -1$"):
         brute_force_oracle(_pp_spec(), 1e-3, samples=1 << 17, seed=-1)
 
 
@@ -948,12 +947,17 @@ def test_oracle_rejects_counts_that_are_not_integers(monkeypatch, counts, messag
         brute_force_oracle(_pp_spec(), 1e-3, **{"samples": 1 << 17, **counts})
 
 
-@pytest.mark.parametrize("n_threads", [0, -2, 2.5, True])
-def test_oracle_rejects_a_thread_count_that_is_not_a_positive_integer(monkeypatch,
-                                                                      n_threads):
+@pytest.mark.parametrize("n_threads,message", [
+    (0, "must be at least 1, got 0"),
+    (-2, "must be at least 1, got -2"),
+    (2.5, "must be an integer, got 2.5"),
+    (True, "must be an integer, got True"),
+], ids=["0", "-2", "2.5", "True"])
+def test_oracle_rejects_a_thread_count_that_is_not_a_positive_integer(
+        monkeypatch, n_threads, message):
     # refused before any Sobol draw, as seed, samples and lam are
     monkeypatch.setattr(capture, "_oracle_block_means", _no_sampling)
-    with pytest.raises(DomainError, match="n_threads must be an integer >= 1"):
+    with pytest.raises(DomainError, match=f"^oracle n_threads {re.escape(message)}$"):
         brute_force_oracle(_pp_spec(), 1e-3, samples=1 << 17, n_threads=n_threads)
 
 
@@ -975,6 +979,64 @@ def test_closed_channel_is_refused():
         ct_total_cross_section(spec, lam=0.0, mode="jacobi")
     with pytest.raises(DomainError):
         brute_force_oracle(spec, 1e-3, samples=1 << 17)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: capture_amplitude(_pp_spec(), 1e-3, lam=math.nan),
+     "screening constant must be non-negative"),
+    (lambda: ct_differential_cross_section(_pp_spec(), 1e-3, lam=math.nan,
+                                           mode="jacobi"),
+     "screening constant must be non-negative"),
+    (lambda: ct_total_cross_section(_pp_spec(), lam=math.nan),
+     "screening constant must be non-negative"),
+    (lambda: brute_force_oracle(_pp_spec(), 1e-3, samples=1 << 17, lam=math.nan),
+     "screening constant must be non-negative"),
+    (lambda: HydrogenicState(math.nan), "effective charge must be positive, got nan"),
+    (lambda: make_capture_spec(1.0, 1.0, math.nan, 1.0, 2.0),
+     "effective charge must be positive, got nan"),
+    (lambda: make_capture_spec(1.0, 1.0, 1.0, 1.0, math.nan),
+     "relative speed must be positive, got nan"),
+], ids=["amplitude", "dsigma", "total", "oracle", "state", "spec-charge",
+        "spec-speed"])
+def test_nan_arguments_are_refused(monkeypatch, call, message):
+    # NaN once passed every range check: amplitudes came back NaN, the
+    # oracle drew every block for a NaN estimate, and a NaN charge gave a
+    # Closed channel
+    monkeypatch.setattr(capture, "_oracle_block_means", _no_sampling)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("spec,lam,mode,message", [
+    (make_capture_spec(1.0, 1.0, 1.0, 0.1, 0.001), 1.0, "obk",
+     "capture requires an open final channel"),
+    (_pp_spec(), 1.0, "bk", "unknown coordinate mode 'bk'; options: ('obk', 'jacobi')"),
+    (_pp_spec(), -0.5, "jacobi", "screening constant must be non-negative"),
+], ids=["closed", "mode", "lam"])
+def test_every_capture_entry_point_refuses_alike(monkeypatch, spec, lam, mode, message):
+    # one check serves every entry point, so each gives the same message
+    monkeypatch.setattr(capture, "_oracle_block_means", _no_sampling)
+    p_a_vec, p_b_vec = _canonical_vectors(spec, 1e-3)
+    calls = [
+        lambda: capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam, mode),
+        lambda: capture_amplitude(spec, 1e-3, lam, mode),
+        lambda: ct_differential_cross_section(spec, 1e-3, lam, mode),
+        lambda: ct_total_cross_section(spec, lam, mode),
+        lambda: brute_force_oracle(spec, 1e-3, samples=1 << 17, lam=lam, mode=mode),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_obk_total_at_zero_screening_on_a_resonant_channel_raises(monkeypatch):
+    # p_a = p_b puts q = 0 at theta = 0, where dsigma grows as theta^-4;
+    # the total once came back 1.86e8 with a quoted error of 4.5e-7
+    spec = _pp_spec()
+    assert spec.energetics.p_a == spec.energetics.p_b
+    monkeypatch.setattr(capture, "ct_differential_cross_section", _no_sampling)
+    with pytest.raises(NumericalError, match="diverges at zero momentum transfer"):
+        ct_total_cross_section(spec, lam=0.0, mode="obk")
 
 
 def test_total_is_smooth_in_collision_speed():

@@ -197,6 +197,20 @@ def test_exit_code_for_numerical_failure(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "NumericalError"
 
 
+def test_obk_total_at_zero_screening_on_a_resonant_channel_exits_3(tmp_path, capsys):
+    # the demo channel is resonant (p_a = p_b), so the obk total diverges
+    # at lam = 0; it once exited 0 with a finite total
+    demo = next(p for p in DEMO_CONFIGS if p.stem == "charge-transfer")
+    out = tmp_path / "out"
+    code = cli.main(["charge-transfer", "--config", str(demo), "--out", str(out),
+                     "--set", "mode=obk"])
+    assert code == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "NumericalError", "message":
+                     "unscreened Coulomb transform diverges at zero momentum transfer"}
+    assert not any(out.iterdir())
+
+
 def test_outputs_are_run_and_thread_invariant(tmp_path):
     cfg = _write_config(tmp_path, ORACLE_CONFIG)
     outs = []

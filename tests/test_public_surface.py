@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from pathscat import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+NAN = float("nan")
 
 MODULES = [born, capture, errors, influence, potentials, propagator, units]
 
@@ -63,6 +65,30 @@ def test_unused_attributes_are_gone():
 
 def _parameters(fn):
     return list(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: born.momentum_transfer(NAN, 0.5),
+     "momentum magnitude must be non-negative"),
+    (lambda: born.born_amplitude(potentials.Yukawa(-1.0, 1.0), NAN, 1.0, 0.5),
+     "momentum magnitude must be non-negative"),
+    (lambda: born.born_differential_cross_section(potentials.Yukawa(-1.0, 1.0), NAN,
+                                                  1.0, 0.5),
+     "incident momentum must be positive"),
+    (lambda: propagator.free_propagator(0.0, NAN, 0.0, 0.0, 1.0),
+     "free propagator requires t_b > t_a"),
+    (lambda: potentials.fourier_transform(potentials.Yukawa(-1.0, 1.0), NAN),
+     "momentum transfer must be non-negative"),
+    (lambda: units.channel_energetics(NAN, -0.5, -0.5,
+                                      units.reduced_masses(1.0, 1.0)),
+     "incoming relative energy must be >= 0, got nan"),
+], ids=["momentum-transfer", "born-amplitude", "born-dsigma", "free-propagator",
+        "fourier-transform", "channel-energetics"])
+def test_nan_arguments_are_refused(call, message):
+    # each range check is written so that NaN fails it; these once
+    # returned NaN or a Closed channel
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_capture_cross_sections_take_only_the_options_a_caller_sets():
