@@ -343,18 +343,6 @@ def _complex(z):
     return {"re": z.real, "im": z.imag}
 
 
-def _largest_prime_factor(n):
-    """Largest prime factor of n >= 2. A lattice of n - 1 points runs its
-    DST-I through FFTs of length 2n, which slow down several-fold when n
-    has a large prime factor."""
-    largest, factor = 1, 2
-    while factor * factor <= n:
-        while n % factor == 0:
-            largest, n = factor, n // factor
-        factor += 1
-    return max(largest, n)
-
-
 def _kernel(cfg):
     return time_sliced_propagator(
         cfg["potential"], cfg["lattice"], cfg["time"], cfg["mass"],
@@ -372,7 +360,6 @@ def _run_propagator(cfg):
         "kind": "propagator_column",
         "source_node": float(nodes[j]),
         "symmetry_defect": K.symmetry_defect(),
-        "dst_largest_prime_factor": _largest_prime_factor(lattice.points + 1),
     }
     if pot is None:
         payload["free_kernel_max_rel_deviation"] = free_deviation_diagnostic(K, mass)
@@ -388,7 +375,6 @@ def _run_evolve(cfg):
         "norm_final": psi.norm(),
         "width_final": packet_width(psi),
         "boundary_leak_fraction": boundary_leak_fraction(psi),
-        "dst_largest_prime_factor": _largest_prime_factor(cfg["lattice"].points + 1),
     }
     return payload, ("index", "x", "Re", "Im"), _field_rows(psi)
 

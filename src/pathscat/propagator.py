@@ -8,8 +8,12 @@ Every mode-factor scheme (kinetic pade2 or exact, with endpoint or
 symmetric sampling) makes a slice separable: diagonal potential and
 absorber factors around a kinetic factor that is diagonal in the DST-I
 sine basis. Such a slice is kept as its factors and applied by
-split-step in O(n log n), two orthonormal DSTs per slice (Feit, Fleck &
-Steiger, J. Comput. Phys. 47, 412, 1982). The dense n x n kernel is
+split-step in O(n log n) (Feit, Fleck & Steiger, J. Comput. Phys. 47,
+412, 1982): the kinetic step S diag(f) S, S the orthonormal DST-I, is a
+Toeplitz minus a Hankel product, taken as one FFT pair of a fast length
+M >= 2n - 1 whatever n is. A DST-I runs on an FFT of length 2(n + 1),
+which is several times slower when n + 1 has a large prime factor
+(769 for n = 768). The dense n x n kernel is
 formed only when its entries are read: by one sine-basis product with
 the mode factors to the N-th power when the slice's node factors
 multiply to a constant (no potential, or a constant one, on hard
@@ -48,7 +52,7 @@ so the kinetic step carries no time-step error and only potential
 sampling remains.
 
 scipy is imported where it is used, not with this module: scipy.fft at
-the first split-step DST (`_dst`). Dense kernels need numpy alone.
+the first kinetic plan (`_kinetic_plan`). Dense kernels need numpy alone.
 """
 
 import functools
@@ -402,8 +406,8 @@ def _slices(lattices, grid, masses, kinetic, sampling, V):
     axis's kinetic operator: the per-mode factor, applied by split-step,
     on one axis, and its dense kernel times dx on the product lattice,
     where under influence.MAX_PRODUCT_POINTS a matrix product costs less
-    than a DST-I pair. Midpoint sampling is not separable and is refused
-    here.
+    than a split-step FFT pair. Midpoint sampling is not separable and is
+    refused here.
     """
     eps = grid.epsilon
     damp = functools.reduce(
@@ -434,17 +438,55 @@ def _power(T, N, dx):
     return T if N == 1 else np.linalg.matrix_power(dx * T, N) / dx
 
 
-def _dst(values, axis):
-    """Orthonormal DST-I along axis >= 0; a complex array goes as one
-    real batch of its (..., 2) float view, bit-identical to scipy's."""
+def _kinetic_plan(f):
+    """Plan (M, HT, HH, rev) of the kinetic step S diag(f) S of a per-mode
+    factor f, S the orthonormal DST-I of n = f.size points.
+
+    With nodes i, j = 1 ... n, S diag(f) S v is a Toeplitz minus a Hankel
+    product, w_i = sum_j h(i - j) v_j - sum_j h(i + j) v_j, where
+    h(m) = sum_k f_k cos(pi k m / (n + 1)) / (n + 1) is the inverse DFT
+    of f's even extension over 2(n + 1) points. The Hankel product is the
+    Toeplitz one of the reversed v, whose transform is X[rev] times a
+    phase ramp, folded here into HH. So both products come from one FFT X
+    of v zero-padded to the fast length M >= 2n - 1, as one linear
+    convolution that no wrap-around reaches. 2(n + 1) is itself a slow
+    length when n + 1 has a large prime factor, so h is summed by chirp-z
+    on a fast length too, with km = (k^2 + m^2 - (k - m)^2) / 2.
+    """
     import scipy.fft
 
-    if not np.iscomplexobj(values):
-        return scipy.fft.dst(values, type=1, axis=axis, norm="ortho")
-    pairs = np.ascontiguousarray(values, dtype=complex).view(float)
-    pairs = pairs.reshape(values.shape + (2,))
-    out = scipy.fft.dst(pairs, type=1, axis=axis, norm="ortho")
-    return out.view(complex).reshape(values.shape)
+    n = f.size
+    L = 2 * (n + 1)
+    g = np.zeros(L, dtype=complex)
+    g[1 : n + 1], g[n + 2 :] = f, f[::-1]
+    k = np.arange(L)
+    chirp = np.exp(1j * np.pi * (k * k % (2 * L)) / L)
+    P = scipy.fft.next_fast_len(2 * L - 1)
+    b = np.zeros(P, dtype=complex)
+    b[:L], b[P - L + 1 :] = chirp.conj(), chirp[:0:-1].conj()
+    h = scipy.fft.ifft(scipy.fft.fft(g * chirp, P) * scipy.fft.fft(b))[:L] * chirp / L
+    M = scipy.fft.next_fast_len(2 * n - 1)
+    # the filters h(j - (n - 1)) and h(j + 2), j = 0 ... 2n - 2, put w_i
+    # at index i + n - 2 of the convolution
+    j = np.arange(2 * n - 1)
+    ramp = np.exp(-2j * np.pi * (np.arange(M) * (n - 1) % M) / M)
+    HT = scipy.fft.fft(h[np.abs(j - (n - 1))], M)
+    HH = scipy.fft.fft(h[j + 2], M) * ramp
+    return M, HT, HH, -np.arange(M) % M
+
+
+def _kinetic_step(values, plan, axis):
+    """S diag(f) S along axis of values, from f's _kinetic_plan: one
+    forward and one inverse FFT of length M."""
+    import scipy.fft
+
+    M, HT, HH, rev = plan
+    n = values.shape[axis]
+    shape = (M,) + (1,) * (values.ndim - axis - 1)
+    lead = (slice(None),) * axis
+    X = scipy.fft.fft(values, M, axis)
+    X = X * HT.reshape(shape) - X[lead + (rev,)] * HH.reshape(shape)
+    return scipy.fft.ifft(X, axis=axis)[lead + (slice(n - 1, 2 * n - 1),)]
 
 
 def _propagate(values, slices):
@@ -452,15 +494,19 @@ def _propagate(values, slices):
 
     A slice (pre, ops, post) maps v to post * A (pre * v), where A
     applies one kinetic operator along each axis of v in turn: a
-    per-mode factor f by split-step, DST(f * DST(v)) with the
-    orthonormal DST-I, or a dense matrix by a matrix product.
+    per-mode factor f by split-step, S diag(f) S v with S the
+    orthonormal DST-I, as one FFT pair of a fast length (_kinetic_step),
+    or a dense matrix by a matrix product. The FFT plan of each distinct
+    ops tuple is built once per call.
     """
+    plans = {}
     for pre, ops, post in slices:
+        if id(ops) not in plans:
+            plans[id(ops)] = [_kinetic_plan(op) if op.ndim == 1 else op for op in ops]
         values = pre * values
-        for axis, op in enumerate(ops):
-            if op.ndim == 1:
-                f = np.expand_dims(op, tuple(range(1, values.ndim - axis)))
-                values = _dst(f * _dst(values, axis), axis)
+        for axis, op in enumerate(plans[id(ops)]):
+            if isinstance(op, tuple):
+                values = _kinetic_step(values, op, axis)
             else:
                 values = np.moveaxis(np.tensordot(op, values, (1, axis)), 0, axis)
         values = post * values

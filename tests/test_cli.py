@@ -474,17 +474,9 @@ def test_demo_configs_run_and_echo_their_config(tmp_path, capsys, path):
 
 @pytest.mark.parametrize("command,key,want", [
     ("charge-transfer", "evaluations", 705),
-    # 769 is prime: the evolve demo's DST-I runs on a slow FFT length
-    ("evolve", "dst_largest_prime_factor", 769),
-    ("propagator", "dst_largest_prime_factor", 19),
 ])
 def test_demo_payloads_report_their_counts(tmp_path, command, key, want):
     demo = next(p for p in DEMO_CONFIGS if p.stem == command)
     assert cli.main([command, "--config", str(demo), "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / f"{command}.json").read_text())["payload"]
     assert payload[key] == want
-
-
-def test_largest_prime_factor():
-    cases = {2: 2, 4: 2, 210: 7, 257: 257, 513: 19, 769: 769, 1024: 2, 1025: 41}
-    assert {n: cli._largest_prime_factor(n) for n in cases} == cases

@@ -23,22 +23,34 @@ from pathscat import (
     ComplexField1D,
     DomainError,
     evolve,
+    FixedPath,
     free_deviation_diagnostic,
     free_propagator,
     free_propagator_matrix,
     Gaussian,
     gaussian_packet,
     HardWall,
+    influence_K2,
     LatticeSpec,
     packet_width,
+    PairPotentials,
     scattered_component,
     TimeGrid,
     time_sliced_propagator,
     Yukawa,
 )
-from pathscat.propagator import _dst, _sine_modes, SAMPLING_MODES
+from pathscat import propagator
+from pathscat.propagator import (
+    _kinetic_factor,
+    _kinetic_plan,
+    _kinetic_step,
+    _mode_kernel,
+    _sine_modes,
+    SAMPLING_MODES,
+)
 
-# n + 1 prime makes the DST-I transform length 2(n + 1) a prime times two
+# n + 1 prime: the DST-I of these sizes would run on an FFT of length
+# 2(n + 1), a prime times two, so they are awkward sizes for the kinetic step
 PRIME_PLUS_ONE = (12, 16, 22, 96, 100, 126)
 
 LAT = LatticeSpec(-20.0, 20.0, 512)
@@ -394,27 +406,92 @@ def test_sine_modes_table_gather_is_bit_identical_to_the_former_formula(n):
     assert np.array_equal(_sine_modes(lat), _sine_modes_reference(lat))
 
 
-@pytest.mark.parametrize("n", [255, 256, 767, 768])
-def test_complex_dst_is_bit_identical_to_scipy(n):
+def _dst_pair(values, f, axis=0):
+    """The former kinetic step: orthonormal DST-I, times f, DST-I again."""
+    f = np.expand_dims(f, tuple(range(1, values.ndim - axis)))
+    dst = lambda a: scipy.fft.dst(a, type=1, axis=axis, norm="ortho")
+    return dst(f * dst(values))
+
+
+@pytest.mark.parametrize("kinetic", ["pade2", "exact"])
+@pytest.mark.parametrize(
+    "n", sorted(set(PRIME_PLUS_ONE) | {255, 256, 511, 512, 767, 768, 1023, 1024})
+)
+def test_kinetic_step_matches_the_dst_pair_and_the_mode_kernel(n, kinetic):
+    lat = LatticeSpec(-12.0, 9.0, n)
+    f = _kinetic_factor(lat, 0.03, 0.7, kinetic)
     rng = np.random.default_rng(n)
-    values = rng.normal(size=n) + 1j * rng.normal(size=n)
-    want = scipy.fft.dst(values, type=1, axis=0, norm="ortho")
-    assert np.array_equal(_dst(values, 0), want)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    got = _kinetic_step(v, _kinetic_plan(f), 0)
+    for want in (_dst_pair(v, f), (_mode_kernel(lat, f) @ v) * lat.dx):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("shape", [(256, 40), (96, 127)])
-def test_complex_dst_along_an_axis_is_bit_identical_to_scipy(shape, axis):
+def test_kinetic_step_along_an_axis_matches_the_dst_pair(shape, axis):
     rng = np.random.default_rng(shape[0] + axis)
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # a transposed view is what the split-step engine passes after moveaxis
-    for arr in (values, values.T):
-        want = scipy.fft.dst(arr, type=1, axis=axis, norm="ortho")
-        assert np.array_equal(_dst(arr, axis), want)
-    real = values.real
-    got = _dst(real, axis)
-    assert got.dtype == float
-    assert np.array_equal(got, scipy.fft.dst(real, type=1, axis=axis, norm="ortho"))
+    f = _kinetic_factor(LatticeSpec(-5.0, 5.0, shape[axis]), 0.05, 1.0, "exact")
+    plan = _kinetic_plan(f)
+    # a transposed view is what the engine passes after a moveaxis
+    for arr, ax in ((values, axis), (values.T, 1 - axis)):
+        got = _kinetic_step(arr, plan, ax)
+        want = _dst_pair(arr, f, ax)
+        assert got.shape == arr.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _largest_prime_factor(n):
+    largest, factor = 1, 2
+    while factor * factor <= n:
+        while n % factor == 0:
+            largest, n = factor, n // factor
+        factor += 1
+    return max(largest, n)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """(name, length) of every 1-D scipy.fft transform while the test
+    runs, and the size of every kinetic plan built."""
+    calls, plans = [], []
+    for name in ("fft", "ifft", "rfft", "irfft", "dct", "idct", "dst", "idst"):
+
+        def recording(x, *args, _name=name, _original=getattr(scipy.fft, name), **kw):
+            n = args[0] if args else kw.get("n")
+            calls.append((_name, np.shape(x)[kw.get("axis", -1)] if n is None else n))
+            return _original(x, *args, **kw)
+
+        monkeypatch.setattr(scipy.fft, name, recording)
+    original_plan = propagator._kinetic_plan
+
+    def planning(f):
+        plans.append(f.size)
+        return original_plan(f)
+
+    monkeypatch.setattr(propagator, "_kinetic_plan", planning)
+    return calls, plans
+
+
+def test_split_step_runs_on_fast_fft_lengths_with_one_plan_per_operator(fft_calls):
+    calls, plans = fft_calls
+    # n + 1 = 769 and 257 are prime: a DST-I would run on 2 * 769 and 2 * 257
+    lat = LatticeSpec(-30.0, 30.0, 768)
+    K = time_sliced_propagator(Gaussian(-0.5, 1.5), lat, TimeGrid(0.0, 1.0, 64), 1.0)
+    evolve(gaussian_packet(lat, -12.0, 2.0, 1.5), K)
+    assert plans == [768]
+    small = LatticeSpec(-10.0, 10.0, 256)
+    grid = TimeGrid(0.0, 1.0, 16)
+    influence_K2(
+        PairPotentials(Gaussian(-1.0, 1.0), Gaussian(-1.0, 1.0), None),
+        FixedPath(grid, np.linspace(-2.0, 1.0, grid.N + 1)),
+        small.nodes[100], small.nodes[140], small, grid, 1.0,
+    )
+    # the amplitude and its free reference
+    assert plans == [768, 256, 256]
+    assert calls and {name for name, _ in calls} == {"fft", "ifft"}
+    assert max(_largest_prime_factor(length) for _, length in calls) <= 11
 
 
 def test_scattered_component_vanishes_without_potential():
