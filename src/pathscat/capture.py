@@ -41,6 +41,7 @@ amplitudes and totals need numpy alone.
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -666,9 +667,10 @@ def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
     SeedSequence(seed), so no two blocks, of one seed or of two, share a
     stream; every term reuses them at its own rates (_oracle_term), and
     adds the cos of its own phase (_oracle_integrand). The blocks run on
-    a pool of `threads` workers, or on the caller's thread when threads
-    is 1, and the means come back in block order, so the thread count
-    cannot change them.
+    a pool of min(threads, blocks, os.cpu_count()) workers, as the blocks
+    are CPU-bound, or on the caller's thread when that is 1, and the
+    means come back in block order, so the thread count cannot change
+    them.
     """
     from scipy.stats import qmc
 
@@ -685,8 +687,9 @@ def _oracle_block_means(spec, theta, terms, samples, lam, mode, seed, threads):
 
     # one thread runs the blocks itself: a one-worker pool cost 1-3% per
     # call and raised the peak RSS of the CLI demo sweep by 3.8 MB
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, n_blocks, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             means = list(pool.map(block_means, range(n_blocks)))
     else:
         means = [block_means(b) for b in range(n_blocks)]

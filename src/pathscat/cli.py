@@ -554,6 +554,17 @@ def run(command, params, out_dir, threads=1):
     return document
 
 
+# Exit code of each error type; an OSError is reported as a config error.
+_EXIT_CODES = {ConfigError: 2, NumericalError: 3, DomainError: 4}
+
+
+def _thread_count(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="pathscat",
@@ -574,16 +585,11 @@ def main(argv=None):
         )
     sub.choices["oracle"].add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=1,
         help="worker threads for oracle sample blocks (results unchanged)",
     )
     args = parser.parse_args(argv)
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        sub.choices["oracle"].error(
-            f"argument --threads: must be at least 1, got {threads}"
-        )
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
@@ -593,19 +599,14 @@ def main(argv=None):
                 f"config declares command {command!r} but {args.command!r} was invoked"
             )
         params = apply_overrides(params, args.set)
-        run(command, params, args.out, threads=threads)
-    except (OSError, ConfigError) as exc:
-        print(json.dumps({"error": {"type": "ConfigError", "message": str(exc)}}))
-        return 2
-    except NumericalError as exc:
-        doc = {"error": {"type": "NumericalError", "message": str(exc)}}
-        if exc.estimate is not None:
-            doc["error"]["estimate"] = float(exc.estimate)
-        print(json.dumps(doc))
-        return 3
-    except DomainError as exc:
-        print(json.dumps({"error": {"type": "DomainError", "message": str(exc)}}))
-        return 4
+        run(command, params, args.out, threads=getattr(args, "threads", 1))
+    except (OSError, *_EXIT_CODES) as exc:
+        kind = next((k for k in _EXIT_CODES if isinstance(exc, k)), ConfigError)
+        error = {"type": kind.__name__, "message": str(exc)}
+        if getattr(exc, "estimate", None) is not None:
+            error["estimate"] = float(exc.estimate)
+        print(json.dumps({"error": error}))
+        return _EXIT_CODES[kind]
     return 0
 
 

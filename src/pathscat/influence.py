@@ -16,11 +16,11 @@ phases vanish identically instead of at the lattice's accuracy floor.
 A pointwise effective potential is deliberately not offered; only the
 time-integrated phase is well defined here.
 
-One element body serves K1, K2 and the product lattice: it samples the
-potentials once with the propagator's `potential_on_axis` on the
-(slice ends) x (nodes) grid, takes the slices from its `_slices`, which
-builds them exactly as one-particle slices are, and pushes a delta
-through them. Slice j runs from t_(j-1) to t_j: endpoint
+One element body serves K1, K2 and the product lattice: it hands the
+potential terms and the companion's samples to the propagator's
+`_slices`, which samples the terms on the slice ends and builds the
+slices exactly as one-particle slices are, and pushes a delta through
+them. Slice j runs from t_(j-1) to t_j: endpoint
 sampling puts the whole phase at its arrival sample, and symmetric
 sampling half at its departure sample and half at its arrival sample,
 which keeps it second order on a moving path. Midpoint sampling is not
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .propagator import _propagate, _slices, potential_on_axis, TimeGrid
+from .propagator import _propagate, _slices, TimeGrid
 
 __all__ = [
     "FixedPath",
@@ -92,56 +92,30 @@ def _phase_from(amplitude, reference):
     return 1j * complex(np.log(amplitude / reference))
 
 
-def _element(terms, lattices, a, b, grid, masses, kinetic, sampling, path=None):
+def _element(terms, lattices, a, b, grid, masses, kinetic, sampling, companion=None):
     """(a -> b) element, one endpoint coordinate per lattice, of the path
-    sum on the lattices' product whose slices see the sum of the terms.
+    sum on the lattices' product whose slices see the sum of the terms,
+    with the companion on the given samples at the slice ends.
 
-    terms(*coords) gives triples (name, pot, coordinate); coords are the
-    lattices' nodes, one axis each, then, when a path is given on one
-    lattice, the companion's samples at the slice ends, as an open mesh
-    after a leading axis of slice ends. Without a path the potential is
-    static: one row, read by every slice. Each term is sampled once on
-    its part of this (slice ends) x (nodes) grid; a sample that is not
-    finite is reported at the earliest slice that reads it and at its
-    lattice node. Endpoint sampling reads only the arrival samples
-    t_1 ... t_N.
+    terms(*coords) gives triples (name, pot, coordinate), sampled by
+    propagator._slices on the lattices' nodes and the companion's
+    samples. Without a companion the potential is static.
     """
-    if path is not None and path.grid != grid:
-        raise DomainError("fixed path and contraction use different time grids")
     ia = tuple(_node_index(lat, x, "start endpoint") for lat, x in zip(lattices, a))
     ib = tuple(_node_index(lat, x, "final endpoint") for lat, x in zip(lattices, b))
-    first = 0 if sampling == "symmetric" else 1  # the first slice end read
-    shape = tuple(lat.points for lat in lattices)
-    coords = [x[None] for x in np.ix_(*(lat.nodes for lat in lattices))]
-    if path is not None:
-        coords.append(path.samples[first:, None])
-    V, bad = np.zeros((1,) + shape), []
-    for name, pot, coordinate in terms(*coords):
-        try:
-            V = V + potential_on_axis(pot, coordinate)
-        except DomainError as err:
-            if getattr(err, "node", None) is None:
-                raise
-            bad.append((err.node, name, err))
-    if bad:
-        (row, *node), name, err = min(bad, key=lambda item: item[0][0])
-        x = tuple(float(lat.nodes[i]) for lat, i in zip(lattices, node))
-        node, x = (node[0], x[0]) if len(node) == 1 else (tuple(node), x)
-        raise DomainError(
-            f"slice {max(first + row, 1)}, lattice node {node} (x = {x!r}): "
-            f"{name} = {err}"
-        ) from None
-    delta = np.zeros(shape)
+    delta = np.zeros(tuple(lat.points for lat in lattices))
     delta[ia] = 1.0 / math.prod(lat.dx for lat in lattices)
-    slices = _slices(lattices, grid, masses, kinetic, sampling, V)
-    return complex(_propagate(delta, slices)[ib])
+    step = _slices(lattices, grid, masses, kinetic, sampling, terms, companion)
+    return complex(_propagate(delta, *step)[ib])
 
 
 def _influence(terms, path, a, b, lattice, grid, mass, kinetic, sampling):
     """K1/K2: the element with the companion held on path, and the free
     reference, the same element with no potential."""
+    if path.grid != grid:
+        raise DomainError("fixed path and contraction use different time grids")
     args = ((lattice,), (a,), (b,), grid, (mass,), kinetic, sampling)
-    amp = _element(terms, *args, path=path)
+    amp = _element(terms, *args, path.samples)
     ref = _element(lambda *coords: (), *args)
     return InfluenceResult(
         amplitude=amp,

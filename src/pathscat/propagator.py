@@ -18,10 +18,15 @@ formed only when its entries are read: by one sine-basis product with
 the mode factors to the N-th power when the slice's node factors
 multiply to a constant (no potential, or a constant one, on hard
 walls), else as a matrix power in floor(log2 N) + popcount(N) - 1
-products. `_slices` builds the separable slices of every contraction,
+products. `_slices` builds the contraction of every separable route,
 this module's, the influence functionals' and the product lattice's,
-from the lattices, masses, kinetic factor, sampling and node
-potentials: it forms each axis's damping and kinetic operator itself.
+from the lattices, masses, kinetic factor, sampling and potential
+terms. It samples each term once on the slice ends its sampling reads,
+reports a sample that is not finite at its slice and lattice node, and
+forms each axis's damping and kinetic operator itself. The contraction
+is one triple (ops, pre, post): each axis's kinetic operator once, and
+the node factors before and after it, one row per slice, which
+`_propagate` applies in order.
 
 Midpoint sampling lives only in time_sliced_propagator. It is not
 separable: its slice is a dense matrix, and its N-slice kernel is formed
@@ -92,6 +97,13 @@ SEPARABLE_SAMPLING_MODES = ("endpoint", "symmetric")
 EDGE_CELLS = 2
 
 
+def _check_finite(what, **values):
+    """Refuse a value that is not finite, naming it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{what} {name} must be finite, got {value!r}")
+
+
 def _check_count(count, least, what):
     """Refuse a count that is not an integer (bools and floats included)
     or is below least."""
@@ -119,6 +131,7 @@ class AbsorbingLayer:
     strength: float
 
     def __post_init__(self):
+        _check_finite("absorbing layer", width=self.width, strength=self.strength)
         if not (self.width > 0 and self.strength > 0):
             raise DomainError("absorbing layer needs positive width and strength")
 
@@ -198,11 +211,13 @@ class ComplexField1D:
 class PropagatorMatrix:
     """Kernel densities K(x_i, t_b; x_j, t_a), rows = arrival point.
 
-    Holds either dense `entries` or `step`, the factors (pre, (f,), post)
-    of one separable slice that the kernel repeats grid.N times. A kernel
-    held as `step` applies itself by split-step and forms `entries` on
-    first read: by one sine-basis product when pre * post is constant,
-    else by a dense matrix power of the slice.
+    Holds either dense `entries` or `step`, the contraction ((f,), pre,
+    post) of its grid.N slices as `_slices` gives it: the kinetic factor
+    f and the node factors on either side of it, one row per slice, all
+    rows alike. A kernel held as `step` applies itself by split-step and
+    forms `entries` on first read from the first rows: by one sine-basis
+    product when pre * post is constant, else by a dense matrix power of
+    the slice.
     """
 
     def __init__(self, lattice, grid, entries=None, step=None):
@@ -220,7 +235,7 @@ class PropagatorMatrix:
     def entries(self):
         """Dense kernel densities, formed on first read if held as `step`."""
         if self._entries is None:
-            pre, (f,), post = self.step
+            f, pre, post = (part[0] for part in self.step)
             lat, N, d = self.lattice, self.grid.N, pre * post
             if np.all(d == d[0]):
                 # T (dx T)^(N-1) = d^(N-1) diag(post) S^T diag(f^N) S diag(pre)
@@ -235,7 +250,7 @@ class PropagatorMatrix:
         """sum_j K_ij values_j dx for values sampled on the lattice."""
         if self.step is None:
             return (self.entries @ values) * self.lattice.dx
-        return _propagate(values, (self.step,) * self.grid.N)
+        return _propagate(values, *self.step)
 
     def symmetry_defect(self):
         """Max |K - K^T| over max |K|; round-off for symmetric sampling."""
@@ -247,6 +262,7 @@ class PropagatorMatrix:
 
 def gaussian_packet(lattice, x0, p0, sigma0):
     """Normalized minimum-uncertainty packet, |psi|^2 stddev sigma0."""
+    _check_finite("packet", x0=x0, p0=p0, sigma0=sigma0)
     if sigma0 <= 0:
         raise DomainError("packet width must be positive")
     x = lattice.nodes
@@ -393,34 +409,61 @@ def _absorber_profile(lattice, epsilon):
     return np.exp(-0.5 * epsilon * W)
 
 
-def _slices(lattices, grid, masses, kinetic, sampling, V):
-    """The grid.N slices (pre, ops, post) of a path sum on the product of
-    the lattices' axes, a particle of the given mass on each.
+def _slices(lattices, grid, masses, kinetic, sampling, terms, companion=None):
+    """The contraction (ops, pre, post) of the grid.N slices of a path sum
+    on the product of the lattices' axes, a particle of the given mass on
+    each, whose slices see the sum of the terms.
 
-    V holds the node potentials at the slice ends the sampling reads, one
-    row per end: t_1 ... t_N for endpoint sampling, which puts the whole
-    phase exp(-i eps V) at arrival, and t_0 ... t_N for symmetric
-    sampling, which puts half of it at each end. One row is a static
-    potential, read at every end. Both ends carry the half-slice absorber
-    damping, the outer product of each axis's profile. ops holds each
-    axis's kinetic operator: the per-mode factor, applied by split-step,
-    on one axis, and its dense kernel times dx on the product lattice,
-    where under influence.MAX_PRODUCT_POINTS a matrix product costs less
-    than a split-step FFT pair. Midpoint sampling is not separable and is
-    refused here.
+    terms(*coords) gives triples (name, pot, coordinate); coords are the
+    lattices' nodes, one axis each, then, when a companion path is given
+    on one lattice, its samples at the slice ends the sampling reads, as
+    an open mesh after a leading axis of slice ends: t_1 ... t_N for
+    endpoint sampling, which puts the whole phase exp(-i eps V) at
+    arrival, and t_0 ... t_N for symmetric sampling, which puts half of
+    it at each end. Without a companion the potential is static: one
+    row, read at every end. Each term is sampled once by
+    potential_on_axis; a sample that is not finite is reported at the
+    earliest slice that reads it and at its lattice node.
+
+    ops holds each axis's kinetic operator once: the per-mode factor,
+    applied by split-step, on one axis, and its dense kernel times dx on
+    the product lattice, where under influence.MAX_PRODUCT_POINTS a
+    matrix product costs less than a split-step FFT pair. pre and post
+    hold one row of node factors per slice, with the half-slice absorber
+    damping, the outer product of each axis's profile, at both ends. They
+    are read-only broadcast views, so a static row is stored once.
+    Midpoint sampling is not separable and is refused here.
     """
-    eps = grid.epsilon
+    eps, N = grid.epsilon, grid.N
+    first = 0 if sampling == "symmetric" else 1  # the first slice end read
+    shape = tuple(lat.points for lat in lattices)
+    coords = [x[None] for x in np.ix_(*(lat.nodes for lat in lattices))]
+    if companion is not None:
+        coords.append(companion[first:, None])
+    V, bad = np.zeros((1,) + shape), []
+    for name, pot, coordinate in terms(*coords):
+        try:
+            V = V + potential_on_axis(pot, coordinate)
+        except DomainError as err:
+            if getattr(err, "node", None) is None:
+                raise
+            bad.append((err.node, name, err))
+    if bad:
+        (row, *node), name, err = min(bad, key=lambda item: item[0][0])
+        x = tuple(float(lat.nodes[i]) for lat, i in zip(lattices, node))
+        node, x = (node[0], x[0]) if len(node) == 1 else (tuple(node), x)
+        raise DomainError(
+            f"slice {max(first + row, 1)}, lattice node {node} (x = {x!r}): "
+            f"{name} = {err}"
+        ) from None
     damp = functools.reduce(
         np.multiply.outer, [_absorber_profile(lat, eps) for lat in lattices]
     )
-    ops = [
-        _kinetic_factor(lat, eps, mass, kinetic) for lat, mass in zip(lattices, masses)
-    ]
+    ops = [_kinetic_factor(lat, eps, m, kinetic) for lat, m in zip(lattices, masses)]
     if len(lattices) > 1:
         ops = [lat.dx * _mode_kernel(lat, f) for lat, f in zip(lattices, ops)]
-    ops, N = tuple(ops), grid.N
     if sampling == "endpoint":
-        pre, post = [damp] * len(V), damp * np.exp(-1j * eps * V)
+        pre, post = damp, damp * np.exp(-1j * eps * V)
     elif sampling == "symmetric":
         ends = damp * np.exp(-0.5j * eps * V)
         # slice j departs from row j - 1 and arrives at row j
@@ -429,8 +472,7 @@ def _slices(lattices, grid, masses, kinetic, sampling, V):
         raise DomainError(
             f"unknown sampling mode {sampling!r}; options: {SEPARABLE_SAMPLING_MODES}"
         )
-    slices = [(a, ops, b) for a, b in zip(pre, post)]
-    return slices * N if len(slices) == 1 else slices
+    return tuple(ops), *(np.broadcast_to(a, (N,) + shape) for a in (pre, post))
 
 
 def _power(T, N, dx):
@@ -489,27 +531,26 @@ def _kinetic_step(values, plan, axis):
     return scipy.fft.ifft(X, axis=axis)[lead + (slice(n - 1, 2 * n - 1),)]
 
 
-def _propagate(values, slices):
-    """Push values through the ordered slices, the first slice first.
+def _propagate(values, ops, pre, post):
+    """Push values through the slices of the contraction (ops, pre, post),
+    the first slice first.
 
-    A slice (pre, ops, post) maps v to post * A (pre * v), where A
-    applies one kinetic operator along each axis of v in turn: a
+    Slice j maps v to post[j] * A (pre[j] * v), where A applies each
+    axis's kinetic operator in ops along that axis of v in turn: a
     per-mode factor f by split-step, S diag(f) S v with S the
     orthonormal DST-I, as one FFT pair of a fast length (_kinetic_step),
-    or a dense matrix by a matrix product. The FFT plan of each distinct
-    ops tuple is built once per call.
+    or a dense matrix by a matrix product. Each FFT plan is built once
+    per call.
     """
-    plans = {}
-    for pre, ops, post in slices:
-        if id(ops) not in plans:
-            plans[id(ops)] = [_kinetic_plan(op) if op.ndim == 1 else op for op in ops]
-        values = pre * values
-        for axis, op in enumerate(plans[id(ops)]):
+    ops = [_kinetic_plan(op) if op.ndim == 1 else op for op in ops]
+    for a, b in zip(pre, post):
+        values = a * values
+        for axis, op in enumerate(ops):
             if isinstance(op, tuple):
                 values = _kinetic_step(values, op, axis)
             else:
                 values = np.moveaxis(np.tensordot(op, values, (1, axis)), 0, axis)
-        values = post * values
+        values = b * values
     return values
 
 
@@ -518,18 +559,19 @@ def time_sliced_propagator(
 ):
     """N-fold ordered product of one-slice kernels over grid.
 
-    Separable schemes keep the slice factors and build the dense product
-    only when `entries` is read. Midpoint sampling builds it here: its
-    slice is the kinetic kernel times the phase of the potential at each
-    node pair's midpoint, with the damping on both sides.
+    Separable schemes keep the contraction that `_slices` builds from
+    the one static term, and build the dense product only when `entries`
+    is read; a callable potential receives the nodes as a (1, n) row.
+    Midpoint sampling builds the product here: its slice is the kinetic
+    kernel times the phase of the potential at each node pair's
+    midpoint, with the damping on both sides.
     """
     if sampling not in SAMPLING_MODES:
         raise DomainError(
             f"unknown sampling mode {sampling!r}; options: {SAMPLING_MODES}"
         )
-    x = lattice.nodes
     if sampling == "midpoint":
-        eps = grid.epsilon
+        x, eps = lattice.nodes, grid.epsilon
         damp = _absorber_profile(lattice, eps)
         f = _kinetic_factor(lattice, eps, mass, kinetic)
         Vm = potential_on_axis(pot, 0.5 * (x[:, None] + x[None, :]))
@@ -539,8 +581,9 @@ def time_sliced_propagator(
         del Vm
         T = damp[:, None] * (T / lattice.dx) * damp[None, :]
         return PropagatorMatrix(lattice, grid, _power(T, grid.N, lattice.dx))
-    V = potential_on_axis(pot, x)[None]
-    step = _slices((lattice,), grid, (mass,), kinetic, sampling, V)[0]
+    step = _slices(
+        (lattice,), grid, (mass,), kinetic, sampling, lambda x: (("potential", pot, x),)
+    )
     return PropagatorMatrix(lattice, grid, step=step)
 
 

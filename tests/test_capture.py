@@ -16,7 +16,9 @@ mpmath.
 """
 
 import math
+import os
 import re
+import threading
 import tracemalloc
 
 import mpmath
@@ -959,6 +961,45 @@ def test_oracle_rejects_a_thread_count_that_is_not_a_positive_integer(
     monkeypatch.setattr(capture, "_oracle_block_means", _no_sampling)
     with pytest.raises(DomainError, match=f"^oracle n_threads {re.escape(message)}$"):
         brute_force_oracle(_pp_spec(), 1e-3, samples=1 << 17, n_threads=n_threads)
+
+
+@pytest.mark.parametrize("cpus,n_threads,workers", [
+    (2, 64, [2]),
+    (8, 64, [4]),
+    (8, 3, [3]),
+    (1, 64, []),
+    (None, 64, []),
+], ids=["cpus", "blocks", "threads", "one-cpu", "unknown-cpus"])
+def test_oracle_pool_is_capped_by_cpus_and_blocks(monkeypatch, cpus, n_threads,
+                                                  workers):
+    # 100,000 samples make 4 blocks; CPU-bound blocks gain nothing from
+    # more workers than blocks or CPUs, and one worker is the caller's thread
+    spec = _pp_spec()
+    serial = brute_force_oracle(spec, 1e-3, samples=100000)
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def no_thread(self):
+        raise AssertionError("the oracle started a thread")
+
+    monkeypatch.setattr(capture, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    est = brute_force_oracle(spec, 1e-3, samples=100000, n_threads=n_threads)
+    assert started == workers
+    assert est == serial
 
 
 def test_oracle_rejects_negative_screening(monkeypatch):

@@ -184,6 +184,31 @@ def test_non_finite_potential_exits_without_output(tmp_path, capsys):
         assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command,points,node", [
+    ("evolve", 769, 384),
+    ("propagator", 513, 256),
+])
+def test_non_finite_kernel_sample_names_its_slice_and_node(tmp_path, capsys, command,
+                                                           points, node):
+    # an odd point count puts the middle node at x = 0.0, where the Yukawa
+    # is infinite; a static potential is read from the first slice on
+    demo = next(p for p in DEMO_CONFIGS if p.stem == command)
+    out = tmp_path / "out"
+    code = cli.main([
+        command, "--config", str(demo), "--out", str(out),
+        "--set", f"lattice.points={points}",
+        "--set", "potential={family: yukawa, V0: -1.0, alpha: 1.0}",
+    ])
+    assert code == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {
+        "type": "DomainError",
+        "message": f"slice 1, lattice node {node} (x = 0.0): potential = "
+                   "Yukawa(V0=-1.0, alpha=1.0) is not finite at coordinate 0.0",
+    }
+    assert not any(out.iterdir())
+
+
 def test_exit_code_for_numerical_failure(tmp_path, capsys):
     # the soft-core transform has no finite forward limit, so asking for
     # theta = 0 (momentum transfer zero) must fail loudly, not quietly

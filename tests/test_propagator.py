@@ -515,6 +515,41 @@ def test_non_finite_potential_samples_are_refused():
         )
 
 
+@pytest.mark.parametrize("sampling", ["endpoint", "symmetric"])
+def test_non_finite_sample_names_its_slice_and_node(sampling):
+    # node 4 of 9 on [-1, 1] sits at r = 0, where the Yukawa is infinite;
+    # a static potential is read from the first slice on
+    lat = LatticeSpec(-1.0, 1.0, 9)
+    with pytest.raises(DomainError) as err:
+        time_sliced_propagator(Yukawa(-1.0, 1.0), lat, TimeGrid(0.0, 1.0, 2), 1.0,
+                               sampling=sampling)
+    assert str(err.value) == (
+        "slice 1, lattice node 4 (x = 0.0): "
+        "potential = Yukawa(V0=-1.0, alpha=1.0) is not finite at coordinate 0.0"
+    )
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda lat: gaussian_packet(lat, np.inf, 0.0, 1.0),
+     "packet x0 must be finite, got inf"),
+    (lambda lat: gaussian_packet(lat, 0.0, -np.inf, 1.0),
+     "packet p0 must be finite, got -inf"),
+    (lambda lat: gaussian_packet(lat, 0.0, 0.0, np.inf),
+     "packet sigma0 must be finite, got inf"),
+    (lambda lat: gaussian_packet(lat, 0.0, 0.0, np.nan),
+     "packet sigma0 must be finite, got nan"),
+    (lambda lat: AbsorbingLayer(np.inf, 1.0),
+     "absorbing layer width must be finite, got inf"),
+    (lambda lat: AbsorbingLayer(1.0, np.nan),
+     "absorbing layer strength must be finite, got nan"),
+], ids=["inf-x0", "inf-p0", "inf-sigma0", "nan-sigma0", "inf-width", "nan-strength"])
+def test_non_finite_packet_and_absorber_parameters_are_refused(make, message):
+    # unchecked, sigma0 = inf gave an all-zero packet, sigma0 = nan was
+    # reported as a non-finite field, and width = inf gave NaN damping
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        make(LatticeSpec(-1.0, 1.0, 9))
+
+
 def test_evolve_rejects_lattice_mismatch():
     other = LatticeSpec(-20.0, 20.0, 256)
     K = time_sliced_propagator(None, other, TimeGrid(0.0, 1.0, 4), 1.0)
