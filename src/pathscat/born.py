@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .errors import _check_choice, _check_nonnegative, _check_positive
 from .potentials import fourier_transform, fourier_transform_quadrature
 
 __all__ = [
@@ -41,36 +42,38 @@ class TotalCrossSection:
     nodes: int
 
 
-def momentum_transfer(p, theta):
-    """Elastic momentum transfer q = 2 p sin(theta/2), elementwise over an
-    array of angles."""
-    if not p >= 0:
-        raise DomainError("momentum magnitude must be non-negative")
+def _angles(theta):
+    """theta as a float array, refused unless every angle lies in [0, pi]."""
     theta = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= theta) & (theta <= np.pi)):
         raise DomainError("theta must lie in [0, pi]")
-    return 2.0 * p * np.sin(0.5 * theta)
+    return theta
+
+
+def momentum_transfer(p, theta):
+    """Elastic momentum transfer q = 2 p sin(theta/2), elementwise over an
+    array of angles."""
+    _check_nonnegative("momentum magnitude", p)
+    return 2.0 * p * np.sin(0.5 * _angles(theta))
 
 
 def _transform(pot, q, route):
+    _check_choice("transform route", route, ROUTES)
     if route == "auto":
         return fourier_transform(pot, q)
-    if route == "quadrature":
-        # The independent route: one vectorised sinc integral for the
-        # momenta below the oscillatory switch, the sine-weighted rule
-        # per momentum above it or on a long-range tail. It certifies
-        # 1e-9 relative rather than the transform default, one decade
-        # inside the 1e-8 at which the Born totals are checked against
-        # the closed form, so the gate is not what those checks test.
-        return fourier_transform_quadrature(pot, q, rel_tol=1e-9, abs_tol=1e-12)
-    raise DomainError(f"unknown transform route {route!r}; options: {ROUTES}")
+    # The independent route: one vectorised sinc integral for the
+    # momenta below the oscillatory switch, the sine-weighted rule
+    # per momentum above it or on a long-range tail. It certifies
+    # 1e-9 relative rather than the transform default, one decade
+    # inside the 1e-8 at which the Born totals are checked against
+    # the closed form, so the gate is not what those checks test.
+    return fourier_transform_quadrature(pot, q, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def born_amplitude(pot, p, mass, theta, route="auto"):
     """f(theta), elementwise over an array of angles; real for real
     central potentials at this order."""
-    if not mass > 0:
-        raise DomainError(f"mass must be positive, got {mass}")
+    _check_positive("mass", mass)
     q = momentum_transfer(p, theta)
     return -mass / (2.0 * np.pi) * _transform(pot, q, route)
 

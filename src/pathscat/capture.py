@@ -18,9 +18,11 @@ capture amplitude are exposed:
 
 Every screened Coulomb carries screening constant lam >= 0, and every
 entry point refuses a closed channel, an unknown mode and a lam that is
-not >= 0 with one check (_check_channel). The jacobi routes are finite
+not >= 0 with one check (_admit). The jacobi routes are finite
 at lam = 0. An obk total at lam = 0 diverges forward on a resonant
-channel (p_a = p_b) and raises NumericalError there.
+channel (p_a = p_b) and raises NumericalError there, as does an obk
+ProtonElectron or Internuclear total whose forward peak is too narrow
+for the angular rule (ct_total_cross_section).
 
 The brute-force oracle integrates the raw 6-D integrand by scrambled
 Sobol points with exponential importance sampling and block-wise error
@@ -48,9 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .born import _angular_total, _panels
+from .born import _angles, _angular_total, _panels
 from .errors import DomainError, NumericalError
-from .propagator import _check_count
+from .errors import _check_choice, _check_count, _check_nonnegative, _check_positive
 from .units import OPEN, channel_energetics, reduced_masses
 
 __all__ = [
@@ -72,6 +74,10 @@ MODES = ("obk", "jacobi")
 # [_THETA_MIN, _THETA_SPLIT], one tail panel above, a flat cap below.
 _THETA_MIN = 1e-7
 _THETA_SPLIT = 0.1
+# Narrowest obk ProtonElectron or Internuclear forward peak, of angular
+# width hypot(lam, p_a - p_b) / p_b, whose total is computed: the flat cap
+# is off by about (_THETA_MIN / width)^4 of it, here at most 1e-4.
+_PEAK_WIDTH_MIN = 10.0 * _THETA_MIN
 # Sobol points per oracle block; each block is one independent error sample.
 ORACLE_BLOCK = 1 << 15
 # Below P(3, 1/2) _gamma3_inv takes P from its series.
@@ -94,8 +100,7 @@ class HydrogenicState:
     Z_eff: float
 
     def __post_init__(self):
-        if not self.Z_eff > 0:
-            raise DomainError(f"effective charge must be positive, got {self.Z_eff}")
+        _check_positive("effective charge", self.Z_eff)
 
     @property
     def binding_energy(self):
@@ -123,10 +128,7 @@ class CaptureChannelSpec:
     interaction: str = "ProtonElectron"
 
     def __post_init__(self):
-        if self.interaction not in INTERACTIONS:
-            raise DomainError(
-                f"unknown interaction {self.interaction!r}; options: {INTERACTIONS}"
-            )
+        _check_choice("interaction", self.interaction, INTERACTIONS)
         if abs(self.energetics.eps_a - self.initial.binding_energy) > 1e-12:
             raise DomainError("eps_a must equal the initial state's binding energy")
         if abs(self.energetics.eps_b - self.final.binding_energy) > 1e-12:
@@ -160,8 +162,7 @@ class CaptureTotal:
 
 def make_capture_spec(A, B, Z_a, Z_b, v, interaction="ProtonElectron"):
     """Spec for A-center 1s -> B-center 1s capture at relative speed v."""
-    if not v > 0:
-        raise DomainError(f"relative speed must be positive, got {v}")
+    _check_positive("relative speed", v)
     kin = reduced_masses(A, B)
     initial = HydrogenicState(Z_a)
     final = HydrogenicState(Z_b)
@@ -179,22 +180,18 @@ def make_capture_spec(A, B, Z_a, Z_b, v, interaction="ProtonElectron"):
     return CaptureChannelSpec(kin, energetics, initial, final, interaction)
 
 
-def _check_channel(spec, lam, mode):
+def _admit(spec, lam, mode):
     """The refusals every capture entry point shares; NaN lam fails them."""
     if spec.energetics.status != OPEN:
         raise DomainError("capture requires an open final channel")
-    if mode not in MODES:
-        raise DomainError(f"unknown coordinate mode {mode!r}; options: {MODES}")
-    if not lam >= 0:
-        raise DomainError("screening constant must be non-negative")
+    _check_choice("coordinate mode", mode, MODES)
+    _check_nonnegative("screening constant", lam)
 
 
 def _canonical_vectors(spec, theta):
     """p_a along z and p_b in the x-z plane at angle theta; an array of
     angles gives p_b one row per angle."""
-    theta = np.asarray(theta, dtype=float)
-    if not np.all((0.0 <= theta) & (theta <= np.pi)):
-        raise DomainError("theta must lie in [0, pi]")
+    theta = _angles(theta)
     p_a = spec.energetics.p_a
     p_b = spec.energetics.p_b
     p_a_vec = np.array([0.0, 0.0, p_a])
@@ -316,7 +313,7 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk"):
     (p_a_vec, p_b_vec) enter, so any rigid rotation of a pair leaves its
     value unchanged.
     """
-    _check_channel(spec, lam, mode)
+    _admit(spec, lam, mode)
     p_a_vec = np.asarray(p_a_vec, dtype=float)
     p_b_vec = np.asarray(p_b_vec, dtype=float)
     Z_a = spec.initial.Z_eff
@@ -384,14 +381,32 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
     call per rule. The error estimate is the change under node doubling.
     An obk total diverges where its forward momentum transfer |p_a - p_b|
     and lam are both 0, and raises NumericalError there.
+
+    The obk ProtonElectron and Internuclear dsigma have a forward peak of
+    angular width w = hypot(lam, p_a - p_b) / p_b. The cap takes dsigma as
+    flat below _THETA_MIN, which leaves a relative error of about
+    (_THETA_MIN / w)^4 that node doubling cannot see, as both rules share
+    the cap. Those totals raise NumericalError, carrying that relative
+    error as its estimate, where w < _PEAK_WIDTH_MIN = 10 _THETA_MIN, so
+    an accepted total carries at most 1e-4 of it. The two peaks of Sum
+    cancel, and it is not refused.
     """
-    _check_channel(spec, lam, mode)
+    _admit(spec, lam, mode)
     for count, what in ((n_segments, "n_segments"), (seg_nodes, "seg_nodes"),
                         (tail_nodes, "tail_nodes")):
         _check_count(count, 1, what)
     if mode == "obk":
+        p_a, p_b = spec.energetics.p_a, spec.energetics.p_b
         # the screened Coulomb at theta = 0 refuses a zero denominator
-        _screened_coulomb_ft(1.0, lam, (spec.energetics.p_a - spec.energetics.p_b) ** 2)
+        _screened_coulomb_ft(1.0, lam, (p_a - p_b) ** 2)
+        width = math.hypot(lam, p_a - p_b) / p_b
+        if spec.interaction != "Sum" and width < _PEAK_WIDTH_MIN:
+            model = (_THETA_MIN / width) ** 4
+            raise NumericalError(
+                f"obk {spec.interaction} forward peak width {width:.3e} is below "
+                f"{_PEAK_WIDTH_MIN:.0e}; the cap's relative error is about {model:.1e}",
+                estimate=model,
+            )
 
     def rule(scale):
         edges = np.geomspace(_THETA_MIN, _THETA_SPLIT, n_segments + 1)
@@ -716,7 +731,7 @@ def brute_force_oracle(
     block means, which carry the terms' correlation. `samples` counts
     integrand evaluations.
     """
-    _check_channel(spec, lam, mode)
+    _admit(spec, lam, mode)
     _check_count(samples, 100000, "oracle samples")
     _check_count(seed, 0, "oracle seed")
     _check_count(n_threads, 1, "oracle n_threads")

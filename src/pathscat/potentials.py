@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import _check_nonnegative, _check_positive, NumericalError
 
 __all__ = [
     "Yukawa",
@@ -56,12 +56,6 @@ _OSCILLATORY_SWITCH = 128.0 * np.pi
 _MAX_SUBDIVISIONS = 300
 
 
-def _check_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not value > 0:
-            raise DomainError(f"{name} must be positive, got {value}")
-
-
 @dataclass(frozen=True)
 class Yukawa:
     """V(r) = V0 * exp(-alpha r) / r."""
@@ -70,7 +64,7 @@ class Yukawa:
     alpha: float
 
     def __post_init__(self):
-        _check_positive(alpha=self.alpha)
+        _check_positive("alpha", self.alpha)
 
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
@@ -89,7 +83,7 @@ class Gaussian:
     width: float
 
     def __post_init__(self):
-        _check_positive(width=self.width)
+        _check_positive("width", self.width)
 
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
@@ -108,7 +102,7 @@ class SoftCoulomb:
     soft: float
 
     def __post_init__(self):
-        _check_positive(soft=self.soft)
+        _check_positive("soft", self.soft)
 
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
@@ -135,7 +129,7 @@ class SquareWell:
     radius: float
 
     def __post_init__(self):
-        _check_positive(radius=self.radius)
+        _check_positive("radius", self.radius)
 
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
@@ -265,8 +259,7 @@ def fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14):
     can bound them relatively. A scalar q returns a float.
     """
     q = np.asarray(q, dtype=float)
-    if not np.all(q >= 0):
-        raise DomainError("momentum transfer must be non-negative")
+    _check_nonnegative("momentum transfer", q)
     if isinstance(pot, SquareWell):
         R_cut = pot.radius
     else:
@@ -304,8 +297,7 @@ def _checked(val, est, rel_tol, abs_tol):
 def fourier_transform(pot, q):
     """v(q) at a momentum or an array of momenta: a closed form takes the
     whole array in one call, otherwise fourier_transform_quadrature does."""
-    if not np.all(np.asarray(q) >= 0):
-        raise DomainError("momentum transfer must be non-negative")
+    _check_nonnegative("momentum transfer", q)
     if hasattr(pot, "analytic_ft"):
         return pot.analytic_ft(q)
     return fourier_transform_quadrature(pot, q)

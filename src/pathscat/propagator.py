@@ -62,13 +62,13 @@ the first kinetic plan (`_kinetic_plan`). Dense kernels need numpy alone.
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError
+from .errors import _check_choice, _check_count, _check_finite, _check_positive
 
 __all__ = [
     "HardWall",
@@ -95,22 +95,6 @@ SAMPLING_MODES = ("endpoint", "midpoint", "symmetric")
 SEPARABLE_SAMPLING_MODES = ("endpoint", "symmetric")
 # End nodes on each side that boundary_leak_fraction inspects.
 EDGE_CELLS = 2
-
-
-def _check_finite(what, **values):
-    """Refuse a value that is not finite, naming it."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{what} {name} must be finite, got {value!r}")
-
-
-def _check_count(count, least, what):
-    """Refuse a count that is not an integer (bools and floats included)
-    or is below least."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-        raise DomainError(f"{what} must be an integer, got {count!r}")
-    if count < least:
-        raise DomainError(f"{what} must be at least {least}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -303,8 +287,7 @@ def free_propagator(x_b, t_b, x_a, t_a, mass):
     dt = t_b - t_a
     if not dt > 0:
         raise DomainError("free propagator requires t_b > t_a")
-    if not mass > 0:
-        raise DomainError(f"mass must be positive, got {mass}")
+    _check_positive("mass", mass)
     diff = np.asarray(x_b, dtype=float) - np.asarray(x_a, dtype=float)
     dist2 = diff * diff
     del diff
@@ -345,17 +328,15 @@ def _sine_modes(lattice):
 def _kinetic_factor(lattice, epsilon, mass, kinetic):
     """One slice's kinetic factor on each hard-wall box mode k_j = pi j /
     box, walls one spacing outside."""
-    if not mass > 0:
-        raise DomainError(f"mass must be positive, got {mass}")
+    _check_positive("mass", mass)
+    _check_choice("kinetic factor", kinetic, KINETIC_FACTORS)
     box = (lattice.x_max - lattice.x_min) + 2.0 * lattice.dx
     k = np.pi * np.arange(1, lattice.points + 1) / box
     lam = k**2 / (2.0 * mass)
     if kinetic == "exact":
         return np.exp(-1j * epsilon * lam)
-    if kinetic == "pade2":
-        z = 0.5 * epsilon * lam
-        return (1.0 - 1j * z) / (1.0 + 1j * z)
-    raise DomainError(f"unknown kinetic factor {kinetic!r}; options: {KINETIC_FACTORS}")
+    z = 0.5 * epsilon * lam
+    return (1.0 - 1j * z) / (1.0 + 1j * z)
 
 
 def _mode_kernel(lattice, f):
@@ -432,8 +413,10 @@ def _slices(lattices, grid, masses, kinetic, sampling, terms, companion=None):
     hold one row of node factors per slice, with the half-slice absorber
     damping, the outer product of each axis's profile, at both ends. They
     are read-only broadcast views, so a static row is stored once.
-    Midpoint sampling is not separable and is refused here.
+    Midpoint sampling is not separable and is refused here, before any
+    term is sampled.
     """
+    _check_choice("sampling mode", sampling, SEPARABLE_SAMPLING_MODES)
     eps, N = grid.epsilon, grid.N
     first = 0 if sampling == "symmetric" else 1  # the first slice end read
     shape = tuple(lat.points for lat in lattices)
@@ -464,14 +447,10 @@ def _slices(lattices, grid, masses, kinetic, sampling, terms, companion=None):
         ops = [lat.dx * _mode_kernel(lat, f) for lat, f in zip(lattices, ops)]
     if sampling == "endpoint":
         pre, post = damp, damp * np.exp(-1j * eps * V)
-    elif sampling == "symmetric":
+    else:
         ends = damp * np.exp(-0.5j * eps * V)
         # slice j departs from row j - 1 and arrives at row j
         pre, post = ends[:N], ends[-N:]
-    else:
-        raise DomainError(
-            f"unknown sampling mode {sampling!r}; options: {SEPARABLE_SAMPLING_MODES}"
-        )
     return tuple(ops), *(np.broadcast_to(a, (N,) + shape) for a in (pre, post))
 
 
@@ -566,10 +545,7 @@ def time_sliced_propagator(
     kernel times the phase of the potential at each node pair's
     midpoint, with the damping on both sides.
     """
-    if sampling not in SAMPLING_MODES:
-        raise DomainError(
-            f"unknown sampling mode {sampling!r}; options: {SAMPLING_MODES}"
-        )
+    _check_choice("sampling mode", sampling, SAMPLING_MODES)
     if sampling == "midpoint":
         x, eps = lattice.nodes, grid.epsilon
         damp = _absorber_profile(lattice, eps)

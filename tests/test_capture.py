@@ -1080,6 +1080,23 @@ def test_obk_total_at_zero_screening_on_a_resonant_channel_raises(monkeypatch):
         ct_total_cross_section(spec, lam=0.0, mode="obk")
 
 
+def test_obk_total_with_a_forward_peak_under_the_cap_is_refused(monkeypatch):
+    # at lam = 1e-4, v = 2 the forward peak is 0.54 _THETA_MIN wide; the
+    # total once came back 1.27e8, 60% under quad in log theta, with a
+    # quoted error of 2e-15 of it, as both node counts share the flat cap.
+    # The two peaks of Sum cancel, so its total stands: 3.5e-9 off quad.
+    total = ct_total_cross_section(_pp_spec(2.0, "Sum"), lam=1e-4, mode="obk")
+    assert total.value == pytest.approx(1.8325953, rel=1e-7)
+    monkeypatch.setattr(capture, "ct_differential_cross_section", _no_sampling)
+    for interaction in ("ProtonElectron", "Internuclear"):
+        spec = _pp_spec(2.0, interaction)
+        width = 1e-4 / spec.energetics.p_b
+        with pytest.raises(NumericalError, match=f"^obk {interaction} forward peak "
+                           "width 5.445e-08 is below 1e-06") as err:
+            ct_total_cross_section(spec, lam=1e-4, mode="obk")
+        assert err.value.estimate == pytest.approx((capture._THETA_MIN / width) ** 4)
+
+
 def test_total_is_smooth_in_collision_speed():
     # regression guard: a 1% speed change at v = 2 moves the shipped
     # configuration (fixed screening lam = 1) by about 2%, safely inside

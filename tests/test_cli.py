@@ -236,6 +236,20 @@ def test_obk_total_at_zero_screening_on_a_resonant_channel_exits_3(tmp_path, cap
     assert not any(out.iterdir())
 
 
+def test_obk_total_with_an_unresolved_forward_peak_exits_3(tmp_path, capsys):
+    # at lam = 1e-4 the forward peak is narrower than the rule's flat cap
+    demo = next(p for p in DEMO_CONFIGS if p.stem == "charge-transfer")
+    out = tmp_path / "out"
+    code = cli.main(["charge-transfer", "--config", str(demo), "--out", str(out),
+                     "--set", "mode=obk", "--set", "lam=1e-4"])
+    assert code == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "NumericalError"
+    assert error["message"].startswith("obk ProtonElectron forward peak width")
+    assert error["estimate"] > 1.0
+    assert not any(out.iterdir())
+
+
 def test_outputs_are_run_and_thread_invariant(tmp_path):
     cfg = _write_config(tmp_path, ORACLE_CONFIG)
     outs = []

@@ -91,6 +91,41 @@ def test_nan_arguments_are_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: born.born_amplitude(potentials.Yukawa(-1.0, 1.0), 1.0, 1.0, 0.5,
+                                 route="closed"),
+     "unknown transform route 'closed'; options: ('auto', 'quadrature')"),
+    (lambda: born.born_amplitude(potentials.Yukawa(-1.0, 1.0), 1.0, 1.0, 0.5,
+                                 route=NAN),
+     "unknown transform route nan; options: ('auto', 'quadrature')"),
+    (lambda: capture.make_capture_spec(1.0, 1.0, 1.0, 1.0, 2.0, "Both"),
+     "unknown interaction 'Both'; options: "
+     "('ProtonElectron', 'Internuclear', 'Sum')"),
+    (lambda: propagator.time_sliced_propagator(
+        None, propagator.LatticeSpec(-1.0, 1.0, 8), propagator.TimeGrid(0.0, 1.0, 1),
+        1.0, sampling="trapezoid"),
+     "unknown sampling mode 'trapezoid'; options: "
+     "('endpoint', 'midpoint', 'symmetric')"),
+    (lambda: potentials.Yukawa(1.0, 0.0), "alpha must be positive, got 0.0"),
+    (lambda: potentials.Yukawa(1.0, NAN), "alpha must be positive, got nan"),
+    (lambda: potentials.Gaussian(1.0, -1), "width must be positive, got -1"),
+    (lambda: potentials.Gaussian(1.0, NAN), "width must be positive, got nan"),
+    (lambda: potentials.SoftCoulomb(1.0, -0.5), "soft must be positive, got -0.5"),
+    (lambda: potentials.SoftCoulomb(1.0, NAN), "soft must be positive, got nan"),
+    (lambda: potentials.SquareWell(1.0, 0), "radius must be positive, got 0"),
+    (lambda: potentials.SquareWell(1.0, NAN), "radius must be positive, got nan"),
+    (lambda: born.momentum_transfer(1.0, 4.0), "theta must lie in [0, pi]"),
+    (lambda: born.momentum_transfer(1.0, [0.5, NAN]), "theta must lie in [0, pi]"),
+], ids=["route", "route-nan", "interaction", "sampling", "yukawa", "yukawa-nan",
+        "gaussian", "gaussian-nan", "soft-coulomb", "soft-coulomb-nan",
+        "square-well", "square-well-nan", "theta", "theta-nan"])
+def test_each_refusal_keeps_its_message(call, message):
+    # the shared checks in errors.py word these; each was once written
+    # out by hand in its own module
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_capture_cross_sections_take_only_the_options_a_caller_sets():
     assert _parameters(capture.ct_differential_cross_section) == [
         "spec", "theta", "lam", "mode"]
