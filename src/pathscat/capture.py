@@ -20,9 +20,9 @@ Every screened Coulomb carries screening constant lam >= 0, and every
 entry point refuses a closed channel, an unknown mode and a lam that is
 not >= 0 with one check (_admit). The jacobi routes are finite
 at lam = 0. An obk total at lam = 0 diverges forward on a resonant
-channel (p_a = p_b) and raises NumericalError there, as does an obk
-ProtonElectron or Internuclear total whose forward peak is too narrow
-for the angular rule (ct_total_cross_section).
+channel (p_a = p_b) and raises NumericalError there, unless it is the
+Sum with Z_a = 1, whose two terms cancel at q = 0
+(ct_total_cross_section).
 
 The brute-force oracle integrates the raw 6-D integrand by scrambled
 Sobol points with exponential importance sampling and block-wise error
@@ -70,14 +70,11 @@ __all__ = [
 
 INTERACTIONS = ("ProtonElectron", "Internuclear", "Sum")
 MODES = ("obk", "jacobi")
-# The angular rule of ct_total_cross_section: geometric segments on
-# [_THETA_MIN, _THETA_SPLIT], one tail panel above, a flat cap below.
+# The angular rule of ct_total_cross_section: segments graded geometrically
+# from _THETA_MIN, or below it an obk forward peak's width / 10, up to
+# _THETA_SPLIT, the first reaching down to 0; one tail panel above.
 _THETA_MIN = 1e-7
 _THETA_SPLIT = 0.1
-# Narrowest obk ProtonElectron or Internuclear forward peak, of angular
-# width hypot(lam, p_a - p_b) / p_b, whose total is computed: the flat cap
-# is off by about (_THETA_MIN / width)^4 of it, here at most 1e-4.
-_PEAK_WIDTH_MIN = 10.0 * _THETA_MIN
 # Sobol points per oracle block; each block is one independent error sample.
 ORACLE_BLOCK = 1 << 15
 # Below P(3, 1/2) _gamma3_inv takes P from its series.
@@ -247,7 +244,7 @@ def _feynman_rule(n):
 _FEYNMAN_RULE = _feynman_rule(12)
 # Pairs per (pairs x nodes) evaluation of _nn_feynman: its temporaries
 # take about 28 kB per pair, so a chunk peaks near 28 MB. Every angular
-# rule of the totals (at most 705 angles) is one chunk.
+# rule of the totals (at most 704 angles) is one chunk.
 _NN_CHUNK = 1024
 
 
@@ -374,51 +371,46 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
     """sigma = 2 pi int dsigma sin(theta) dtheta, forward-peak aware.
 
     Capture at heavy-particle momenta concentrates within milliradians,
-    so [_THETA_MIN, _THETA_SPLIT] is covered by n_segments geometric
-    segments of seg_nodes Gauss-Legendre nodes each, the remainder by
-    tail_nodes nodes, and the sub-_THETA_MIN cap by a flat-peak patch.
-    Each rule's nodes form one angle array, so dsigma is one batched
-    call per rule. The error estimate is the change under node doubling.
-    An obk total diverges where its forward momentum transfer |p_a - p_b|
-    and lam are both 0, and raises NumericalError there.
+    so [0, _THETA_SPLIT] is covered by n_segments segments of seg_nodes
+    Gauss-Legendre nodes each, graded geometrically from a lowest edge
+    up to _THETA_SPLIT with the first segment reaching down to 0, and the
+    remainder by tail_nodes nodes. The lowest edge is _THETA_MIN, or for
+    obk a tenth of the forward peak's angular width w = hypot(lam, p_a -
+    p_b) / p_b where that is smaller. Each rule's nodes form one angle
+    array, so dsigma is one batched call per rule. The error estimate is
+    the change under node doubling; a dsigma that overflows raises
+    NumericalError.
 
-    The obk ProtonElectron and Internuclear dsigma have a forward peak of
-    angular width w = hypot(lam, p_a - p_b) / p_b. The cap takes dsigma as
-    flat below _THETA_MIN, which leaves a relative error of about
-    (_THETA_MIN / w)^4 that node doubling cannot see, as both rules share
-    the cap. Those totals raise NumericalError, carrying that relative
-    error as its estimate, where w < _PEAK_WIDTH_MIN = 10 _THETA_MIN, so
-    an accepted total carries at most 1e-4 of it. The two peaks of Sum
-    cancel, and it is not refused.
+    An obk total diverges where lam = 0 and p_a = p_b, and raises
+    NumericalError there, except for Sum with Z_a = 1: its terms share
+    the factor 1/(lam^2 + q^2), whose numerator Z_B F(0) (Z_A - 1) at
+    q = 0 is zero, so that total is finite.
     """
     _admit(spec, lam, mode)
     for count, what in ((n_segments, "n_segments"), (seg_nodes, "seg_nodes"),
                         (tail_nodes, "tail_nodes")):
         _check_count(count, 1, what)
+    low = _THETA_MIN
     if mode == "obk":
         p_a, p_b = spec.energetics.p_a, spec.energetics.p_b
-        # the screened Coulomb at theta = 0 refuses a zero denominator
-        _screened_coulomb_ft(1.0, lam, (p_a - p_b) ** 2)
-        width = math.hypot(lam, p_a - p_b) / p_b
-        if spec.interaction != "Sum" and width < _PEAK_WIDTH_MIN:
-            model = (_THETA_MIN / width) ** 4
-            raise NumericalError(
-                f"obk {spec.interaction} forward peak width {width:.3e} is below "
-                f"{_PEAK_WIDTH_MIN:.0e}; the cap's relative error is about {model:.1e}",
-                estimate=model,
-            )
+        if spec.interaction != "Sum" or spec.initial.Z_eff != 1.0:
+            # the screened Coulomb at theta = 0 refuses a zero denominator
+            _screened_coulomb_ft(1.0, lam, (p_a - p_b) ** 2)
+        # a zero width (the finite Sum at lam = 0) keeps _THETA_MIN
+        low = min(low, math.hypot(lam, p_a - p_b) / p_b / 10.0) or low
 
     def rule(scale):
-        edges = np.geomspace(_THETA_MIN, _THETA_SPLIT, n_segments + 1)
+        edges = np.geomspace(low, _THETA_SPLIT, n_segments + 1)
+        edges[0] = 0.0
         segments = _panels(scale * seg_nodes, edges)
         tail = _panels(scale * tail_nodes, np.array([_THETA_SPLIT, np.pi]))
         theta, g = (np.concatenate(pair) for pair in zip(segments, tail))
-        # flat-peak cap below _THETA_MIN: dsigma is smooth at theta = 0
-        weights = np.append(2.0 * np.pi * np.sin(theta) * g, np.pi * _THETA_MIN**2)
-        return np.append(theta, _THETA_MIN), weights
+        return theta, 2.0 * np.pi * np.sin(theta) * g
 
     def dcs(theta):
-        return ct_differential_cross_section(spec, theta, lam, mode)
+        # an overflow leaves a non-finite total, which _angular_total refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ct_differential_cross_section(spec, theta, lam, mode)
 
     value, error, evaluations = _angular_total(dcs, rule)
     return CaptureTotal(value=value, error=error, evaluations=evaluations)

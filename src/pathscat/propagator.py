@@ -404,7 +404,8 @@ def _slices(lattices, grid, masses, kinetic, sampling, terms, companion=None):
     it at each end. Without a companion the potential is static: one
     row, read at every end. Each term is sampled once by
     potential_on_axis; a sample that is not finite is reported at the
-    earliest slice that reads it and at its lattice node.
+    earliest slice that reads it and at its lattice node, with "*" on
+    each axis its term does not vary along.
 
     ops holds each axis's kinetic operator once: the per-mode factor,
     applied by split-step, on one axis, and its dense kernel times dx on
@@ -430,13 +431,15 @@ def _slices(lattices, grid, masses, kinetic, sampling, terms, companion=None):
         except DomainError as err:
             if getattr(err, "node", None) is None:
                 raise
-            bad.append((err.node, name, err))
+            bad.append((err.node, name, err, np.shape(coordinate)[1:]))
     if bad:
-        (row, *node), name, err = min(bad, key=lambda item: item[0][0])
-        x = tuple(float(lat.nodes[i]) for lat, i in zip(lattices, node))
-        node, x = (node[0], x[0]) if len(node) == 1 else (tuple(node), x)
+        (row, *node), name, err, sizes = min(bad, key=lambda item: item[0][0])
+        # an axis the term does not vary along has no failing node: "*"
+        at = [(str(i), repr(float(lat.nodes[i]))) if n == lat.points else ("*", "*")
+              for lat, i, n in zip(lattices, node, sizes)]
+        node, x = (f"({', '.join(c)})" if len(at) > 1 else c[0] for c in zip(*at))
         raise DomainError(
-            f"slice {max(first + row, 1)}, lattice node {node} (x = {x!r}): "
+            f"slice {max(first + row, 1)}, lattice node {node} (x = {x}): "
             f"{name} = {err}"
         ) from None
     damp = functools.reduce(

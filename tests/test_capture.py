@@ -9,7 +9,8 @@ sum, `_nn_momentum_reference`. The oracle's block kernel is checked
 against the kernel it replaced, `_oracle_block_means_reference`, which
 draws its radii with scipy's `gammaincinv` and evaluates the complex
 integrand on the same streams. The batched angular total
-is checked against the per-node loop it replaced, `_ct_total_reference`.
+is checked against the per-node loop it replaced, `_ct_total_reference`,
+and obk totals against adaptive quadrature in log theta, `_ct_total_quad`.
 The internuclear term's closed-form t integral is checked against the
 2-D Feynman rule it replaced, `_nn_feynman_2d_reference`, and against
 mpmath.
@@ -169,12 +170,17 @@ def _ct_total_reference(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=24,
     """The angular total by the per-node loop it used before dsigma took
     an angle array: one scalar dsigma call per node, summed in order."""
     theta_min, theta_split = 1e-7, 0.1
+    low = theta_min
+    if mode == "obk":
+        p_a, p_b = spec.energetics.p_a, spec.energetics.p_b
+        low = min(theta_min, math.hypot(lam, p_a - p_b) / p_b / 10.0) or theta_min
 
     def dcs(theta):
         return ct_differential_cross_section(spec, theta, lam, mode)
 
     def quadrature(seg_n, tail_n):
-        edges = np.geomspace(theta_min, theta_split, n_segments + 1)
+        edges = np.geomspace(low, theta_split, n_segments + 1)
+        edges[0] = 0.0
         total = 0.0
         count = 0
         u, w = _gauss_legendre(seg_n)
@@ -190,12 +196,30 @@ def _ct_total_reference(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=24,
         g = 0.5 * (np.pi - theta_split) * w
         total += sum(2.0 * np.pi * np.sin(ti) * dcs(ti) * gi for ti, gi in zip(t, g))
         count += tail_n
-        total += np.pi * theta_min**2 * dcs(theta_min)
-        return total, count + 1
+        return total, count
 
     coarse, _ = quadrature(seg_nodes, tail_nodes)
     fine, count = quadrature(2 * seg_nodes, 2 * tail_nodes)
     return capture.CaptureTotal(value=fine, error=abs(fine - coarse), evaluations=count)
+
+
+def _ct_total_quad(spec, lam, mode="obk"):
+    """2 pi int dsigma sin(theta) dtheta by adaptive quadrature in log theta
+    on [e^-60, pi], with breakpoints around the obk forward peak's width
+    w = hypot(lam, p_a - p_b) / p_b; about 20 ms a total."""
+    p_a, p_b = spec.energetics.p_a, spec.energetics.p_b
+    width = math.hypot(lam, p_a - p_b) / p_b
+    lo, hi = -60.0, math.log(math.pi)
+    points = [math.log(width) + d for d in (-3, -1, 0, 1, 3)] if width else []
+
+    def integrand(u):
+        theta = math.exp(u)
+        dcs = ct_differential_cross_section(spec, theta, lam, mode)
+        return 2.0 * np.pi * math.sin(theta) * theta * dcs
+
+    value, _ = quad(integrand, lo, hi, points=[u for u in points if lo < u < hi]
+                    or None, epsrel=1e-11, epsabs=0.0, limit=1000)
+    return value
 
 
 def _sample_iso_exp_reference(U, kappa):
@@ -513,7 +537,7 @@ def test_total_matches_the_per_node_loop(mode, interaction, v, lam, rule):
     options = BENCH_RULE if rule == "bench" else {}
     got = ct_total_cross_section(spec, lam=lam, mode=mode, **options)
     want = _ct_total_reference(spec, lam=lam, mode=mode, **options)
-    assert got.evaluations == want.evaluations == (129 if rule == "bench" else 705)
+    assert got.evaluations == want.evaluations == (128 if rule == "bench" else 704)
     assert got.value == pytest.approx(want.value, rel=1e-13, abs=0.0)
     # the error is the difference of two totals, so its round-off is theirs,
     # a fraction of the value, however small the error itself is
@@ -530,9 +554,9 @@ def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
 
     monkeypatch.setattr(capture, "ct_differential_cross_section", counted)
     total = ct_total_cross_section(_pp_spec(), lam=0.0, mode="jacobi")
-    # coarse then fine: 12 segments x 24 nodes + 64 tail nodes + the cap, doubled
-    assert sizes == [353, 705]
-    assert total.evaluations == 705
+    # coarse then fine: 12 segments x 24 nodes + 64 tail nodes, doubled
+    assert sizes == [352, 704]
+    assert total.evaluations == 704
 
 
 @pytest.mark.parametrize("rule", [
@@ -1080,21 +1104,51 @@ def test_obk_total_at_zero_screening_on_a_resonant_channel_raises(monkeypatch):
         ct_total_cross_section(spec, lam=0.0, mode="obk")
 
 
-def test_obk_total_with_a_forward_peak_under_the_cap_is_refused(monkeypatch):
-    # at lam = 1e-4, v = 2 the forward peak is 0.54 _THETA_MIN wide; the
-    # total once came back 1.27e8, 60% under quad in log theta, with a
-    # quoted error of 2e-15 of it, as both node counts share the flat cap.
-    # The two peaks of Sum cancel, so its total stands: 3.5e-9 off quad.
-    total = ct_total_cross_section(_pp_spec(2.0, "Sum"), lam=1e-4, mode="obk")
-    assert total.value == pytest.approx(1.8325953, rel=1e-7)
-    monkeypatch.setattr(capture, "ct_differential_cross_section", _no_sampling)
-    for interaction in ("ProtonElectron", "Internuclear"):
-        spec = _pp_spec(2.0, interaction)
-        width = 1e-4 / spec.energetics.p_b
-        with pytest.raises(NumericalError, match=f"^obk {interaction} forward peak "
-                           "width 5.445e-08 is below 1e-06") as err:
-            ct_total_cross_section(spec, lam=1e-4, mode="obk")
-        assert err.value.estimate == pytest.approx((capture._THETA_MIN / width) ** 4)
+QUAD_CASES = [
+    # forward peaks of width w = hypot(lam, p_a - p_b) / p_b far under
+    # 1e-7, which a flat cap below 1e-7 once missed and then refused
+    *(((1, 1, 1, 1), interaction, 2.0, lam)
+      for interaction in ("ProtonElectron", "Internuclear")
+      for lam in (1e-3, 1e-6, 1e-10)),
+    # peaks 17 and 140 times 1e-7 wide, which the cap missed by 1.2e-5
+    # and 3.0e-9 of the total, with a quoted error of 1e-15 of it
+    ((1, 1, 1, 1), "ProtonElectron", 64.0, 0.1),
+    ((1, 1, 1, 1), "ProtonElectron", 8.0, 0.1),
+    # with Z_a = 2 the two peaks of Sum do not cancel; the cap left these
+    # 12% and 96% low
+    ((4, 4, 2, 2), "Sum", 2.0, 1e-3),
+    ((4, 4, 2, 2), "Sum", 2.0, 1e-4),
+    # with Z_a = 1 they cancel at q = 0, so lam = 0 is finite
+    *(((1, 1, 1, 1), "Sum", v, 0.0) for v in (0.5, 2.0, 8.0)),
+    *(((1, 1, 1, 1), interaction, 2.0, lam)
+      for interaction in capture.INTERACTIONS for lam in (1e-1, 1e-4, 1e-8)),
+]
+
+
+@pytest.mark.parametrize("system,interaction,v,lam", QUAD_CASES, ids=[
+    "{}{}{}{}-{}-{}-{}".format(*system, *rest) for system, *rest in QUAD_CASES
+])
+def test_obk_total_matches_quadrature_in_log_theta(system, interaction, v, lam):
+    spec = make_capture_spec(*system, v, interaction)
+    total = ct_total_cross_section(spec, lam=lam, mode="obk")
+    want = _ct_total_quad(spec, lam)
+    assert abs(total.value - want) <= max(total.error, 1e-13 * total.value)
+
+
+def test_obk_sum_at_zero_screening_is_refused_unless_z_a_is_1():
+    # the terms share 1/(lam^2 + q^2), over Z_B F(0) (Z_A - 1) at q = 0:
+    # Z_a = 2 leaves a 1/q^2 there (the Z_a = 1 totals are in QUAD_CASES)
+    spec = make_capture_spec(4.0, 4.0, 2.0, 2.0, 2.0, "Sum")
+    assert spec.energetics.p_a == spec.energetics.p_b
+    with pytest.raises(NumericalError, match="diverges at zero momentum transfer"):
+        ct_total_cross_section(spec, lam=0.0, mode="obk")
+
+
+def test_an_overflowing_total_is_refused():
+    # at lam = 1e-100 dsigma at the forward peak exceeds the float range
+    with pytest.raises(NumericalError,
+                       match="^angular quadrature produced a non-finite total$"):
+        ct_total_cross_section(_pp_spec(), lam=1e-100, mode="obk")
 
 
 def test_total_is_smooth_in_collision_speed():

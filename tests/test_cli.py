@@ -236,18 +236,17 @@ def test_obk_total_at_zero_screening_on_a_resonant_channel_exits_3(tmp_path, cap
     assert not any(out.iterdir())
 
 
-def test_obk_total_with_an_unresolved_forward_peak_exits_3(tmp_path, capsys):
-    # at lam = 1e-4 the forward peak is narrower than the rule's flat cap
+@pytest.mark.parametrize("setting", ["lam=1e-4", "interaction=Sum"])
+def test_obk_total_with_a_narrow_or_cancelling_forward_peak_exits_0(tmp_path,
+                                                                     setting):
+    # lam = 1e-4 puts the forward peak far under 1e-7 (it once exited 3);
+    # the Sum's two terms cancel at q = 0, so lam = 0 is finite there
     demo = next(p for p in DEMO_CONFIGS if p.stem == "charge-transfer")
-    out = tmp_path / "out"
-    code = cli.main(["charge-transfer", "--config", str(demo), "--out", str(out),
-                     "--set", "mode=obk", "--set", "lam=1e-4"])
-    assert code == 3
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "NumericalError"
-    assert error["message"].startswith("obk ProtonElectron forward peak width")
-    assert error["estimate"] > 1.0
-    assert not any(out.iterdir())
+    code = cli.main(["charge-transfer", "--config", str(demo), "--out", str(tmp_path),
+                     "--set", "mode=obk", "--set", setting])
+    assert code == 0
+    payload = json.loads((tmp_path / "charge-transfer.json").read_text())["payload"]
+    assert math.isfinite(payload["sigma_total"]) and payload["sigma_total"] > 0
 
 
 def test_outputs_are_run_and_thread_invariant(tmp_path):
@@ -512,7 +511,7 @@ def test_demo_configs_run_and_echo_their_config(tmp_path, capsys, path):
 
 
 @pytest.mark.parametrize("command,key,want", [
-    ("charge-transfer", "evaluations", 705),
+    ("charge-transfer", "evaluations", 704),
 ])
 def test_demo_payloads_report_their_counts(tmp_path, command, key, want):
     demo = next(p for p in DEMO_CONFIGS if p.stem == command)

@@ -326,6 +326,23 @@ def test_non_finite_slice_potential_raises():
     )
 
 
+@pytest.mark.parametrize("pots, at", [
+    # V_AB(R) does not vary along the electron axis, V_A(r) along the ion's
+    (PairPotentials(None, None, Yukawa(1.0, 1.0)), "(*, 8) (x = (*, 0.0)): V_AB"),
+    (PairPotentials(Yukawa(1.0, 1.0), None, None), "(16, *) (x = (0.0, *)): V_A"),
+])
+def test_non_finite_one_axis_term_marks_the_other_axis(pots, at):
+    with pytest.raises(DomainError) as full:
+        reconstruct_full_amplitude(
+            pots, (-2.0, 2.0), (-1.0, 1.0), LatticeSpec(-8.0, 8.0, 33),
+            LatticeSpec(-8.0, 8.0, 17), GRID, 1.0, 10.0,
+        )
+    assert str(full.value) == (
+        f"slice 1, lattice node {at} = Yukawa(V0=1.0, alpha=1.0) "
+        "is not finite at coordinate 0.0"
+    )
+
+
 @pytest.mark.parametrize(
     "sampling, k2_at, k1_at",
     [
