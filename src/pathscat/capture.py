@@ -196,14 +196,27 @@ def _canonical_vectors(spec, theta):
     return p_a_vec, p_b_vec
 
 
-def _screened_coulomb_ft(strength, lam, q2):
-    # transform of strength * exp(-lam r)/r at squared momentum q2
-    denom = lam**2 + q2
-    if np.any(denom == 0.0):
+def _check_screened(lam, q2):
+    """Refuse lam = 0 at a zero squared momentum transfer q2, where the
+    Coulomb transform diverges."""
+    if lam == 0.0 and np.any(q2 == 0.0):
         raise NumericalError(
             "unscreened Coulomb transform diverges at zero momentum transfer"
         )
-    return 4.0 * np.pi * strength / denom
+
+
+def _screened_coulomb_ft(strength, lam, q2):
+    # transform of strength * exp(-lam r)/r at squared momentum q2; a
+    # positive lam whose square underflows overflows here instead
+    _check_screened(lam, q2)
+    return 4.0 * np.pi * strength / (lam**2 + q2)
+
+
+def _finite(values, what, lam):
+    """values, refused by a NumericalError where one is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} overflows at lam = {lam!r}")
+    return values
 
 
 def _folded_interaction(Z_b, Z_B, lam, k2):
@@ -308,9 +321,18 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk"):
     against each other; a batch gives a complex array of n amplitudes,
     a single pair a complex number. Only rotational invariants of
     (p_a_vec, p_b_vec) enter, so any rigid rotation of a pair leaves its
-    value unchanged.
+    value unchanged. An amplitude that overflows, as at a lam so small
+    that its square underflows, raises NumericalError.
     """
     _admit(spec, lam, mode)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        amplitude = _amplitude(spec, p_a_vec, p_b_vec, lam, mode)
+    amplitude = _finite(np.asarray(amplitude, dtype=complex), "capture amplitude", lam)
+    return complex(amplitude) if amplitude.ndim == 0 else amplitude
+
+
+def _amplitude(spec, p_a_vec, p_b_vec, lam, mode):
+    """The capture amplitudes of capture_amplitude_vectors, unchecked."""
     p_a_vec = np.asarray(p_a_vec, dtype=float)
     p_b_vec = np.asarray(p_b_vec, dtype=float)
     Z_a = spec.initial.Z_eff
@@ -337,13 +359,10 @@ def capture_amplitude_vectors(spec, p_a_vec, p_b_vec, lam=1.0, mode="obk"):
             nn = _nn_feynman(spec, lam, J, K_b)
 
     if spec.interaction == "ProtonElectron":
-        amplitude = pe
-    elif spec.interaction == "Internuclear":
-        amplitude = nn
-    else:
-        amplitude = pe + nn
-    amplitude = np.asarray(amplitude, dtype=complex)
-    return complex(amplitude) if amplitude.ndim == 0 else amplitude
+        return pe
+    if spec.interaction == "Internuclear":
+        return nn
+    return pe + nn
 
 
 def capture_amplitude(spec, theta, lam=1.0, mode="obk"):
@@ -357,12 +376,14 @@ def ct_differential_cross_section(spec, theta, lam=1.0, mode="obk"):
     """dsigma/dOmega = (mu_b / 2 pi)^2 (p_b/p_a)^2 |A|^2.
 
     A scalar theta gives a float, an array of angles an array from one
-    batched amplitude call.
+    batched amplitude call. A dsigma that overflows raises NumericalError.
     """
     A = capture_amplitude(spec, theta, lam, mode)
     mu_b = spec.kin.mu_b
     ratio = spec.energetics.p_b / spec.energetics.p_a
-    dcs = (mu_b / (2.0 * np.pi)) ** 2 * ratio**2 * np.abs(A) ** 2
+    with np.errstate(over="ignore"):
+        dcs = (mu_b / (2.0 * np.pi)) ** 2 * ratio**2 * np.abs(A) ** 2
+    dcs = _finite(dcs, "differential cross section", lam)
     return float(dcs) if np.ndim(dcs) == 0 else dcs
 
 
@@ -394,8 +415,8 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
     if mode == "obk":
         p_a, p_b = spec.energetics.p_a, spec.energetics.p_b
         if spec.interaction != "Sum" or spec.initial.Z_eff != 1.0:
-            # the screened Coulomb at theta = 0 refuses a zero denominator
-            _screened_coulomb_ft(1.0, lam, (p_a - p_b) ** 2)
+            # theta = 0 is the smallest momentum transfer
+            _check_screened(lam, (p_a - p_b) ** 2)
         # a zero width (the finite Sum at lam = 0) keeps _THETA_MIN
         low = min(low, math.hypot(lam, p_a - p_b) / p_b / 10.0) or low
 
@@ -408,9 +429,12 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
         return theta, 2.0 * np.pi * np.sin(theta) * g
 
     def dcs(theta):
-        # an overflow leaves a non-finite total, which _angular_total refuses
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a dsigma refused for overflow leaves a non-finite total, which
+        # _angular_total refuses
+        try:
             return ct_differential_cross_section(spec, theta, lam, mode)
+        except NumericalError:
+            return np.full(theta.shape, np.nan)
 
     value, error, evaluations = _angular_total(dcs, rule)
     return CaptureTotal(value=value, error=error, evaluations=evaluations)

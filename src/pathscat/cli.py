@@ -16,6 +16,12 @@ is a flag of the oracle command alone: it dispatches sample blocks,
 each drawn from its own child of SeedSequence(seed), whose means reduce
 in index order.
 
+Configs and --set values are read by libyaml (PyYAML's CSafeLoader)
+with the YAML 1.2 float resolver added; a PyYAML built without libyaml
+falls back to its pure-Python SafeLoader, which reads the same values.
+The argument parser is built at the first `main` call and serves every
+later call in the process.
+
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 domain
 error. Every invalid key, type or value in a config exits with code 2,
 naming the nearest valid key or value where one is close. Code 4 is
@@ -26,6 +32,7 @@ closed capture channel.
 import argparse
 import contextlib
 import difflib
+import functools
 import json
 import math
 import os
@@ -280,12 +287,14 @@ def _require_json(value, context):
         )
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """Safe YAML that also reads YAML 1.2 floats, such as 1e-5, as numbers.
 
     PyYAML follows YAML 1.1, which wants a dot and a signed exponent and
     so reads 1e-5 as a string. The 1.2 resolver is tried after the 1.1
-    ones, so every value those read keeps its type.
+    ones, so every value those read keeps its type. The base parses in
+    libyaml where PyYAML has it; resolving and constructing stay in
+    Python, so both bases give the same values.
     """
 
 
@@ -565,7 +574,9 @@ def _thread_count(text):
     return n
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command line parser, built once per process at first use."""
     parser = argparse.ArgumentParser(
         prog="pathscat",
         description="Path-integral scattering and electron-capture calculations.",
@@ -589,7 +600,11 @@ def main(argv=None):
         default=1,
         help="worker threads for oracle sample blocks (results unchanged)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()

@@ -13,17 +13,18 @@ split-step in O(n log n) (Feit, Fleck & Steiger, J. Comput. Phys. 47,
 Toeplitz minus a Hankel product, taken as one FFT pair of a fast length
 M >= 2n - 1 whatever n is. A DST-I runs on an FFT of length 2(n + 1),
 which is several times slower when n + 1 has a large prime factor
-(769 for n = 768). The dense n x n kernel is
-formed only when its entries are read: by one sine-basis product with
-the mode factors to the N-th power when the slice's node factors
-multiply to a constant (no potential, or a constant one, on hard
-walls), else as a matrix power in floor(log2 N) + popcount(N) - 1
-products. `_slices` builds the contraction of every separable route,
-this module's, the influence functionals' and the product lattice's,
-from the lattices, masses, kinetic factor, sampling and potential
-terms. It samples each term once on the slice ends its sampling reads,
-reports a sample that is not finite at its slice and lattice node, and
-forms each axis's damping and kinetic operator itself. The contraction
+(769 for n = 768). The dense n x n kernel is formed only when its
+entries are read. When the slice's node factors multiply to a constant
+(no potential, or a constant one, on hard walls) it is S diag(f^N) S
+with the mode factors to the N-th power, gathered in O(n^2) as the same
+Toeplitz minus Hankel matrix from the filter of f^N; else it is a
+matrix power in floor(log2 N) + popcount(N) - 1 products. `_slices`
+builds the contraction of every separable route, this module's, the
+influence functionals' and the product lattice's, from the lattices,
+masses, kinetic factor, sampling and potential terms. It samples each
+term once on the slice ends its sampling reads, reports a sample that
+is not finite at its slice and lattice node, and forms each axis's
+damping and kinetic operator itself. The contraction
 is one triple (ops, pre, post): each axis's kinetic operator once, and
 the node factors before and after it, one row per slice, which
 `_propagate` applies in order.
@@ -57,7 +58,8 @@ so the kinetic step carries no time-step error and only potential
 sampling remains.
 
 scipy is imported where it is used, not with this module: scipy.fft at
-the first kinetic plan (`_kinetic_plan`). Dense kernels need numpy alone.
+the first kinetic filter (`_filter`), which the kinetic plan and the
+gathered dense kernel sum. Matrix powers need numpy alone.
 """
 
 import functools
@@ -199,8 +201,9 @@ class PropagatorMatrix:
     post) of its grid.N slices as `_slices` gives it: the kinetic factor
     f and the node factors on either side of it, one row per slice, all
     rows alike. A kernel held as `step` applies itself by split-step and
-    forms `entries` on first read from the first rows: by one sine-basis
-    product when pre * post is constant, else by a dense matrix power of
+    forms `entries` on first read from the first rows: when pre * post
+    is constant, by gathering S diag(f^N) S as a Toeplitz minus a Hankel
+    matrix of f^N's filter in O(n^2), else by a dense matrix power of
     the slice.
     """
 
@@ -222,8 +225,13 @@ class PropagatorMatrix:
             f, pre, post = (part[0] for part in self.step)
             lat, N, d = self.lattice, self.grid.N, pre * post
             if np.all(d == d[0]):
-                # T (dx T)^(N-1) = d^(N-1) diag(post) S^T diag(f^N) S diag(pre)
-                G = _mode_kernel(lat, f**N)
+                # T (dx T)^(N-1) = d^(N-1) diag(post) S^T diag(f^N) S diag(pre),
+                # S^T diag(f^N) S = (h(|i - j|) - h(i + j + 2)) / dx over
+                # 0-based nodes, h the filter of f^N
+                n, h = lat.points, _filter(f**N)
+                G = _toeplitz(h[:n])
+                G -= np.lib.stride_tricks.sliding_window_view(h[2 : 2 * n + 1], n)
+                G /= lat.dx
                 self._entries = (d[0] ** (N - 1) * post)[:, None] * G * pre[None, :]
             else:
                 T = post[:, None] * _mode_kernel(lat, f) * pre[None, :]
@@ -462,20 +470,15 @@ def _power(T, N, dx):
     return T if N == 1 else np.linalg.matrix_power(dx * T, N) / dx
 
 
-def _kinetic_plan(f):
-    """Plan (M, HT, HH, rev) of the kinetic step S diag(f) S of a per-mode
-    factor f, S the orthonormal DST-I of n = f.size points.
+def _filter(f):
+    """h(m) = sum_k f_k cos(pi k m / (n + 1)) / (n + 1), m = 0 ... 2n + 1,
+    of a per-mode factor f over n = f.size modes.
 
-    With nodes i, j = 1 ... n, S diag(f) S v is a Toeplitz minus a Hankel
-    product, w_i = sum_j h(i - j) v_j - sum_j h(i + j) v_j, where
-    h(m) = sum_k f_k cos(pi k m / (n + 1)) / (n + 1) is the inverse DFT
-    of f's even extension over 2(n + 1) points. The Hankel product is the
-    Toeplitz one of the reversed v, whose transform is X[rev] times a
-    phase ramp, folded here into HH. So both products come from one FFT X
-    of v zero-padded to the fast length M >= 2n - 1, as one linear
-    convolution that no wrap-around reaches. 2(n + 1) is itself a slow
-    length when n + 1 has a large prime factor, so h is summed by chirp-z
-    on a fast length too, with km = (k^2 + m^2 - (k - m)^2) / 2.
+    With 1-based nodes i, j, S diag(f) S = h(i - j) - h(i + j), S the
+    orthonormal DST-I, a Toeplitz minus a Hankel matrix. h is the inverse
+    DFT of f's even extension over L = 2(n + 1) points. L is itself a
+    slow FFT length when n + 1 has a large prime factor, so h is summed
+    by chirp-z on a fast length, with km = (k^2 + m^2 - (k - m)^2) / 2.
     """
     import scipy.fft
 
@@ -488,7 +491,33 @@ def _kinetic_plan(f):
     P = scipy.fft.next_fast_len(2 * L - 1)
     b = np.zeros(P, dtype=complex)
     b[:L], b[P - L + 1 :] = chirp.conj(), chirp[:0:-1].conj()
-    h = scipy.fft.ifft(scipy.fft.fft(g * chirp, P) * scipy.fft.fft(b))[:L] * chirp / L
+    return scipy.fft.ifft(scipy.fft.fft(g * chirp, P) * scipy.fft.fft(b))[:L] * chirp / L
+
+
+def _toeplitz(row):
+    """The symmetric Toeplitz matrix A_ij = row[|i - j|], gathered as the
+    reversed windows of row's even extension."""
+    n = row.size
+    ext = np.concatenate((row[:0:-1], row))
+    return np.lib.stride_tricks.sliding_window_view(ext, n)[::-1].copy()
+
+
+def _kinetic_plan(f):
+    """Plan (M, HT, HH, rev) of the kinetic step S diag(f) S of a per-mode
+    factor f, S the orthonormal DST-I of n = f.size points.
+
+    With nodes i, j = 1 ... n, S diag(f) S v is a Toeplitz minus a Hankel
+    product, w_i = sum_j h(i - j) v_j - sum_j h(i + j) v_j, with h the
+    filter of f (`_filter`). The Hankel product is the Toeplitz one of
+    the reversed v, whose transform is X[rev] times a phase ramp, folded
+    here into HH. So both products come from one FFT X of v zero-padded
+    to the fast length M >= 2n - 1, as one linear convolution that no
+    wrap-around reaches.
+    """
+    import scipy.fft
+
+    n = f.size
+    h = _filter(f)
     M = scipy.fft.next_fast_len(2 * n - 1)
     # the filters h(j - (n - 1)) and h(j + 2), j = 0 ... 2n - 2, put w_i
     # at index i + n - 2 of the convolution
@@ -593,7 +622,8 @@ def free_deviation_diagnostic(K, mass):
     limiting. Reported is the worst interior L-infinity deviation of the
     propagated packets, normalized per packet by its peak amplitude. The
     battery is one (n x 3) array, so each kernel is applied once, the
-    lattice kernel through its dense `entries`.
+    lattice kernel through its dense `entries`. The closed-form kernel
+    depends on x_b - x_a alone, so it is gathered from its first column.
     """
     lat = K.lattice
     x = lat.nodes
@@ -608,7 +638,7 @@ def free_deviation_diagnostic(K, mass):
             (mid + span / 8.0, -1.5 / sigma, 0.75 * sigma),
         )
     ])
-    exact = free_propagator(x[:, None], K.grid.t_b, x[None, :], K.grid.t_a, mass)
+    exact = _toeplitz(free_propagator(x, K.grid.t_b, x[0], K.grid.t_a, mass))
     keep = np.abs(x - mid) <= 0.25 * span
     got = (K.entries @ battery) * lat.dx
     want = (exact @ battery) * lat.dx

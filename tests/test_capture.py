@@ -21,6 +21,7 @@ import os
 import re
 import threading
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -1149,6 +1150,30 @@ def test_an_overflowing_total_is_refused():
     with pytest.raises(NumericalError,
                        match="^angular quadrature produced a non-finite total$"):
         ct_total_cross_section(_pp_spec(), lam=1e-100, mode="obk")
+
+
+# At theta = 0 on the resonant channel q = 0, so each transform is
+# 4 pi / lam^2. At lam = 1e-150 dsigma overflows; at 1e-160 lam^2 is
+# subnormal and the transform overflows; at 1e-170 lam^2 is 0. These
+# once returned inf with a RuntimeWarning, or were refused as unscreened
+# though lam > 0.
+UNDERFLOW_CASES = [("dsigma", 1e-150), ("dsigma", 1e-160), ("amplitude", 1e-160),
+                   ("dsigma", 1e-170), ("amplitude", 1e-170), ("total", 1e-170)]
+
+
+@pytest.mark.parametrize("what,lam", UNDERFLOW_CASES)
+def test_an_underflowing_screening_overflows_without_a_warning(what, lam):
+    spec = _pp_spec()
+    call = {
+        "dsigma": lambda: ct_differential_cross_section(spec, 0.0, lam, "obk"),
+        "amplitude": lambda: capture_amplitude(spec, 0.0, lam, "obk"),
+        "total": lambda: ct_total_cross_section(spec, lam, "obk"),
+    }[what]
+    want = "non-finite total" if what == "total" else f"overflows at lam = {lam!r}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=want):
+            call()
 
 
 def test_total_is_smooth_in_collision_speed():

@@ -4,6 +4,7 @@ import csv
 import datetime
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -518,3 +519,96 @@ def test_demo_payloads_report_their_counts(tmp_path, command, key, want):
     assert cli.main([command, "--config", str(demo), "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / f"{command}.json").read_text())["payload"]
     assert payload[key] == want
+
+
+# the reference twin of cli._Loader: PyYAML's pure-Python SafeLoader with
+# the same implicit resolvers
+PurePythonLoader = type("PurePythonLoader", (yaml.SafeLoader,),
+                        {"yaml_implicit_resolvers": cli._Loader.yaml_implicit_resolvers})
+
+
+def _typed(value):
+    """value with the type of every node kept, so 1 and 1.0 differ."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
+def test_loader_parses_in_libyaml_where_pyyaml_has_it():
+    assert issubclass(cli._Loader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_yaml_bases_read_demo_configs_alike(path):
+    text = path.read_text()
+    want = yaml.load(text, Loader=PurePythonLoader)
+    assert _typed(yaml.load(text, Loader=cli._Loader)) == _typed(want)
+
+
+@pytest.mark.parametrize("text", ["1e-5", "1.0e-5", ".5", "-3", "obk", "true", "null",
+                                  "[1, 2]"])
+def test_yaml_bases_read_set_values_alike(text):
+    want = yaml.load(text, Loader=PurePythonLoader)
+    assert _typed(yaml.load(text, Loader=cli._Loader)) == _typed(want)
+
+
+MALFORMED = {
+    "unclosed-bracket": "command: [unclosed\n",
+    "nested-mapping": "command: oracle\na: b: c\n",
+    "tab-indent": "command: oracle\nsystem:\n\tA: 1.0\n",
+    "unterminated-quote": 'command: "oracle\n',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_yaml_bases_place_a_syntax_error_alike(monkeypatch, text):
+    prefixes = []
+    for loader in (PurePythonLoader, cli._Loader):
+        monkeypatch.setattr(cli, "_Loader", loader)
+        with pytest.raises(ConfigError) as excinfo:
+            cli.parse_config(text)
+        prefix = re.match(r"config is not valid YAML at line \d+, column \d+: ",
+                          str(excinfo.value))
+        assert prefix
+        prefixes.append(prefix.group())
+    assert prefixes[0] == prefixes[1]
+
+
+@pytest.mark.parametrize("loader", [PurePythonLoader, cli._Loader],
+                         ids=["pure-python", "loader"])
+def test_yaml_bases_refuse_a_bare_list_alike(monkeypatch, loader):
+    monkeypatch.setattr(cli, "_Loader", loader)
+    with pytest.raises(ConfigError, match="^config must be a mapping at the top level$"):
+        cli.parse_config("- just\n- a\n- list\n")
+
+
+def test_one_parser_serves_many_calls(tmp_path, monkeypatch):
+    demo = next(p for p in DEMO_CONFIGS if p.stem == "charge-transfer")
+    configs = []
+    for tag, sets in (("set", ["--set", "v=3.0"]), ("plain", [])):
+        out = tmp_path / tag
+        assert cli.main(["charge-transfer", "--config", str(demo), "--out", str(out),
+                         *sets]) == 0
+        configs.append(json.loads((out / "charge-transfer.json").read_text())["config"])
+    assert configs[0]["v"] == 3.0
+    # --set items do not carry over to the next call
+    assert configs[1]["v"] == yaml.safe_load(demo.read_text())["v"] == 2.0
+
+    threads = []
+    oracle = cli.brute_force_oracle
+
+    def recording(*args, n_threads, **kwargs):
+        threads.append(n_threads)
+        return oracle(*args, n_threads=n_threads, **kwargs)
+
+    monkeypatch.setattr(cli, "brute_force_oracle", recording)
+    cfg = _write_config(tmp_path, ORACLE_CONFIG)
+    outputs = []
+    for tag, flags in (("two", ["--threads", "2"]), ("default", [])):
+        out = tmp_path / tag
+        assert cli.main(["oracle", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        outputs.append([(out / f"oracle.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert threads == [2, 1]
+    assert outputs[0] == outputs[1]
