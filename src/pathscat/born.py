@@ -7,7 +7,7 @@ evaluations of potentials.fourier_transform plus kinematic factors. A
 momentum p is also the wavenumber.
 
 `_angular_total` integrates 2 pi int dsigma sin(theta) dtheta for the
-Born and the capture totals alike; each hands it only its theta rule.
+Born and the capture totals alike; each hands it only its theta panels.
 """
 
 import functools
@@ -104,17 +104,20 @@ def _panels(n, edges):
     return (half * u + mid).ravel(), (half * w).ravel()
 
 
-def _angular_total(dcs, rule):
+def _angular_total(dcs, panels):
     """2 pi int dsigma sin(theta) dtheta by one rule at two resolutions.
 
-    rule(scale) gives (theta, weights) with 2 pi sin(theta) folded into
-    the weights; scale 2 doubles its nodes. dcs takes the whole angle
-    array in one call. Returns the doubled-node value, its change under
-    the doubling as the error estimate, and the doubled node count.
+    panels lists (n, edges) pairs, n-point Gauss-Legendre on each interval
+    between consecutive edges; the second resolution doubles every n. dcs
+    takes the whole angle array in one call. Returns the doubled-node
+    value, its change under the doubling as the error estimate, and the
+    doubled node count.
     """
     totals = []
-    for theta, weights in (rule(1), rule(2)):
-        totals.append(float(weights @ dcs(theta)))
+    for scale in (1, 2):
+        rules = [_panels(scale * n, np.asarray(edges)) for n, edges in panels]
+        theta, g = (np.concatenate(part) for part in zip(*rules))
+        totals.append(float((2.0 * np.pi * np.sin(theta) * g) @ dcs(theta)))
     coarse, fine = totals
     if not np.all(np.isfinite(totals)):
         raise NumericalError("angular quadrature produced a non-finite total")
@@ -132,13 +135,9 @@ def born_total_cross_section(pot, p, mass, route="auto"):
     if not np.isfinite(fourier_transform(pot, 0.0)):
         raise NumericalError("v(0) is not finite, so the total cross section diverges")
 
-    def rule(scale):
-        theta, g = _panels(scale * _COARSE_NODES, np.array([0.0, np.pi]))
-        return theta, 2.0 * np.pi * np.sin(theta) * g
-
     def dcs(theta):
         return born_differential_cross_section(pot, p, mass, theta, route=route)
 
-    value, error, nodes = _angular_total(dcs, rule)
+    value, error, nodes = _angular_total(dcs, [(_COARSE_NODES, [0.0, np.pi])])
     return TotalCrossSection(value=value, error=error, nodes=nodes)
 

@@ -22,7 +22,8 @@ not >= 0 with one check (_admit). The jacobi routes are finite
 at lam = 0. An obk total at lam = 0 diverges forward on a resonant
 channel (p_a = p_b) and raises NumericalError there, unless it is the
 Sum with Z_a = 1, whose two terms cancel at q = 0
-(ct_total_cross_section).
+(ct_total_cross_section). The obk Sum is formed with that cancellation
+done in closed form (_obk_sum), so its amplitude is finite at q = 0 too.
 
 The brute-force oracle integrates the raw 6-D integrand by scrambled
 Sobol points with exponential importance sampling and block-wise error
@@ -231,6 +232,26 @@ def _form_factor(Z_a, Z_b, q2):
     return 8.0 * math.sqrt(Z_a**3 * Z_b**3) * s / (s**2 + q2) ** 2
 
 
+def _obk_sum(Z_a, Z_b, lam, q2):
+    """The obk Sum 4 pi Z_B (Z_A F(0) - F(q)) / (lam^2 + q^2), F the form
+    factor and the nuclear charges Z_A, Z_B the hydrogenic Z_a, Z_b,
+    without its two 1/q^2 terms: with s = Z_a + Z_b, F(0) - F(q) = F(0)
+    q^2 (2 s^2 + q^2) / (s^2 + q^2)^2 exactly, so it is
+
+        4 pi Z_B F(0) [(Z_A - 1) / (lam^2 + q^2)
+                       + (2 s^2 + q^2) / (s^2 + q^2)^2 q^2 / (lam^2 + q^2)],
+
+    with q^2 / (lam^2 + q^2) = 1 at lam = 0. At Z_A = 1 the pole term is
+    left out, so the Sum is finite at lam = q = 0.
+    """
+    s2, F0 = (Z_a + Z_b) ** 2, _form_factor(Z_a, Z_b, 0.0)
+    ratio = q2 / (lam**2 + q2) if lam else 1.0
+    total = 4.0 * np.pi * Z_b * F0 * (2.0 * s2 + q2) / (s2 + q2) ** 2 * ratio
+    if Z_a == 1.0:
+        return total
+    return total + _screened_coulomb_ft(Z_b * (Z_a - 1.0), lam, q2) * F0
+
+
 def _graded_half(n, top, depth):
     """n-point Gauss-Legendre panels on [0, top] that shrink by a factor 4
     toward 0 until their lower edge is below depth; one panel then reaches 0."""
@@ -341,6 +362,8 @@ def _amplitude(spec, p_a_vec, p_b_vec, lam, mode):
 
     if mode == "obk":
         q2 = np.sum((p_a_vec - p_b_vec) ** 2, axis=-1)
+        if spec.interaction == "Sum":
+            return _obk_sum(Z_a, Z_b, lam, q2)
         pe = _screened_coulomb_ft(-Z_B, lam, q2) * _form_factor(Z_a, Z_b, q2)
         nn = _screened_coulomb_ft(Z_A * Z_B, lam, q2) * _form_factor(Z_a, Z_b, 0.0)
     else:
@@ -419,14 +442,8 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
             _check_screened(lam, (p_a - p_b) ** 2)
         # a zero width (the finite Sum at lam = 0) keeps _THETA_MIN
         low = min(low, math.hypot(lam, p_a - p_b) / p_b / 10.0) or low
-
-    def rule(scale):
-        edges = np.geomspace(low, _THETA_SPLIT, n_segments + 1)
-        edges[0] = 0.0
-        segments = _panels(scale * seg_nodes, edges)
-        tail = _panels(scale * tail_nodes, np.array([_THETA_SPLIT, np.pi]))
-        theta, g = (np.concatenate(pair) for pair in zip(segments, tail))
-        return theta, 2.0 * np.pi * np.sin(theta) * g
+    edges = np.geomspace(low, _THETA_SPLIT, n_segments + 1)
+    edges[0] = 0.0
 
     def dcs(theta):
         # a dsigma refused for overflow leaves a non-finite total, which
@@ -436,7 +453,8 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
         except NumericalError:
             return np.full(theta.shape, np.nan)
 
-    value, error, evaluations = _angular_total(dcs, rule)
+    panels = [(seg_nodes, edges), (tail_nodes, [_THETA_SPLIT, np.pi])]
+    value, error, evaluations = _angular_total(dcs, panels)
     return CaptureTotal(value=value, error=error, evaluations=evaluations)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .propagator import _propagate, _slices, TimeGrid
+from .propagator import _kinetic_part, _propagate, _slices, TimeGrid
 
 __all__ = [
     "FixedPath",
@@ -45,7 +45,7 @@ __all__ = [
 
 # Cap on electron x ion points of the product lattice, a small-lattice
 # oracle: each slice costs n_e n_i (n_e + n_i) operations, by dense
-# kinetic kernels (see propagator._slices).
+# kinetic kernels (see propagator._kinetic_part).
 MAX_PRODUCT_POINTS = 256 * 256
 
 
@@ -105,8 +105,8 @@ def _element(terms, lattices, a, b, grid, masses, kinetic, sampling, companion=N
     ib = tuple(_node_index(lat, x, "final endpoint") for lat, x in zip(lattices, b))
     delta = np.zeros(tuple(lat.points for lat in lattices))
     delta[ia] = 1.0 / math.prod(lat.dx for lat in lattices)
-    step = _slices(lattices, grid, masses, kinetic, sampling, terms, companion)
-    return complex(_propagate(delta, *step)[ib])
+    ops, pre, post = _slices(lattices, grid, masses, kinetic, sampling, terms, companion)
+    return complex(_propagate(delta, _kinetic_part(lattices, ops), pre, post)[ib])
 
 
 def _influence(terms, path, a, b, lattice, grid, mass, kinetic, sampling):

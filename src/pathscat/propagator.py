@@ -24,10 +24,11 @@ influence functionals' and the product lattice's, from the lattices,
 masses, kinetic factor, sampling and potential terms. It samples each
 term once on the slice ends its sampling reads, reports a sample that
 is not finite at its slice and lattice node, and forms each axis's
-damping and kinetic operator itself. The contraction
-is one triple (ops, pre, post): each axis's kinetic operator once, and
-the node factors before and after it, one row per slice, which
-`_propagate` applies in order.
+damping and mode factor itself. The contraction is one triple (ops,
+pre, post): each axis's mode factor once, and the node factors before
+and after the kinetic part, one row per slice. `_kinetic_part` turns
+the mode factors into the slices' kinetic part, one function of the
+field, once per push, and `_propagate` applies the slices in order.
 
 Midpoint sampling lives only in time_sliced_propagator. It is not
 separable: its slice is a dense matrix, and its N-slice kernel is formed
@@ -242,7 +243,8 @@ class PropagatorMatrix:
         """sum_j K_ij values_j dx for values sampled on the lattice."""
         if self.step is None:
             return (self.entries @ values) * self.lattice.dx
-        return _propagate(values, *self.step)
+        ops, pre, post = self.step
+        return _propagate(values, _kinetic_part((self.lattice,), ops), pre, post)
 
     def symmetry_defect(self):
         """Max |K - K^T| over max |K|; round-off for symmetric sampling."""
@@ -415,13 +417,12 @@ def _slices(lattices, grid, masses, kinetic, sampling, terms, companion=None):
     earliest slice that reads it and at its lattice node, with "*" on
     each axis its term does not vary along.
 
-    ops holds each axis's kinetic operator once: the per-mode factor,
-    applied by split-step, on one axis, and its dense kernel times dx on
-    the product lattice, where under influence.MAX_PRODUCT_POINTS a
-    matrix product costs less than a split-step FFT pair. pre and post
-    hold one row of node factors per slice, with the half-slice absorber
-    damping, the outer product of each axis's profile, at both ends. They
-    are read-only broadcast views, so a static row is stored once.
+    ops holds each axis's mode factor once, on every route;
+    `_kinetic_part` builds the slices' kinetic part from them. pre and
+    post hold one row of node factors per slice, with the half-slice
+    absorber damping, the outer product of each axis's profile, at both
+    ends. They are read-only broadcast views, so a static row is stored
+    once.
     Midpoint sampling is not separable and is refused here, before any
     term is sampled.
     """
@@ -454,8 +455,6 @@ def _slices(lattices, grid, masses, kinetic, sampling, terms, companion=None):
         np.multiply.outer, [_absorber_profile(lat, eps) for lat in lattices]
     )
     ops = [_kinetic_factor(lat, eps, m, kinetic) for lat, m in zip(lattices, masses)]
-    if len(lattices) > 1:
-        ops = [lat.dx * _mode_kernel(lat, f) for lat, f in zip(lattices, ops)]
     if sampling == "endpoint":
         pre, post = damp, damp * np.exp(-1j * eps * V)
     else:
@@ -528,40 +527,42 @@ def _kinetic_plan(f):
     return M, HT, HH, -np.arange(M) % M
 
 
-def _kinetic_step(values, plan, axis):
-    """S diag(f) S along axis of values, from f's _kinetic_plan: one
-    forward and one inverse FFT of length M."""
+def _kinetic_step(values, plan):
+    """S diag(f) S v of a field v on f's modes, from f's _kinetic_plan:
+    one forward and one inverse FFT of length M."""
     import scipy.fft
 
     M, HT, HH, rev = plan
-    n = values.shape[axis]
-    shape = (M,) + (1,) * (values.ndim - axis - 1)
-    lead = (slice(None),) * axis
-    X = scipy.fft.fft(values, M, axis)
-    X = X * HT.reshape(shape) - X[lead + (rev,)] * HH.reshape(shape)
-    return scipy.fft.ifft(X, axis=axis)[lead + (slice(n - 1, 2 * n - 1),)]
+    X = scipy.fft.fft(values, M)
+    return scipy.fft.ifft(X * HT - X[rev] * HH)[values.size - 1 : 2 * values.size - 1]
 
 
-def _propagate(values, ops, pre, post):
-    """Push values through the slices of the contraction (ops, pre, post),
-    the first slice first.
+def _kinetic_part(lattices, factors):
+    """The kinetic part of a slice on the lattices' product, as one
+    function of the field, from each axis's mode factor f.
 
-    Slice j maps v to post[j] * A (pre[j] * v), where A applies each
-    axis's kinetic operator in ops along that axis of v in turn: a
-    per-mode factor f by split-step, S diag(f) S v with S the
-    orthonormal DST-I, as one FFT pair of a fast length (_kinetic_step),
-    or a dense matrix by a matrix product. Each FFT plan is built once
-    per call.
+    On one axis it is the split-step S diag(f) S, S the orthonormal
+    DST-I, as one FFT pair of a fast length (_kinetic_step), planned
+    here. On the product lattice it applies the electron's and the ion's
+    dense kernels times dx along their axes: under
+    influence.MAX_PRODUCT_POINTS a matrix product costs less than an FFT
+    pair along each axis. Callers build it once per push.
     """
-    ops = [_kinetic_plan(op) if op.ndim == 1 else op for op in ops]
+    if len(lattices) == 1:
+        plan = _kinetic_plan(*factors)
+        return lambda values: _kinetic_step(values, plan)
+    G_e, G_i = (lat.dx * _mode_kernel(lat, f) for lat, f in zip(lattices, factors))
+    # the ion's product puts its axis first; .T restores (electron, ion)
+    return lambda values: np.tensordot(G_i, np.tensordot(G_e, values, (1, 0)), (1, 1)).T
+
+
+def _propagate(values, kinetic_part, pre, post):
+    """Push values through the slices, the first slice first: slice j
+    maps v to post[j] * kinetic_part(pre[j] * v), with pre and post the
+    node factors of a contraction and kinetic_part its slices' kinetic
+    part from `_kinetic_part`."""
     for a, b in zip(pre, post):
-        values = a * values
-        for axis, op in enumerate(ops):
-            if isinstance(op, tuple):
-                values = _kinetic_step(values, op, axis)
-            else:
-                values = np.moveaxis(np.tensordot(op, values, (1, axis)), 0, axis)
-        values = b * values
+        values = b * kinetic_part(a * values)
     return values
 
 

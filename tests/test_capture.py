@@ -619,7 +619,13 @@ def test_zero_momentum_transfer_unscreened_obk_is_refused(theta, where, interact
     # p + H(1s) -> H(1s) + p is resonant, p_a = p_b, so theta = 0 is q = 0
     spec = _pp_spec(interaction=interaction)
     assert spec.energetics.p_a == spec.energetics.p_b
-    theta.insert(where % (len(theta) + 1), 0.0)
+    at = where % (len(theta) + 1)
+    theta.insert(at, 0.0)
+    if interaction == "Sum":
+        # Z_A = 1: the Sum's amplitude is 2 pi at q = 0, so dsigma is mu_b^2
+        dcs = ct_differential_cross_section(spec, np.array(theta), lam=0.0, mode="obk")
+        assert dcs[at] == pytest.approx(spec.kin.mu_b**2, rel=1e-14)
+        return
     with pytest.raises(NumericalError, match="diverges at zero momentum transfer"):
         ct_differential_cross_section(spec, np.array(theta), lam=0.0, mode="obk")
 
@@ -1143,6 +1149,48 @@ def test_obk_sum_at_zero_screening_is_refused_unless_z_a_is_1():
     assert spec.energetics.p_a == spec.energetics.p_b
     with pytest.raises(NumericalError, match="diverges at zero momentum transfer"):
         ct_total_cross_section(spec, lam=0.0, mode="obk")
+
+
+def _obk_sum_mpmath(spec, theta, lam):
+    """The obk Sum pe + nn at 40 digits from the same double momentum
+    vectors and masses: its two 1/(lam^2 + q^2) terms cancel in double
+    precision at small q, not here; at lam = q = 0 it is the limit."""
+    p_b_vec = spec.energetics.p_b * np.array([np.sin(theta), np.cos(theta)])
+    with mpmath.workdps(40):
+        Z_a, Z_b = (mpmath.mpf(state.Z_eff) for state in (spec.initial, spec.final))
+        p_a, p_b = (mpmath.mpf(spec.energetics.p_a), mpmath.mpf(spec.energetics.p_b))
+        x, z = (mpmath.mpf(float(c)) for c in p_b_vec)
+        q2 = x**2 + (p_a - z) ** 2
+        s = Z_a + Z_b
+
+        def form(q2):
+            return 8 * mpmath.sqrt(Z_a**3 * Z_b**3) * s / (s**2 + q2) ** 2
+
+        if lam == 0 and q2 == 0:
+            # Z_A = 1: F(0) - F(q) over q^2 tends to 2 F(0) / s^2
+            amplitude = 4 * mpmath.pi * Z_b * form(0) * 2 / s**2
+        else:
+            amplitude = 4 * mpmath.pi * Z_b * (Z_a * form(0) - form(q2)) / (lam**2 + q2)
+        mu_b = mpmath.mpf(spec.kin.mu_b)
+        dcs = (mu_b / (2 * mpmath.pi)) ** 2 * (p_b / p_a) ** 2 * amplitude**2
+        return float(amplitude), float(dcs)
+
+
+@pytest.mark.parametrize("system,lam", [
+    ((1.0, 1.0, 1.0, 1.0), 0.0),  # resonant: q = 0 at theta = 0
+    ((1.0, 4.0, 1.0, 2.0), 0.0),  # Z_A = 1, Z_B = 2
+    ((4.0, 4.0, 2.0, 2.0), 0.3),  # Z_A = 2: the pole term stays
+])
+def test_obk_sum_matches_mpmath_at_small_angles(system, lam):
+    # pe + nn lost 2.8e-6 relative at theta = 1e-9 on the resonant channel
+    # and refused theta = 0 there, whose amplitude is 2 pi
+    spec = make_capture_spec(*system, 2.0, "Sum")
+    for theta in (0.0, 1e-9, 1e-7, 1e-5, 1e-3):
+        amplitude, dcs = _obk_sum_mpmath(spec, theta, lam)
+        got = capture_amplitude(spec, theta, lam, "obk")
+        assert abs(got - amplitude) <= 1e-15 * abs(amplitude), theta
+        assert ct_differential_cross_section(spec, theta, lam, "obk") == \
+            pytest.approx(dcs, rel=1e-15, abs=0.0), theta
 
 
 def test_an_overflowing_total_is_refused():

@@ -250,6 +250,20 @@ def test_obk_total_with_a_narrow_or_cancelling_forward_peak_exits_0(tmp_path,
     assert math.isfinite(payload["sigma_total"]) and payload["sigma_total"] > 0
 
 
+def test_obk_sum_at_zero_screening_is_finite_at_theta_0(tmp_path):
+    # its two 1/q^2 terms cancel exactly; it once exited 3 as divergent
+    demo = next(p for p in DEMO_CONFIGS if p.stem == "charge-transfer")
+    code = cli.main(["charge-transfer", "--config", str(demo), "--out", str(tmp_path),
+                     "--set", "mode=obk", "--set", "interaction=Sum", "--set", "lam=0.0",
+                     "--set", "angles.min=0.0", "--set", "angles.spacing=linear"])
+    assert code == 0
+    payload = json.loads((tmp_path / "charge-transfer.json").read_text())["payload"]
+    rows = (tmp_path / "charge-transfer.csv").read_text().splitlines()
+    theta, dcs = map(float, rows[1].split(","))
+    assert theta == 0.0
+    assert dcs == pytest.approx(payload["mu_b"] ** 2, rel=1e-14)
+
+
 def test_outputs_are_run_and_thread_invariant(tmp_path):
     cfg = _write_config(tmp_path, ORACLE_CONFIG)
     outs = []
