@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .born import _angles, _angular_total, _panels
-from .errors import DomainError, NumericalError
-from .errors import _check_choice, _check_count, _check_nonnegative, _check_positive
+from .errors import _check_choice, _check_count, _check_finite, _check_nonnegative
+from .errors import _check_positive, DomainError, NumericalError
 from .units import OPEN, channel_energetics, reduced_masses
 
 __all__ = [
@@ -184,6 +184,7 @@ def _admit(spec, lam, mode):
         raise DomainError("capture requires an open final channel")
     _check_choice("coordinate mode", mode, MODES)
     _check_nonnegative("screening constant", lam)
+    _check_finite("screening constant", lam=lam)
 
 
 def _canonical_vectors(spec, theta):

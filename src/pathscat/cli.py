@@ -1,7 +1,11 @@
 """Config-driven command line front end.
 
 One YAML config describes one computation. `_COMMANDS` lists the keys
-each command accepts, and `_validate` checks a config against them.
+each command accepts, and `_validate` checks a config against them; it
+is the only judge of a config, so every value the JSON echo holds has
+passed a schema node. A `path` or `lattice.boundary` mapping may keep
+another kind's keys: they are checked by the variant that declares
+them, then ignored.
 Physical parameters have no defaults; an optional numerical knob that a
 config leaves out is not passed on, so the library's default applies.
 Neither born-elastic nor charge-transfer sets the angular rule of its
@@ -93,7 +97,8 @@ class Built:
 @dataclass(frozen=True)
 class Tagged:
     """A mapping whose `tag` key picks one `Built` of `variants`. Keys of
-    the other variants are rejected, or ignored if `lenient`."""
+    the other variants are rejected, or, if `lenient`, checked by the
+    variant that declares them, then ignored."""
 
     tag: str
     variants: dict
@@ -162,9 +167,12 @@ def _validate(value, schema, context):
         variant = variants[_validate(value[tag], tuple(variants), f"{context}.{tag}")]
         rest = {k: v for k, v in value.items() if k != tag}
         if schema.lenient:
-            every = set().union(*(_names(b.schema) for b in variants.values()))
-            _reject_unknown(rest, every, context)
-            rest = {k: v for k, v in rest.items() if k in _names(variant.schema)}
+            # another variant's keys are checked by its nodes, then dropped
+            mine = _names(variant.schema)
+            every = {k.rstrip("?") + "?": node for b in variants.values()
+                     for k, node in b.schema.items()}
+            _validate({k: v for k, v in rest.items() if k not in mine}, every, context)
+            rest = {k: v for k, v in rest.items() if k in mine}
         return _validate(rest, variant, context)
     if isinstance(schema, dict):
         _reject_unknown(value, _names(schema), context)
@@ -269,24 +277,6 @@ _CAPTURE = {
 }
 
 
-def _require_json(value, context):
-    """Reject what YAML loads but the JSON config echo cannot hold, such as
-    dates, binary strings, sets and non-string keys, wherever it sits."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise ConfigError(f"{context} has key {key!r}; keys must be strings")
-            _require_json(item, f"{context}.{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _require_json(item, f"{context}[{i}]")
-    elif value is not None and not isinstance(value, (str, int, float)):
-        raise ConfigError(
-            f"{context} must be a string, number, boolean, list, mapping or null, "
-            f"got {type(value).__name__} {value!r}"
-        )
-
-
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """Safe YAML that also reads YAML 1.2 floats, such as 1e-5, as numbers.
 
@@ -315,7 +305,6 @@ def parse_config(text):
         raise ConfigError(f"config is not valid YAML{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping at the top level")
-    _require_json(raw, "config")
     if "command" not in raw:
         raise ConfigError("missing required key 'command' in config")
     command = _validate(raw["command"], COMMANDS, "config.command")
@@ -332,7 +321,6 @@ def apply_overrides(params, overrides):
             value = yaml.load(raw_value, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"--set value {raw_value!r} is not YAML") from exc
-        _require_json(value, f"config.{path}")
         keys = path.split(".")
         target = params
         for key in keys[:-1]:

@@ -5,7 +5,8 @@ Every argument refusal is a DomainError. Its common forms are worded
 once, by the private helpers below, and every module calls them:
 
 * _check_choice: "unknown {what} {value!r}; options: {options}"
-* _check_positive: "{what} must be positive, got {value}"
+* _check_positive: "{what} must be positive, got {value}", and
+  "{what} must be positive and finite, got inf"
 * _check_nonnegative: "{what} must be non-negative", for a number or
   every entry of an array
 * _check_finite: "{what} {name} must be finite, got {value!r}"
@@ -64,9 +65,11 @@ def _check_choice(what, value, options):
 
 
 def _check_positive(what, value):
-    """Refuse a value that is not > 0."""
+    """Refuse a value that is not > 0, or is infinite."""
     if not value > 0:
         raise DomainError(f"{what} must be positive, got {value}")
+    if value == math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value}")
 
 
 def _check_nonnegative(what, value):

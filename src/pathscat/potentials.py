@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_nonnegative, _check_positive, NumericalError
+from .errors import _check_finite, _check_nonnegative, _check_positive, NumericalError
 
 __all__ = [
     "Yukawa",
@@ -64,6 +64,7 @@ class Yukawa:
     alpha: float
 
     def __post_init__(self):
+        _check_finite("Yukawa", V0=self.V0)
         _check_positive("alpha", self.alpha)
 
     def evaluate(self, r):
@@ -83,6 +84,7 @@ class Gaussian:
     width: float
 
     def __post_init__(self):
+        _check_finite("Gaussian", V0=self.V0)
         _check_positive("width", self.width)
 
     def evaluate(self, r):
@@ -102,6 +104,7 @@ class SoftCoulomb:
     soft: float
 
     def __post_init__(self):
+        _check_finite("SoftCoulomb", Z=self.Z)
         _check_positive("soft", self.soft)
 
     def evaluate(self, r):
@@ -129,6 +132,7 @@ class SquareWell:
     radius: float
 
     def __post_init__(self):
+        _check_finite("SquareWell", V0=self.V0)
         _check_positive("radius", self.radius)
 
     def evaluate(self, r):

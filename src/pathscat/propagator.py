@@ -299,16 +299,8 @@ def free_propagator(x_b, t_b, x_a, t_a, mass):
         raise DomainError("free propagator requires t_b > t_a")
     _check_positive("mass", mass)
     diff = np.asarray(x_b, dtype=float) - np.asarray(x_a, dtype=float)
-    dist2 = diff * diff
-    del diff
     pref = (mass / (2.0 * np.pi * dt)) ** 0.5 * np.exp(-1j * np.pi / 4.0)
-    # pref * exp(1j * mass * dist2 / (2 dt)) in one complex array, each
-    # operation with the operands in that order
-    out = np.asarray(1j * mass * dist2)
-    del dist2
-    np.divide(out, 2.0 * dt, out=out)
-    np.exp(out, out=out)
-    np.multiply(pref, out, out=out)
+    out = pref * np.exp(1j * mass * (diff * diff) / (2.0 * dt))
     return out if np.ndim(out) else complex(out)
 
 

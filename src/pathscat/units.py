@@ -69,6 +69,8 @@ def reduced_masses(A, B):
     """
     if not (np.all(np.greater(A, 0)) and np.all(np.greater(B, 0))):
         raise DomainError(f"nuclear masses must be positive, got A={A}, B={B}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise DomainError(f"nuclear masses must be finite, got A={A}, B={B}")
     m = 1.0  # the electron mass in atomic units
     M = PROTON_MASS_RATIO
     MA, MB = A * M, B * M

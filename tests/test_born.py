@@ -191,7 +191,7 @@ def test_total_without_a_closed_form_takes_quadrature_per_angle():
         born_total_cross_section(YUK, 1.0, 1.0).value, rel=1e-8)
 
 
-@pytest.mark.parametrize("mass", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("mass", [-1.0, 0.0, float("nan"), float("inf")])
 def test_a_mass_that_is_not_positive_is_refused(mass):
     with pytest.raises(DomainError, match="mass must be positive"):
         born_amplitude(YUK, 1.0, mass, 0.3)

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -118,7 +118,7 @@ def test_grid_counts_are_integers_and_bounds_finite(make, message):
         make()
 
 
-@pytest.mark.parametrize("mass", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("mass", [-1.0, 0.0, float("nan"), float("inf")])
 def test_a_mass_that_is_not_positive_is_refused(mass):
     with pytest.raises(DomainError, match="mass must be positive"):
         free_propagator(1.0, 1.0, 0.0, 0.0, mass)
@@ -208,22 +208,54 @@ def test_harmonic_symmetric_exact_is_accurate():
 
 
 @pytest.mark.parametrize("kinetic", ["pade2", "exact"])
-def test_mode_factor_schemes_preserve_norm(kinetic):
-    # the sine-mode factors are unimodular, so evolution is unitary
-    psi0 = gaussian_packet(LAT, -2.0, 1.0, 1.0)
+@settings(max_examples=15, deadline=None, database=None)
+@given(
+    sampling=st.sampled_from(["endpoint", "symmetric"]),
+    n=st.integers(16, 200),
+    N=st.integers(1, 40),
+    strength=st.floats(-2.0, 2.0),
+    T=st.floats(0.05, 4.0),
+    packet=st.tuples(st.floats(-10.0, 10.0), st.floats(-3.0, 3.0), st.floats(0.5, 3.0)),
+)
+@example(sampling="endpoint", n=512, N=16, strength=0.3, T=2.0, packet=(-2.0, 1.0, 1.0))
+def test_mode_factor_schemes_preserve_norm(kinetic, sampling, n, N, strength, T,
+                                           packet):
+    # the sine-mode factors are unimodular and a real potential's phase
+    # has modulus 1, so evolution between hard walls is unitary
+    lat = LatticeSpec(-20.0, 20.0, n)
+    psi0 = gaussian_packet(lat, *packet)
     K = time_sliced_propagator(
-        lambda x: 0.3 * np.cos(x), LAT, TimeGrid(0.0, 2.0, 16), 1.0, kinetic=kinetic
+        lambda x: strength * np.cos(x), lat, TimeGrid(0.0, T, N), 1.0,
+        kinetic=kinetic, sampling=sampling,
     )
-    psi1 = evolve(psi0, K)
-    assert psi1.norm() == pytest.approx(psi0.norm(), rel=1e-12)
+    norm = ComplexField1D(lat, K.apply(psi0.values)).norm()
+    # measured at most 2.2e-14 over 400 random and 240 extreme draws
+    assert norm == pytest.approx(psi0.norm(), rel=1e-12)
 
 
-def test_symmetric_sampling_gives_symmetric_kernel():
+@settings(max_examples=15, deadline=None, database=None)
+@given(
+    kinetic=st.sampled_from(["pade2", "exact"]),
+    n=st.integers(16, 128),
+    N=st.integers(1, 40),
+    strength=st.floats(-2.0, 2.0),
+    spread=st.floats(0.2, 4.0),
+    T=st.floats(0.05, 4.0),
+)
+@example(kinetic="pade2", n=512, N=32, strength=0.4, spread=1.0, T=1.0)
+def test_symmetric_sampling_gives_symmetric_kernel(kinetic, n, N, strength, spread,
+                                                   T):
+    pot = lambda x: strength * np.exp(-(x**2) / spread)
+    K = time_sliced_propagator(
+        pot, LatticeSpec(-20.0, 20.0, n), TimeGrid(0.0, T, N), 1.0, kinetic=kinetic,
+        sampling="symmetric",
+    )
+    # measured at most 8.7e-15 over 200 random and 96 extreme draws
+    assert K.symmetry_defect() <= 1e-13
+
+
+def test_midpoint_sampling_is_symmetric_and_endpoint_sampling_is_not():
     pot = lambda x: 0.4 * np.exp(-(x**2))
-    K = time_sliced_propagator(
-        pot, LAT, TimeGrid(0.0, 1.0, 32), 1.0, sampling="symmetric"
-    )
-    assert K.symmetry_defect() <= 1e-10
     K_mid = time_sliced_propagator(
         pot, LAT, TimeGrid(0.0, 1.0, 32), 1.0, sampling="midpoint"
     )
@@ -235,14 +267,27 @@ def test_symmetric_sampling_gives_symmetric_kernel():
     assert K_end.symmetry_defect() > 1e-8
 
 
-def test_half_interval_composition_is_exact():
-    pot = lambda x: -0.4 * np.exp(-(x**2) / 4.0)
-    full = time_sliced_propagator(pot, LAT, TimeGrid(0.0, 2.0, 64), 1.0)
-    first = time_sliced_propagator(pot, LAT, TimeGrid(0.0, 1.0, 32), 1.0)
-    second = time_sliced_propagator(pot, LAT, TimeGrid(1.0, 2.0, 32), 1.0)
-    comp = second.entries @ (LAT.dx * first.entries)
+@settings(max_examples=15, deadline=None, database=None)
+@given(
+    n=st.integers(16, 128),
+    half=st.integers(1, 32),
+    strength=st.floats(-2.0, 2.0),
+    spread=st.floats(0.2, 8.0),
+    T=st.floats(0.05, 4.0),
+)
+@example(n=512, half=32, strength=-0.4, spread=4.0, T=2.0)
+def test_half_interval_composition_is_exact(n, half, strength, spread, T):
+    # a static potential: the two halves' product is the whole, to round-off
+    lat = LatticeSpec(-20.0, 20.0, n)
+    pot = lambda x: strength * np.exp(-(x**2) / spread)
+    full = time_sliced_propagator(pot, lat, TimeGrid(0.0, T, 2 * half), 1.0)
+    first = time_sliced_propagator(pot, lat, TimeGrid(0.0, T / 2, half), 1.0)
+    second = time_sliced_propagator(pot, lat, TimeGrid(T / 2, T, half), 1.0)
+    comp = second.entries @ (lat.dx * first.entries)
     dev = np.max(np.abs(comp - full.entries)) / np.max(np.abs(full.entries))
-    assert dev <= 1e-8  # roundoff scale; measured 4e-15
+    # round-off scale: measured at most 6.0e-15 over 200 random and 32
+    # extreme draws and the example
+    assert dev <= 1e-13
 
 
 def test_chapman_kolmogorov_by_tapered_lattice_quadrature():

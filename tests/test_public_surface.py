@@ -15,6 +15,7 @@ from pathscat import (
 
 ROOT = Path(__file__).resolve().parents[1]
 NAN = float("nan")
+INF = float("inf")
 
 MODULES = [born, capture, errors, influence, potentials, propagator, units]
 
@@ -87,6 +88,44 @@ def _parameters(fn):
 def test_nan_arguments_are_refused(call, message):
     # each range check is written so that NaN fails it; these once
     # returned NaN or a Closed channel
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# p + H at v = 2, an open channel
+PP_SPEC = capture.make_capture_spec(1.0, 1.0, 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: capture.brute_force_oracle(PP_SPEC, 1e-3, samples=100000, lam=INF),
+     "screening constant lam must be finite, got inf"),
+    (lambda: capture.capture_amplitude(PP_SPEC, 1e-3, lam=INF),
+     "screening constant lam must be finite, got inf"),
+    (lambda: capture.ct_total_cross_section(PP_SPEC, lam=INF),
+     "screening constant lam must be finite, got inf"),
+    (lambda: propagator.free_propagator(0.0, 1.0, 0.0, 0.0, INF),
+     "mass must be positive and finite, got inf"),
+    (lambda: born.born_amplitude(potentials.Yukawa(1, 1), 1.0, INF, 0.5),
+     "mass must be positive and finite, got inf"),
+    (lambda: born.born_total_cross_section(potentials.Yukawa(1, 1), 1.0, INF),
+     "mass must be positive and finite, got inf"),
+    (lambda: potentials.Yukawa(INF, 1.0), "Yukawa V0 must be finite, got inf"),
+    (lambda: potentials.Gaussian(NAN, 1.0), "Gaussian V0 must be finite, got nan"),
+    (lambda: potentials.SoftCoulomb(-INF, 1.0),
+     "SoftCoulomb Z must be finite, got -inf"),
+    (lambda: potentials.SquareWell(NAN, 1.0), "SquareWell V0 must be finite, got nan"),
+    (lambda: capture.make_capture_spec(1, 1, INF, 1, 2),
+     "effective charge must be positive and finite, got inf"),
+    (lambda: capture.make_capture_spec(INF, 1, 1, 1, 2),
+     "nuclear masses must be finite, got A=inf, B=1"),
+    (lambda: units.reduced_masses(1.0, [2.0, INF]),
+     "nuclear masses must be finite, got A=1.0, B=[2.0, inf]"),
+], ids=["oracle", "amplitude", "total", "free-propagator", "born-amplitude",
+        "born-total", "yukawa", "gaussian", "soft-coulomb", "square-well",
+        "spec-charge", "spec-mass", "array-mass"])
+def test_infinite_arguments_are_refused(call, message):
+    # each of these once returned NaN, inf or 0, built a Closed channel at
+    # eps_a = -inf, or failed later without naming its cause
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
 
