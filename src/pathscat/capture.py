@@ -445,17 +445,10 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
         low = min(low, math.hypot(lam, p_a - p_b) / p_b / 10.0) or low
     edges = np.geomspace(low, _THETA_SPLIT, n_segments + 1)
     edges[0] = 0.0
-
-    def dcs(theta):
-        # a dsigma refused for overflow leaves a non-finite total, which
-        # _angular_total refuses
-        try:
-            return ct_differential_cross_section(spec, theta, lam, mode)
-        except NumericalError:
-            return np.full(theta.shape, np.nan)
-
     panels = [(seg_nodes, edges), (tail_nodes, [_THETA_SPLIT, np.pi])]
-    value, error, evaluations = _angular_total(dcs, panels)
+    value, error, evaluations = _angular_total(
+        lambda theta: ct_differential_cross_section(spec, theta, lam, mode), panels
+    )
     return CaptureTotal(value=value, error=error, evaluations=evaluations)
 
 

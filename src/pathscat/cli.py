@@ -12,13 +12,14 @@ Neither born-elastic nor charge-transfer sets the angular rule of its
 total: both use the library's fixed rule, and charge-transfer's flux
 factor is fixed too.
 
-Every run writes a plot-ready CSV and a JSON document with the echoed
-config, payload, and diagnostics, each through a temporary file renamed
-into place. Outputs are byte-deterministic for a fixed config and seed:
-wall time goes to stderr, never into the files. --threads, at least 1,
-is a flag of the oracle command alone: it dispatches sample blocks,
-each drawn from its own child of SeedSequence(seed), whose means reduce
-in index order.
+Every run writes a plot-ready CSV and a JSON document, each through a
+temporary file renamed into place. The JSON, schema_version "2", names
+the `command` and holds `config` (what was asked), `payload` (only what
+the run computed) and `diagnostics` (the warnings it raised). Outputs
+are byte-deterministic for a fixed config and seed: wall time goes to
+stderr, never into the files. --threads, at least 1, is a flag of the
+oracle command alone: it dispatches sample blocks, each drawn from its
+own child of SeedSequence(seed), whose means reduce in index order.
 
 Configs and --set values are read by libyaml (PyYAML's CSafeLoader)
 with the YAML 1.2 float resolver added; a PyYAML built without libyaml
@@ -38,7 +39,6 @@ import contextlib
 import difflib
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -60,7 +60,7 @@ from .capture import (
     make_capture_spec,
     MODES,
 )
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import _finite, ConfigError, DomainError, NumericalError
 from .influence import FixedPath, influence_K1, influence_K2
 from .potentials import Gaussian, PairPotentials, SoftCoulomb, SquareWell, Yukawa
 from .propagator import (
@@ -145,13 +145,9 @@ def _leaf(value, kind, context):
         raise ConfigError(f"{context} must be an integer within int64, got {value!r}")
     if kind is not float:
         return value
-    try:
-        number = float(value)
-    except OverflowError:  # an integer too large for a float
-        number = math.inf
-    if not math.isfinite(number):
+    if not _finite(value):
         raise ConfigError(f"{context} must be a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 def _validate(value, schema, context):
@@ -354,7 +350,6 @@ def _run_propagator(cfg):
     j = int(np.argmin(np.abs(nodes - cfg["source"])))
     column = ComplexField1D(lattice, K.entries[:, j])
     payload = {
-        "kind": "propagator_column",
         "source_node": float(nodes[j]),
         "symmetry_defect": K.symmetry_defect(),
     }
@@ -367,7 +362,6 @@ def _run_evolve(cfg):
     psi0 = _built("config.packet", gaussian_packet, cfg["lattice"], **cfg["packet"])
     psi = evolve(psi0, _kernel(cfg))
     payload = {
-        "kind": "evolved_field",
         "norm_initial": psi0.norm(),
         "norm_final": psi.norm(),
         "width_final": packet_width(psi),
@@ -382,7 +376,6 @@ def _run_born(cfg):
     total = born_total_cross_section(pot, p, mass, **route)
     dsigma = born_differential_cross_section(pot, p, mass, angles, **route)
     payload = {
-        "kind": "ElasticBorn",
         "sigma_total": total.value,
         "quadrature_error": total.error,
         "n_theta": total.nodes,
@@ -391,17 +384,15 @@ def _run_born(cfg):
 
 
 def _run_influence(cfg):
-    kind, grid, ends = cfg["kind"], cfg["time"], cfg["endpoints"]
+    grid, ends = cfg["time"], cfg["endpoints"]
     path = _built("config.path", FixedPath, grid, cfg["path"](grid.N + 1))
-    fn = influence_K1 if kind == "K1" else influence_K2
+    fn = influence_K1 if cfg["kind"] == "K1" else influence_K2
     result = fn(
         cfg["potentials"], path, ends["a"], ends["b"], cfg["lattice"], grid,
         cfg["mass"], **cfg.get("scheme", {}),
     )
     amp, phase = result.amplitude, result.effective_phase
     payload = {
-        "kind": f"influence_{kind}",
-        "endpoints": list(result.endpoints),
         "amplitude": _complex(amp),
         "effective_phase": _complex(phase),
         "free_reference": _complex(result.free_reference),
@@ -424,10 +415,6 @@ def _run_charge_transfer(cfg):
     dsigma = ct_differential_cross_section(spec, angles, lam=lam, mode=mode)
     rows = list(zip(angles, dsigma))
     payload = {
-        "kind": "ChargeTransferBorn",
-        "mode": mode,
-        "lam": lam,
-        "interaction": spec.interaction,
         "sigma_total": total.value,
         "quadrature_error": total.error,
         "evaluations": total.evaluations,
@@ -441,19 +428,14 @@ def _run_charge_transfer(cfg):
 
 def _run_oracle(cfg, threads):
     spec = _capture_spec(cfg)
-    mode, lam, theta, seed = cfg["mode"], cfg["lam"], cfg["theta"], cfg["seed"]
+    mode, lam, theta = cfg["mode"], cfg["lam"], cfg["theta"]
     est = brute_force_oracle(
-        spec, theta, samples=cfg["samples"], lam=lam, mode=mode, seed=seed,
+        spec, theta, samples=cfg["samples"], lam=lam, mode=mode, seed=cfg["seed"],
         n_threads=threads,
     )
     route = capture_amplitude(spec, theta, lam=lam, mode=mode)
     deviation = abs(est.value - route)
     payload = {
-        "kind": "capture_oracle",
-        "mode": mode,
-        "lam": lam,
-        "theta": theta,
-        "seed": seed,
         "samples": est.samples,
         "blocks": est.blocks,
         "value": _complex(est.value),
@@ -526,6 +508,10 @@ def _write_outputs(base, header, rows, document):
 def run(command, params, out_dir, threads=1):
     """Validate one config, run it, and write csv + json into out_dir.
 
+    The JSON holds `config` (what was asked), `payload` (only what the
+    run computed) and `diagnostics`, under schema_version "2"; the same
+    document is returned.
+
     threads reaches the oracle command alone, whose sample blocks it
     dispatches; every other command runs on the caller's thread.
     """
@@ -540,7 +526,7 @@ def run(command, params, out_dir, threads=1):
         payload, header, rows = runner(_validate(params, schema, "config"), *extra)
     elapsed = time.perf_counter() - started
     document = {
-        "schema_version": "1",
+        "schema_version": "2",
         "command": command,
         "config": params,
         "payload": payload,

@@ -13,7 +13,9 @@ once, by the private helpers below, and every module calls them:
 * _check_count: "{what} must be an integer, got {count!r}" and
   "{what} must be at least {least}, got {count}"
 
-Each range check is written so that NaN fails it.
+Each range check is written so that NaN fails it, and `_finite` counts
+an integer beyond float range as infinite, so such a number gets the
+wording of inf.
 """
 
 import math
@@ -64,11 +66,23 @@ def _check_choice(what, value, options):
         raise DomainError(f"unknown {what} {value!r}; options: {options}")
 
 
+def _finite(value):
+    """Whether a number, or every entry of an array, is finite. An integer
+    beyond float range counts as infinite, where math.isfinite would
+    raise OverflowError and np.isfinite TypeError."""
+    try:
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_positive(what, value):
     """Refuse a value that is not > 0, or is infinite."""
     if not value > 0:
         raise DomainError(f"{what} must be positive, got {value}")
-    if value == math.inf:
+    if not _finite(value):
         raise DomainError(f"{what} must be positive and finite, got {value}")
 
 
@@ -81,7 +95,7 @@ def _check_nonnegative(what, value):
 def _check_finite(what, **values):
     """Refuse a value that is not finite, naming it."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not _finite(value):
             raise DomainError(f"{what} {name} must be finite, got {value!r}")
 
 

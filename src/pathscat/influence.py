@@ -71,7 +71,6 @@ class InfluenceResult:
 
     amplitude: complex
     effective_phase: complex
-    endpoints: tuple
     free_reference: complex
 
 
@@ -120,7 +119,6 @@ def _influence(terms, path, a, b, lattice, grid, mass, kinetic, sampling):
     return InfluenceResult(
         amplitude=amp,
         effective_phase=_phase_from(amp, ref),
-        endpoints=(a, b),
         free_reference=ref,
     )
 

@@ -64,13 +64,12 @@ gathered dense kernel sum. Matrix powers need numpy alone.
 """
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccuracyWarning, DomainError
+from .errors import _finite, AccuracyWarning, DomainError
 from .errors import _check_choice, _check_count, _check_finite, _check_positive
 
 __all__ = [
@@ -132,7 +131,7 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_a) and math.isfinite(self.t_b)):
+        if not (_finite(self.t_a) and _finite(self.t_b)):
             raise DomainError("time grid bounds must be finite")
         if not self.t_b > self.t_a:
             raise DomainError("time grid requires t_b > t_a")
@@ -157,7 +156,7 @@ class LatticeSpec:
     boundary: object = field(default_factory=HardWall)
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+        if not (_finite(self.x_min) and _finite(self.x_max)):
             raise DomainError("lattice bounds must be finite")
         if not self.x_max > self.x_min:
             raise DomainError("lattice requires x_max > x_min")

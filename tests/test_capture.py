@@ -1196,7 +1196,7 @@ def test_obk_sum_matches_mpmath_at_small_angles(system, lam):
 def test_an_overflowing_total_is_refused():
     # at lam = 1e-100 dsigma at the forward peak exceeds the float range
     with pytest.raises(NumericalError,
-                       match="^angular quadrature produced a non-finite total$"):
+                       match="^differential cross section overflows at lam = 1e-100$"):
         ct_total_cross_section(_pp_spec(), lam=1e-100, mode="obk")
 
 
@@ -1217,10 +1217,9 @@ def test_an_underflowing_screening_overflows_without_a_warning(what, lam):
         "amplitude": lambda: capture_amplitude(spec, 0.0, lam, "obk"),
         "total": lambda: ct_total_cross_section(spec, lam, "obk"),
     }[what]
-    want = "non-finite total" if what == "total" else f"overflows at lam = {lam!r}$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match=want):
+        with pytest.raises(NumericalError, match=f"overflows at lam = {lam!r}$"):
             call()
 
 

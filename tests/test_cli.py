@@ -89,8 +89,8 @@ def test_run_writes_matching_csv_and_json(tmp_path):
     document = cli.run("born-elastic", params, str(out))
     saved = json.loads((out / "born-elastic.json").read_text())
     assert saved == document
-    assert saved["schema_version"] == "1"
-    assert saved["payload"]["kind"] == "ElasticBorn"
+    assert saved["schema_version"] == "2"
+    assert saved["command"] == "born-elastic"
 
     with open(out / "born-elastic.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -579,6 +579,25 @@ def test_demo_configs_run_and_echo_their_config(tmp_path, capsys, path):
     code = cli.main([command, "--config", str(path), "--out", str(tmp_path)])
     assert code == 0, capsys.readouterr().out
     assert json.loads((tmp_path / f"{command}.json").read_text())["config"] == config
+
+
+# the payload holds only what a run computed; `command` and `config`
+# already record what was asked
+@pytest.mark.parametrize("command,keys", [
+    ("propagator", {"source_node", "symmetry_defect", "free_kernel_max_rel_deviation"}),
+    ("evolve", {"norm_initial", "norm_final", "width_final", "boundary_leak_fraction"}),
+    ("born-elastic", {"sigma_total", "quadrature_error", "n_theta"}),
+    ("influence", {"amplitude", "effective_phase", "free_reference"}),
+    ("charge-transfer", {"sigma_total", "quadrature_error", "evaluations",
+                         "p_a", "p_b", "mu_a", "mu_b"}),
+    ("oracle", {"samples", "blocks", "value", "statistical_error", "route_value",
+                "route_deviation", "z_score"}),
+])
+def test_demo_payloads_hold_only_computed_values(tmp_path, command, keys):
+    demo = next(p for p in DEMO_CONFIGS if p.stem == command)
+    assert cli.main([command, "--config", str(demo), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / f"{command}.json").read_text())["payload"]
+    assert set(payload) == keys
 
 
 @pytest.mark.parametrize("command,key,want", [

@@ -16,6 +16,8 @@ from pathscat import (
 ROOT = Path(__file__).resolve().parents[1]
 NAN = float("nan")
 INF = float("inf")
+# an integer beyond float range, refused as inf is
+HUGE = 10**400
 
 MODULES = [born, capture, errors, influence, potentials, propagator, units]
 
@@ -62,6 +64,7 @@ def test_unused_attributes_are_gone():
         assert not hasattr(family, "range_estimate")
         assert not callable(family)
     assert "grid" not in influence.InfluenceResult.__dataclass_fields__
+    assert "endpoints" not in influence.InfluenceResult.__dataclass_fields__
 
 
 def _parameters(fn):
@@ -120,12 +123,37 @@ PP_SPEC = capture.make_capture_spec(1.0, 1.0, 1.0, 1.0, 2.0)
      "nuclear masses must be finite, got A=inf, B=1"),
     (lambda: units.reduced_masses(1.0, [2.0, INF]),
      "nuclear masses must be finite, got A=1.0, B=[2.0, inf]"),
+    (lambda: potentials.Yukawa(HUGE, 1.0), f"Yukawa V0 must be finite, got {HUGE}"),
+    (lambda: propagator.free_propagator(0.0, 1.0, 0.0, 0.0, HUGE),
+     f"mass must be positive and finite, got {HUGE}"),
+    (lambda: born.born_amplitude(potentials.Yukawa(1, 1), 1.0, HUGE, 0.5),
+     f"mass must be positive and finite, got {HUGE}"),
+    (lambda: capture.make_capture_spec(1, 1, HUGE, 1, 2),
+     f"effective charge must be positive and finite, got {HUGE}"),
+    (lambda: capture.make_capture_spec(HUGE, 1, 1, 1, 2),
+     f"nuclear masses must be finite, got A={HUGE}, B=1"),
+    (lambda: units.reduced_masses(1.0, [2.0, HUGE]),
+     f"nuclear masses must be finite, got A=1.0, B=[2.0, {HUGE}]"),
+    (lambda: propagator.LatticeSpec(0, HUGE, 16), "lattice bounds must be finite"),
+    (lambda: propagator.TimeGrid(0, HUGE, 4), "time grid bounds must be finite"),
+    (lambda: propagator.AbsorbingLayer(HUGE, 1.0),
+     f"absorbing layer width must be finite, got {HUGE}"),
+    (lambda: propagator.gaussian_packet(propagator.LatticeSpec(-5, 5, 16), 0, HUGE, 1),
+     f"packet p0 must be finite, got {HUGE}"),
+    (lambda: capture.capture_amplitude(PP_SPEC, 0.1, lam=HUGE),
+     f"screening constant lam must be finite, got {HUGE}"),
+    (lambda: potentials.Gaussian(1.0, HUGE),
+     f"width must be positive and finite, got {HUGE}"),
 ], ids=["oracle", "amplitude", "total", "free-propagator", "born-amplitude",
         "born-total", "yukawa", "gaussian", "soft-coulomb", "square-well",
-        "spec-charge", "spec-mass", "array-mass"])
+        "spec-charge", "spec-mass", "array-mass", "yukawa-huge",
+        "free-propagator-huge", "born-amplitude-huge", "spec-charge-huge",
+        "spec-mass-huge", "array-mass-huge", "lattice-huge", "time-grid-huge",
+        "absorbing-huge", "packet-huge", "amplitude-huge", "gaussian-width-huge"])
 def test_infinite_arguments_are_refused(call, message):
     # each of these once returned NaN, inf or 0, built a Closed channel at
-    # eps_a = -inf, or failed later without naming its cause
+    # eps_a = -inf, or failed later without naming its cause; each huge
+    # integer once raised a bare OverflowError or TypeError, or was accepted
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
 
