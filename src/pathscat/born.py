@@ -8,6 +8,9 @@ momentum p is also the wavenumber.
 
 `_angular_total` integrates 2 pi int dsigma sin(theta) dtheta for the
 Born and the capture totals alike; each hands it only its theta panels.
+It takes a rule and that rule doubled from one dsigma call on both
+rules' angles, so a Born total by quadrature runs one radial cubature
+and a capture total one batched amplitude pass.
 """
 
 import functools
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .errors import _check_choice, _check_nonnegative, _check_positive
+from .errors import _check_choice, _check_nonnegative, _check_positive, _finite
 from .potentials import fourier_transform, fourier_transform_quadrature
 
 __all__ = [
@@ -82,6 +85,8 @@ def born_differential_cross_section(pot, p, mass, theta, route="auto"):
     """dsigma/dOmega = (m / 2 pi)^2 |v(q)|^2."""
     if not p > 0:
         raise DomainError("incident momentum must be positive")
+    if not _finite(p):
+        raise DomainError(f"incident momentum must be positive and finite, got {p}")
     f = born_amplitude(pot, p, mass, theta, route=route)
     return abs(f) ** 2
 
@@ -108,20 +113,22 @@ def _angular_total(dcs, panels):
     """2 pi int dsigma sin(theta) dtheta by one rule at two resolutions.
 
     panels lists (n, edges) pairs, n-point Gauss-Legendre on each interval
-    between consecutive edges; the second resolution doubles every n. dcs
-    takes the whole angle array in one call. Returns the doubled-node
-    value, its change under the doubling as the error estimate, and the
-    doubled node count.
+    between consecutive edges; the second resolution doubles every n. Both
+    resolutions' angles go to dcs as one array, in one call, and the
+    result is split into the two sums. Returns the doubled-node value, its
+    change under the doubling as the error estimate, and the doubled node
+    count.
     """
-    totals = []
-    for scale in (1, 2):
-        rules = [_panels(scale * n, np.asarray(edges)) for n, edges in panels]
-        theta, g = (np.concatenate(part) for part in zip(*rules))
-        totals.append(float((2.0 * np.pi * np.sin(theta) * g) @ dcs(theta)))
-    coarse, fine = totals
-    if not np.all(np.isfinite(totals)):
+    rules = [
+        _panels(scale * n, np.asarray(edges)) for scale in (1, 2) for n, edges in panels
+    ]
+    theta, g = (np.concatenate(part) for part in zip(*rules))
+    m = sum(w.size for _, w in rules[: len(panels)])  # coarse nodes, first
+    weighted, values = 2.0 * np.pi * np.sin(theta) * g, dcs(theta)
+    coarse, fine = float(weighted[:m] @ values[:m]), float(weighted[m:] @ values[m:])
+    if not np.all(np.isfinite((coarse, fine))):
         raise NumericalError("angular quadrature produced a non-finite total")
-    return fine, abs(fine - coarse), theta.size
+    return fine, abs(fine - coarse), theta.size - m
 
 
 def born_total_cross_section(pot, p, mass, route="auto"):

@@ -278,9 +278,11 @@ def _feynman_rule(n):
 # test_internuclear_rule_is_converged samples by at most 3.4e-12
 _FEYNMAN_RULE = _feynman_rule(12)
 # Pairs per (pairs x nodes) evaluation of _nn_feynman: its temporaries
-# take about 28 kB per pair, so a chunk peaks near 28 MB. Every angular
-# rule of the totals (at most 704 angles) is one chunk.
-_NN_CHUNK = 1024
+# take about 28 kB per pair, so a chunk peaks near 1.8 MB. A total's one
+# dsigma call takes both resolutions' angles (1,056 for the default rule)
+# in several chunks; at 64 pairs it runs as fast as at 128 or 1,024 and
+# peaks lowest.
+_NN_CHUNK = 64
 
 
 def _t_integral(a, b, lam):
@@ -421,10 +423,10 @@ def ct_total_cross_section(spec, lam=1.0, mode="obk", n_segments=12, seg_nodes=2
     up to _THETA_SPLIT with the first segment reaching down to 0, and the
     remainder by tail_nodes nodes. The lowest edge is _THETA_MIN, or for
     obk a tenth of the forward peak's angular width w = hypot(lam, p_a -
-    p_b) / p_b where that is smaller. Each rule's nodes form one angle
-    array, so dsigma is one batched call per rule. The error estimate is
-    the change under node doubling; a dsigma that overflows raises
-    NumericalError.
+    p_b) / p_b where that is smaller. The rule's nodes and those of the
+    rule doubled form one angle array, so dsigma is one batched call per
+    total. The error estimate is the change under node doubling; a
+    dsigma that overflows raises NumericalError.
 
     An obk total diverges where lam = 0 and p_a = p_b, and raises
     NumericalError there, except for Sum with Z_a = 1: its terms share

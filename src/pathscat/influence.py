@@ -20,7 +20,8 @@ One element body serves K1, K2 and the product lattice: it hands the
 potential terms and the companion's samples to the propagator's
 `_slices`, which samples the terms on the slice ends and builds the
 slices exactly as one-particle slices are, and pushes a delta through
-them. Slice j runs from t_(j-1) to t_j: endpoint
+them. An influence functional's amplitude and its free reference share
+one kinetic part, built once. Slice j runs from t_(j-1) to t_j: endpoint
 sampling puts the whole phase at its arrival sample, and symmetric
 sampling half at its departure sample and half at its arrival sample,
 which keeps it second order on a moving path. Midpoint sampling is not
@@ -91,21 +92,31 @@ def _phase_from(amplitude, reference):
     return 1j * complex(np.log(amplitude / reference))
 
 
-def _element(terms, lattices, a, b, grid, masses, kinetic, sampling, companion=None):
-    """(a -> b) element, one endpoint coordinate per lattice, of the path
-    sum on the lattices' product whose slices see the sum of the terms,
-    with the companion on the given samples at the slice ends.
+def _elements(lattices, a, b, grid, masses, kinetic, sampling, *sums):
+    """(a -> b) elements, one endpoint coordinate per lattice, of path sums
+    on the lattices' product: one per (terms, companion) pair in sums,
+    whose slices see the sum of the terms with the companion on its
+    samples at the slice ends.
 
     terms(*coords) gives triples (name, pot, coordinate), sampled by
     propagator._slices on the lattices' nodes and the companion's
-    samples. Without a companion the potential is static.
+    samples; without a companion (None) the potential is static. Every
+    sum has the same lattices, masses, time step and kinetic factor, so
+    one kinetic part, built for the first, serves them all.
     """
     ia = tuple(_node_index(lat, x, "start endpoint") for lat, x in zip(lattices, a))
     ib = tuple(_node_index(lat, x, "final endpoint") for lat, x in zip(lattices, b))
     delta = np.zeros(tuple(lat.points for lat in lattices))
     delta[ia] = 1.0 / math.prod(lat.dx for lat in lattices)
-    ops, pre, post = _slices(lattices, grid, masses, kinetic, sampling, terms, companion)
-    return complex(_propagate(delta, _kinetic_part(lattices, ops), pre, post)[ib])
+    elements, kinetic_part = [], None
+    for terms, companion in sums:
+        ops, pre, post = _slices(
+            lattices, grid, masses, kinetic, sampling, terms, companion
+        )
+        if kinetic_part is None:
+            kinetic_part = _kinetic_part(lattices, ops)
+        elements.append(complex(_propagate(delta, kinetic_part, pre, post)[ib]))
+    return elements
 
 
 def _influence(terms, path, a, b, lattice, grid, mass, kinetic, sampling):
@@ -113,9 +124,10 @@ def _influence(terms, path, a, b, lattice, grid, mass, kinetic, sampling):
     reference, the same element with no potential."""
     if path.grid != grid:
         raise DomainError("fixed path and contraction use different time grids")
-    args = ((lattice,), (a,), (b,), grid, (mass,), kinetic, sampling)
-    amp = _element(terms, *args, path.samples)
-    ref = _element(lambda *coords: (), *args)
+    amp, ref = _elements(
+        (lattice,), (a,), (b,), grid, (mass,), kinetic, sampling,
+        (terms, path.samples), (lambda *coords: (), None),
+    )
     return InfluenceResult(
         amplitude=amp,
         effective_phase=_phase_from(amp, ref),
@@ -196,10 +208,11 @@ def reconstruct_full_amplitude(
             f"the cap of {MAX_PRODUCT_POINTS} points"
         )
     (r_a, r_b), (R_a, R_b) = r_endpoints, R_endpoints
-    return _element(
-        lambda r, R: (
-            ("V_A", pots.V_A, r), ("V_AB", pots.V_AB, R), ("V_B", pots.V_B, r - R)
-        ),
+    (element,) = _elements(
         (lattice_e, lattice_i), (r_a, R_a), (r_b, R_b), grid, (m, M), kinetic,
         sampling,
+        (lambda r, R: (
+            ("V_A", pots.V_A, r), ("V_AB", pots.V_AB, R), ("V_B", pots.V_B, r - R)
+        ), None),
     )
+    return element

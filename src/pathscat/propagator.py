@@ -587,21 +587,31 @@ def time_sliced_propagator(
     return PropagatorMatrix(lattice, grid, step=step)
 
 
-def evolve(psi_a, K):
-    """psi_b(x_i) = sum_j K_ij psi_a(x_j) dx, with a warning when the
-    result's boundary_leak_fraction exceeds 1e-3."""
-    if psi_a.lattice != K.lattice:
-        raise DomainError("field and propagator live on different lattices")
-    out = ComplexField1D(K.lattice, K.apply(psi_a.values))
+def _leak_checked(lattice, values):
+    """values as a field on lattice, with a warning to the caller's caller
+    when its boundary_leak_fraction exceeds 1e-3."""
+    out = ComplexField1D(lattice, values)
     frac = boundary_leak_fraction(out)
     if frac > 1e-3:
         warnings.warn(
             f"evolved amplitude at lattice edge is {frac:.2e} of the peak; "
             "widen the lattice or add an absorbing layer",
             AccuracyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return out
+
+
+def _check_same_lattice(psi_a, K):
+    if psi_a.lattice != K.lattice:
+        raise DomainError("field and propagator live on different lattices")
+
+
+def evolve(psi_a, K):
+    """psi_b(x_i) = sum_j K_ij psi_a(x_j) dx, with a warning when the
+    result's boundary_leak_fraction exceeds 1e-3."""
+    _check_same_lattice(psi_a, K)
+    return _leak_checked(K.lattice, K.apply(psi_a.values))
 
 
 def free_deviation_diagnostic(K, mass):
@@ -649,5 +659,11 @@ def scattered_component(psi_a, pot, lattice, grid, mass):
     """
     K = time_sliced_propagator(pot, lattice, grid, mass)
     K0 = time_sliced_propagator(None, lattice, grid, mass)
-    full = evolve(psi_a, K)
-    return ComplexField1D(lattice, full.values - K0.apply(psi_a.values))
+    _check_same_lattice(psi_a, K)
+    # K and K0 share the lattice, mass, epsilon and kinetic factor, so one
+    # kinetic part serves both pushes
+    ops, pre, post = K.step
+    kinetic_part = _kinetic_part((lattice,), ops)
+    full = _leak_checked(lattice, _propagate(psi_a.values, kinetic_part, pre, post))
+    free = _propagate(psi_a.values, kinetic_part, *K0.step[1:])
+    return ComplexField1D(lattice, full.values - free)

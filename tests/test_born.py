@@ -7,6 +7,7 @@ sigma = 16 pi / 5.
 """
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -14,14 +15,16 @@ import pytest
 import yaml
 
 import pathscat
-from pathscat import born, cli
+from pathscat import born, capture, cli
 from pathscat import (
     born_amplitude,
     born_differential_cross_section,
     born_total_cross_section,
+    ct_total_cross_section,
     DomainError,
     Gaussian,
     gaussian_packet,
+    make_capture_spec,
     momentum_transfer,
     NumericalError,
     SoftCoulomb,
@@ -173,7 +176,27 @@ def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
     monkeypatch.setattr(born, "born_differential_cross_section", counted)
     for route in born.ROUTES:
         born_total_cross_section(YUK, 1.0, 1.0, route=route)
-    assert sizes == [64, 128, 64, 128]
+    # one call per total: the 64 coarse and the 128 fine angles together
+    assert sizes == [192, 192]
+
+
+def _two_call_total(dcs, panels):
+    """The former born._angular_total, one dsigma call per resolution: the
+    reference the batched total must equal bit for bit."""
+    totals = []
+    for scale in (1, 2):
+        rules = [born._panels(scale * n, np.asarray(edges)) for n, edges in panels]
+        theta, g = (np.concatenate(part) for part in zip(*rules))
+        totals.append(float((2.0 * np.pi * np.sin(theta) * g) @ dcs(theta)))
+    coarse, fine = totals
+    if not np.all(np.isfinite(totals)):
+        raise NumericalError("angular quadrature produced a non-finite total")
+    return fine, abs(fine - coarse), theta.size
+
+
+def _capture_total(mode, interaction, lam):
+    spec = make_capture_spec(1.0, 1.0, 1.0, 1.0, 2.0, interaction)
+    return lambda: ct_total_cross_section(spec, lam=lam, mode=mode)
 
 
 class _YukawaShape:
@@ -181,6 +204,27 @@ class _YukawaShape:
 
     def evaluate(self, r):
         return YUK.evaluate(r)
+
+
+@pytest.mark.parametrize("module,total", [
+    (born, lambda: born_total_cross_section(YUK, 1.0, 1.0)),
+    (born, lambda: born_total_cross_section(YUK, 1.0, 1.0, route="quadrature")),
+    (born, lambda: born_total_cross_section(Gaussian(-0.5, 1.5), 1.0, 1.0,
+                                            route="quadrature")),
+    (born, lambda: born_total_cross_section(_YukawaShape(), 1.0, 1.0)),
+    *[(capture, _capture_total(mode, interaction, 0.1))
+      for mode in ("jacobi", "obk")
+      for interaction in ("ProtonElectron", "Internuclear", "Sum")],
+    (capture, _capture_total("obk", "Sum", 0.0)),
+], ids=["born-auto", "born-quadrature", "born-gaussian-quadrature", "born-shape",
+        "jacobi-pe", "jacobi-nn", "jacobi-sum", "obk-pe", "obk-nn", "obk-sum",
+        "obk-sum-lam0"])
+def test_batched_total_equals_the_two_call_total(monkeypatch, module, total):
+    # one dsigma call on both resolutions' angles gives the same value,
+    # error and node count, bit for bit, as one call per resolution
+    batched = total()
+    monkeypatch.setattr(module, "_angular_total", _two_call_total)
+    assert dataclasses.astuple(batched) == dataclasses.astuple(total())
 
 
 def test_total_without_a_closed_form_takes_quadrature_per_angle():

@@ -555,8 +555,9 @@ def test_total_makes_one_dsigma_call_per_rule(monkeypatch):
 
     monkeypatch.setattr(capture, "ct_differential_cross_section", counted)
     total = ct_total_cross_section(_pp_spec(), lam=0.0, mode="jacobi")
-    # coarse then fine: 12 segments x 24 nodes + 64 tail nodes, doubled
-    assert sizes == [352, 704]
+    # one call per total on the coarse and the fine angles together:
+    # 12 segments x 24 nodes + 64 tail nodes, and that rule doubled
+    assert sizes == [352 + 704]
     assert total.evaluations == 704
 
 
@@ -934,6 +935,23 @@ def test_oracle_block_memory_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4.8e6
+
+
+def test_total_memory_peak_is_bounded():
+    # the bench rule's one dsigma call takes 192 angles in _NN_CHUNK pairs
+    # at a time; measured on this Internuclear jacobi total: 2.03 MB, 3.58 MB
+    # in chunks of 128 pairs and 5.35 MB in one chunk, and 3.57 MB when the
+    # two resolutions were two calls
+    spec = _pp_spec(interaction="Internuclear")
+    rule = {"n_segments": 6, "seg_nodes": 8, "tail_nodes": 16}
+    ct_total_cross_section(spec, lam=0.1, mode="jacobi", **rule)
+    tracemalloc.start()
+    try:
+        ct_total_cross_section(spec, lam=0.1, mode="jacobi", **rule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6e6
 
 
 def test_oracle_error_shrinks_with_samples():

@@ -180,6 +180,46 @@ def test_array_quadrature_is_elementwise(pot, spread):
         assert abs(v - one) <= 2.0 * _REL * abs(one) + _ABS, (pot, qi)
 
 
+class _Converged:
+    """A converged cubature result with the given estimates and errors."""
+
+    def __init__(self, estimate, error):
+        self.estimate, self.error = np.array(estimate), np.array(error)
+        self.status, self.subdivisions = "converged", 1
+
+
+_GATE_Q = np.array([0.0, 0.5, 1.0, 1.5])
+
+
+@pytest.mark.parametrize("estimate,error", [
+    ([1.0, 2.0, 3.0, np.nan], [0.0, 1e-3, 0.0, 0.0]),
+    ([1.0, np.inf, 3.0, 4.0], [0.0, 0.5, 1.0, 0.0]),
+    ([1.0, -2.0, 3.0, 4.0], [1e-14, 1e-13, np.nan, 5e-10]),
+    ([1e-20, 0.0, -1e-20, 0.0], [1e-15, 1e-14, 2e-14, 0.0]),
+], ids=["error-then-nan", "inf-then-error", "nan-error-passes", "absolute"])
+def test_sinc_integral_gate_fails_at_the_first_failing_momentum(
+        monkeypatch, estimate, error):
+    # the array gate raises what the former per-momentum loop of
+    # _checked raised: the same message and estimate, at the same momentum
+    res = _Converged(estimate, error)
+    monkeypatch.setattr(scipy.integrate, "cubature", lambda *args, **kw: res)
+    rel_tol, abs_tol = 1e-10, 1e-14
+    with pytest.raises(NumericalError) as former:
+        for v, e in zip(res.estimate, res.error):
+            potentials._checked(v, e, rel_tol, abs_tol)
+    with pytest.raises(NumericalError) as gate:
+        potentials._sinc_integral(Gaussian(1.0, 1.0), _GATE_Q, 10.0, rel_tol, abs_tol)
+    assert str(gate.value) == str(former.value)
+    assert gate.value.estimate == former.value.estimate
+
+
+def test_sinc_integral_gate_passes_every_certified_momentum(monkeypatch):
+    res = _Converged([1.0, -2.0, np.nextafter(0.0, 1.0), 0.0], [1e-10, 2e-10, 1e-14, 0.0])
+    monkeypatch.setattr(scipy.integrate, "cubature", lambda *args, **kw: res)
+    values = potentials._sinc_integral(Gaussian(1.0, 1.0), _GATE_Q, 10.0, 1e-10, 1e-14)
+    assert list(values) == list(res.estimate)
+
+
 def _scaled(pot, c):
     """The same family and shape with its strength times c."""
     return dataclasses.replace(pot, V0=c * pot.V0)

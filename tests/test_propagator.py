@@ -607,7 +607,11 @@ def test_split_step_runs_on_fast_fft_lengths_with_one_plan_per_operator(fft_call
         FixedPath(grid, np.linspace(-2.0, 1.0, grid.N + 1)),
         small.nodes[100], small.nodes[140], small, grid, 1.0,
     )
-    # the amplitude and its free reference
+    # the amplitude and its free reference share one plan
+    assert plans == [768, 256]
+    # so do the pushes of K and K0
+    scattered_component(gaussian_packet(small, -2.0, 1.0, 1.0), Gaussian(-0.5, 1.0),
+                        small, grid, 1.0)
     assert plans == [768, 256, 256]
     assert calls and {name for name, _ in calls} == {"fft", "ifft"}
     assert max(_largest_prime_factor(length) for _, length in calls) <= 11
@@ -692,6 +696,20 @@ def test_boundary_leak_warning_and_absorber():
         psi_soft = evolve(gaussian_packet(damped, 6.0, 3.0, 1.0), Kd)
     assert psi_soft.norm() < 0.9 * psi_hard.norm()
     assert boundary_leak_fraction(psi_soft) < boundary_leak_fraction(psi_hard)
+
+
+def test_edge_leak_warning_names_the_caller():
+    # evolve and scattered_component warn through one helper, at the line
+    # that called them
+    lat = LatticeSpec(-10.0, 10.0, 256)
+    psi0 = gaussian_packet(lat, 6.0, 3.0, 1.0)
+    grid = TimeGrid(0.0, 2.0, 32)
+    K = time_sliced_propagator(None, lat, grid, 1.0)
+    for call in (lambda: evolve(psi0, K),
+                 lambda: scattered_component(psi0, Gaussian(-0.5, 1.0), lat, grid, 1.0)):
+        with pytest.warns(AccuracyWarning, match="evolved amplitude at lattice edge") as seen:
+            call()
+        assert [w.filename for w in seen] == [__file__]
 
 
 def test_free_kernel_diagnostic_reports_small_deviation():

@@ -144,16 +144,27 @@ PP_SPEC = capture.make_capture_spec(1.0, 1.0, 1.0, 1.0, 2.0)
      f"screening constant lam must be finite, got {HUGE}"),
     (lambda: potentials.Gaussian(1.0, HUGE),
      f"width must be positive and finite, got {HUGE}"),
+    (lambda: born.born_differential_cross_section(potentials.Yukawa(1, 1), HUGE, 1.0,
+                                                  0.5),
+     f"incident momentum must be positive and finite, got {HUGE}"),
+    (lambda: born.born_total_cross_section(potentials.Yukawa(1, 1), HUGE, 1.0),
+     f"incident momentum must be positive and finite, got {HUGE}"),
+    (lambda: born.born_total_cross_section(potentials.Yukawa(1, 1), INF, 1.0,
+                                           route="quadrature"),
+     "incident momentum must be positive and finite, got inf"),
 ], ids=["oracle", "amplitude", "total", "free-propagator", "born-amplitude",
         "born-total", "yukawa", "gaussian", "soft-coulomb", "square-well",
         "spec-charge", "spec-mass", "array-mass", "yukawa-huge",
         "free-propagator-huge", "born-amplitude-huge", "spec-charge-huge",
         "spec-mass-huge", "array-mass-huge", "lattice-huge", "time-grid-huge",
-        "absorbing-huge", "packet-huge", "amplitude-huge", "gaussian-width-huge"])
+        "absorbing-huge", "packet-huge", "amplitude-huge", "gaussian-width-huge",
+        "born-dsigma-huge", "born-total-huge", "born-total-inf-quadrature"])
 def test_infinite_arguments_are_refused(call, message):
     # each of these once returned NaN, inf or 0, built a Closed channel at
     # eps_a = -inf, or failed later without naming its cause; each huge
-    # integer once raised a bare OverflowError or TypeError, or was accepted
+    # integer once raised a bare OverflowError or TypeError, or was accepted;
+    # an infinite Born momentum by quadrature once emitted an
+    # IntegrationWarning before a non-finite value was refused
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
 
