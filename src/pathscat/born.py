@@ -9,7 +9,7 @@ momentum p is also the wavenumber.
 `_angular_total` integrates 2 pi int dsigma sin(theta) dtheta for the
 Born and the capture totals alike; each hands it only its theta panels.
 It takes a rule and that rule doubled from one dsigma call on both
-rules' angles, so a Born total by quadrature runs one radial cubature
+rules' angles, so a Born total by quadrature runs one radial sinc sweep
 and a capture total one batched amplitude pass.
 """
 
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .errors import _check_choice, _check_nonnegative, _check_positive, _finite
+from .errors import _check_choice, _check_float_range, _check_nonnegative, _check_positive
+from .errors import _finite
 from .potentials import fourier_transform, fourier_transform_quadrature
 
 __all__ = [
@@ -57,6 +58,7 @@ def momentum_transfer(p, theta):
     """Elastic momentum transfer q = 2 p sin(theta/2), elementwise over an
     array of angles."""
     _check_nonnegative("momentum magnitude", p)
+    _check_float_range("momentum magnitude", p)
     return 2.0 * p * np.sin(0.5 * _angles(theta))
 
 
@@ -64,8 +66,8 @@ def _transform(pot, q, route):
     _check_choice("transform route", route, ROUTES)
     if route == "auto":
         return fourier_transform(pot, q)
-    # The independent route: one vectorised sinc integral for the
-    # momenta below the oscillatory switch, the sine-weighted rule
+    # The independent route: one batched Gauss-Kronrod sinc sweep for
+    # the momenta below the oscillatory switch, the sine-weighted rule
     # per momentum above it or on a long-range tail. It certifies
     # 1e-9 relative rather than the transform default, one decade
     # inside the 1e-8 at which the Born totals are checked against

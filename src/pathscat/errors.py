@@ -9,6 +9,8 @@ once, by the private helpers below, and every module calls them:
   "{what} must be positive and finite, got inf"
 * _check_nonnegative: "{what} must be non-negative", for a number or
   every entry of an array
+* _check_float_range: "{what} must lie within float range, got an
+  integer beyond it", for a number or every entry of an array
 * _check_finite: "{what} {name} must be finite, got {value!r}"
 * _check_count: "{what} must be an integer, got {count!r}" and
   "{what} must be at least {least}, got {count}"
@@ -90,6 +92,18 @@ def _check_nonnegative(what, value):
     """Refuse a number, or an array with an entry, that is not >= 0."""
     if not np.all(np.asarray(value) >= 0):
         raise DomainError(f"{what} must be non-negative")
+
+
+def _check_float_range(what, value):
+    """Refuse a number, or an array with an entry, that is an integer
+    beyond float range, where arithmetic with a float would raise a bare
+    OverflowError; inf and nan pass."""
+    try:
+        np.asarray(value, dtype=float)
+    except OverflowError:
+        raise DomainError(
+            f"{what} must lie within float range, got an integer beyond it"
+        ) from None
 
 
 def _check_finite(what, **values):

@@ -8,15 +8,17 @@ evaluates V(r) pointwise and knows its momentum-space form
 in atomic units (hbar = 1, so the momentum transfer q is also the
 wavenumber), real for central potentials. Closed forms are used where
 they exist; a radial quadrature serves as fallback and as the
-cross-check oracle for the analytic paths. On a finite support it is one
-vectorised sinc integral for every momentum below an oscillatory switch,
-and a sine-weighted rule per momentum above it or on a long-range tail.
+cross-check oracle for the analytic paths. On a finite support every
+momentum below an oscillatory switch shares one sinc integral, by an
+adaptive Gauss-Kronrod sweep (QUADPACK's 21-point rule) that refines all
+open regions of a level in one batch; above the switch, or on a
+long-range tail, a sine-weighted rule takes one momentum at a time.
 
 A screened Coulomb attraction -Z exp(-s r) / r is Yukawa(-Z, s).
 
 scipy is imported where it is used, not with this module: scipy.special
-in SoftCoulomb's closed form (K1), scipy.integrate in the two radial
-quadratures. The other closed forms need numpy alone.
+in SoftCoulomb's closed form (K1), scipy.integrate in the sine-weighted
+rule. The sinc sweep and the other closed forms need numpy alone.
 """
 
 import dataclasses
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_finite, _check_nonnegative, _check_positive, NumericalError
+from .errors import _check_finite, _check_float_range, _check_nonnegative, _check_positive
+from .errors import NumericalError
 
 __all__ = [
     "Yukawa",
@@ -46,17 +49,47 @@ _SQUARE_WELL_SERIES = tuple(
     (-1) ** n * 6.0 * (n + 1) / math.factorial(2 * n + 3) for n in range(7, -1, -1)
 )
 # Momenta with q R_cut below this (64 sine cycles over the support) share one
-# vectorised sinc integral; above it the sine-weighted rule takes one momentum
-# at a time. On Born arrays of 64 and 128 momenta over 0..256 cycles, switches
-# at 32-64 cycles cost least and 256 cycles up to 3x more, because the sinc
-# integral's regions grow with the cycles (BENCH_born_quadrature.json). A Born
-# total now passes both as one array of 192 momenta: on it, for the bench's
-# Yukawa, Gaussian and square well at p = 1 and 3, switches at 64-256 cycles
-# cost the same and 16-32 cycles up to 13x more.
+# sinc sweep; above it the sine-weighted rule takes one momentum at a time.
+# On the sweep a lone momentum costs 0.2-0.3 ms from 4 to 256 cycles, and the
+# sine-weighted rule 0.8-1.1 ms. On the 192 momenta of the bench's Yukawa,
+# Gaussian and square-well Born totals, switches at 32-256 cycles cost the
+# same at p = 1, 64-256 cycles at p = 3, and at p = 10 a switch at 128-256
+# cycles costs 10x less than one at 64 (BENCH_born_sweep.json).
 _OSCILLATORY_SWITCH = 128.0 * np.pi
-# Cap on the vectorised rule's subdivisions, on the scale of the weighted
-# rule's limit, so an unreachable tolerance fails fast.
+# Cap on the sinc sweep's bisections, on the scale of the weighted rule's
+# limit, so an unreachable tolerance fails fast.
 _MAX_SUBDIVISIONS = 300
+# QUADPACK's dqk21 (Piessens et al., QUADPACK, Springer 1983): the 21-point
+# Kronrod abscissae on [-1, 1], largest first down to 0, and their weights.
+# Every second abscissa from the largest is a node of the embedded 10-point
+# Gauss rule, whose weights come from leggauss(10).
+_KRONROD_21_ABSCISSAE = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_KRONROD_21_WEIGHTS = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+# The 21 nodes in ascending order, and two weight rows on them: Kronrod,
+# and Kronrod minus Gauss, whose sum is K21 - G10.
+_GK21_NODES = np.concatenate(
+    (-np.array(_KRONROD_21_ABSCISSAE[:-1]), _KRONROD_21_ABSCISSAE[::-1])
+)
+_GK21_WEIGHTS = np.tile(_KRONROD_21_WEIGHTS[:-1] + _KRONROD_21_WEIGHTS[::-1], (2, 1))
+_GK21_WEIGHTS[1, 1::2] -= np.polynomial.legendre.leggauss(10)[1]
+# Entries of one region x node x momentum sinc block, 64 kB of float64. On
+# Born totals by quadrature blocks of 2^13 to 2^14 entries ran fastest, and
+# 2^16 up to 40% slower.
+_SINC_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -194,43 +227,70 @@ def _r_times_v(pot, r):
     return f
 
 
-def _sinc_integral(pot, q, R_cut, rel_tol, abs_tol):
-    """4 pi int_0^R_cut r^2 V(r) sinc(q r) dr at every momentum of the 1-D
-    array q by one adaptive Gauss-Kronrod cubature, which certifies each
-    momentum's error separately; sinc(0) = 1 gives the q = 0 moment."""
-    import scipy.integrate
+def _gk21(pot, q, lo, hi):
+    """Kronrod-21 estimates of 4 pi int r^2 V(r) sinc(q r) dr over the
+    regions [lo, hi] and their |K21 - G10| errors, as one array of shape
+    (regions, 2, momenta): one evaluate call on every region's radii, and
+    the sinc block against all momenta in chunks of at most _SINC_BLOCK
+    entries (or one region)."""
+    half = 0.5 * (hi - lo)
+    r = (_GK21_NODES + 1.0) * half[:, None] + lo[:, None]
+    g = 4.0 * np.pi * r * r * pot.evaluate(r.ravel()).reshape(r.shape)
+    weighted = _GK21_WEIGHTS * (half[:, None] * g)[:, None, :]
+    out = np.empty((lo.size, 2, q.size))
+    step = max(1, _SINC_BLOCK // (r.shape[1] * q.size))
+    for s in range(0, lo.size, step):
+        block = np.sinc(r[s : s + step, :, None] * q / np.pi)
+        out[s : s + step] = weighted[s : s + step] @ block
+    np.abs(out[:, 1], out=out[:, 1])
+    return out
 
-    def integrand(r):
-        r = r[:, 0]
-        return (4.0 * np.pi * r * r * pot.evaluate(r))[:, None] * np.sinc(
-            np.outer(r, q) / np.pi
-        )
 
+def _gk21_sweep(pot, q, R_cut, rel_tol, abs_tol):
+    """Value and error of 4 pi int_0^R_cut r^2 V(r) sinc(q r) dr at every
+    momentum of the 1-D array q, by adaptive Gauss-Kronrod (21 points)
+    refined level by level: each level bisects together every region
+    holding at least its mean share of a still-failing momentum's error,
+    and evaluates all the new halves in one _gk21 call. sinc(0) = 1 gives
+    the q = 0 moment."""
     # Start from regions of at most two sine cycles of the highest
     # momentum: a region holding many cycles can alias to a small
     # Kronrod-Gauss difference and stop at once on a wrong value. Half of
     # each tolerance: err <= atol/2 + rtol/2 |v| implies the gate
     # err <= max(rel_tol |v|, abs_tol) that _checked applies.
     regions = max(1, int(np.ceil(q.max() * R_cut / (4.0 * np.pi))))
-    res = scipy.integrate.cubature(
-        integrand,
-        [0.0],
-        [R_cut],
-        rtol=0.5 * rel_tol,
-        atol=0.5 * abs_tol,
-        max_subdivisions=_MAX_SUBDIVISIONS,
-        points=[[R_cut * j / regions] for j in range(1, regions)],
-    )
-    if res.status != "converged":
-        worst = float(np.max(res.error))
-        raise NumericalError(
-            f"quadrature stopped after {res.subdivisions} subdivisions with "
-            f"error estimate {worst:.3e}",
-            estimate=worst,
-        )
+    edges = R_cut * np.arange(regions + 1) / regions
+    lo, hi = edges[:-1], edges[1:]
+    parts = _gk21(pot, q, lo, hi)
+    subdivisions = 0
+    while True:
+        value, error = parts.sum(axis=0)
+        failing = error > 0.5 * abs_tol + 0.5 * rel_tol * np.abs(value)
+        if not failing.any():
+            return value, error
+        split = (lo.size * parts[:, 1, failing] >= error[failing]).any(axis=1)
+        n = np.count_nonzero(split)
+        if subdivisions + n > _MAX_SUBDIVISIONS:
+            worst = float(np.max(error))
+            raise NumericalError(
+                f"quadrature stopped after {subdivisions} subdivisions with "
+                f"error estimate {worst:.3e}",
+                estimate=worst,
+            )
+        subdivisions += n
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate((lo[~split], lo[split], mid))
+        hi = np.concatenate((hi[~split], mid, hi[split]))
+        parts = np.concatenate((parts[~split], _gk21(pot, q, lo[-2 * n :], hi[-2 * n :])))
+
+
+def _sinc_integral(pot, q, R_cut, rel_tol, abs_tol):
+    """4 pi int_0^R_cut r^2 V(r) sinc(q r) dr at every momentum of the 1-D
+    array q by _gk21_sweep, which certifies each momentum's error
+    separately."""
+    value, error = _gk21_sweep(pot, q, R_cut, rel_tol, abs_tol)
     # _checked's gate on every momentum at once; the first that fails
     # raises through _checked, with its message
-    value, error = res.estimate, res.error
     bound = np.maximum(rel_tol * np.abs(value), abs_tol)
     failed = ~np.isfinite(value) | (np.abs(error) > bound)
     if failed.any():
@@ -261,10 +321,10 @@ def fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14):
     """Radial quadrature of v(q) at a momentum or an array of momenta.
 
     On a finite support [0, R_cut], every momentum with q R_cut below
-    _OSCILLATORY_SWITCH (q = 0 included) comes from one vectorised
-    integral 4 pi int r^2 V(r) sinc(q r) dr, whose adaptive rule certifies
-    each momentum separately. Momenta above the switch, and every momentum
-    of a long-range potential (infinite upper limit), use
+    _OSCILLATORY_SWITCH (q = 0 included) comes from one batched integral
+    4 pi int r^2 V(r) sinc(q r) dr, whose adaptive Gauss-Kronrod sweep
+    certifies each momentum separately. Momenta above the switch, and
+    every momentum of a long-range potential (infinite upper limit), use
     (4 pi / q) int r V(r) sin(q r) dr by scipy's sine-weighted integrator,
     one momentum at a time; the q -> 0 moment of a long-range potential
     diverges and raises. Each returned value passed the error gate
@@ -273,8 +333,9 @@ def fourier_transform_quadrature(pot, q, rel_tol=1e-10, abs_tol=1e-14):
     exponentially small in q, certify through abs_tol: no oscillatory rule
     can bound them relatively. A scalar q returns a float.
     """
-    q = np.asarray(q, dtype=float)
     _check_nonnegative("momentum transfer", q)
+    _check_float_range("momentum transfer", q)
+    q = np.asarray(q, dtype=float)
     if isinstance(pot, SquareWell):
         R_cut = pot.radius
     else:
@@ -313,6 +374,7 @@ def fourier_transform(pot, q):
     """v(q) at a momentum or an array of momenta: a closed form takes the
     whole array in one call, otherwise fourier_transform_quadrature does."""
     _check_nonnegative("momentum transfer", q)
+    _check_float_range("momentum transfer", q)
     if hasattr(pot, "analytic_ft"):
         return pot.analytic_ft(q)
     return fourier_transform_quadrature(pot, q)

@@ -70,7 +70,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import _finite, AccuracyWarning, DomainError
-from .errors import _check_choice, _check_count, _check_finite, _check_positive
+from .errors import _check_choice, _check_count, _check_finite, _check_float_range
+from .errors import _check_positive
 
 __all__ = [
     "HardWall",
@@ -293,6 +294,8 @@ def free_propagator(x_b, t_b, x_a, t_a, mass):
     (m / 2 pi i dt)^(1/2) exp(i m (x_b - x_a)^2 / (2 dt)),
     square-root branch fixed so the prefactor phase is exp(-i pi/4).
     """
+    for name, value in (("x_b", x_b), ("t_b", t_b), ("x_a", x_a), ("t_a", t_a)):
+        _check_float_range(f"free propagator {name}", value)
     dt = t_b - t_a
     if not dt > 0:
         raise DomainError("free propagator requires t_b > t_a")

@@ -53,6 +53,18 @@ def test_scattering_and_propagator_demos_load_neither_stats_nor_integrate(tmp_pa
     assert "scipy.integrate" not in loaded
 
 
+def test_born_elastic_by_quadrature_loads_no_integrate(tmp_path):
+    # every momentum of the demo lies below the oscillatory switch, where
+    # the radial quadrature is a Gauss-Kronrod sweep in numpy alone
+    config = str(CONFIGS / "born-elastic.yaml")
+    loaded = _loaded(
+        "from pathscat import cli\n"
+        f"assert cli.main(['born-elastic', '--config', {config!r}, "
+        f"'--out', {str(tmp_path)!r}, '--set', 'route=quadrature']) == 0"
+    )
+    assert "scipy.integrate" not in loaded
+
+
 def test_threaded_oracle_as_first_scipy_call_matches_one_thread():
     # the 2-thread call imports scipy.stats and builds the radius table
     # before its pool starts; its result must equal the 1-thread call's

@@ -1,7 +1,7 @@
 """Potential families and their momentum-space transforms.
 
 The closed-form transforms are checked against the radial quadrature
-route, which is coded independently (a vectorised sinc integral, or the
+route, which is coded independently (a batched sinc sweep, or the
 weighted sine rule at many cycles over the support). Spot values below
 were worked out by hand from the standard 3-D Fourier conventions with
 hbar = 1:
@@ -11,7 +11,9 @@ hbar = 1:
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,12 +182,55 @@ def test_array_quadrature_is_elementwise(pot, spread):
         assert abs(v - one) <= 2.0 * _REL * abs(one) + _ABS, (pot, qi)
 
 
-class _Converged:
-    """A converged cubature result with the given estimates and errors."""
+def _cubature_sweep(pot, q, R_cut, rel_tol, abs_tol):
+    """The former _gk21_sweep, kept as its oracle: the same start regions,
+    half tolerances and subdivision cap by scipy's cubature, which refines
+    one region at a time."""
+    def integrand(r):
+        r = r[:, 0]
+        return (4.0 * np.pi * r * r * pot.evaluate(r))[:, None] * np.sinc(
+            np.outer(r, q) / np.pi
+        )
 
-    def __init__(self, estimate, error):
-        self.estimate, self.error = np.array(estimate), np.array(error)
-        self.status, self.subdivisions = "converged", 1
+    regions = max(1, int(np.ceil(q.max() * R_cut / (4.0 * np.pi))))
+    res = scipy.integrate.cubature(
+        integrand, [0.0], [R_cut], rtol=0.5 * rel_tol, atol=0.5 * abs_tol,
+        max_subdivisions=potentials._MAX_SUBDIVISIONS,
+        points=[[R_cut * j / regions] for j in range(1, regions)],
+    )
+    assert res.status == "converged", (pot, res.subdivisions)
+    return res.estimate, res.error
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(pot=_potentials, spread=_spread)
+def test_batched_sweep_matches_the_cubature_route(pot, spread):
+    # q = 0, both sides of the switch and a spread: the sinc momenta by
+    # the batched sweep against scipy's cubature, one region at a time
+    q = _momenta(pot, spread)
+    values = fourier_transform_quadrature(pot, q, rel_tol=_REL, abs_tol=_ABS)
+    with mock.patch.object(potentials, "_gk21_sweep", _cubature_sweep):
+        former = fourier_transform_quadrature(pot, q, rel_tol=_REL, abs_tol=_ABS)
+    assert np.all(np.abs(values - former) <= 2.0 * _REL * np.abs(former) + _ABS), (pot, q)
+
+
+def test_gk21_rule_embeds_gauss_10():
+    # every second Kronrod node is a Gauss-Legendre node, and both rows
+    # integrate polynomials exactly: degree 31 (Kronrod), 19 (Gauss)
+    gauss, _ = np.polynomial.legendre.leggauss(10)
+    nodes, (kronrod, difference) = potentials._GK21_NODES, potentials._GK21_WEIGHTS
+    assert np.array_equal(nodes[1::2], gauss)
+    assert np.array_equal(nodes, -nodes[::-1])
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert kronrod @ nodes**k == pytest.approx(exact, abs=1e-15)
+        if k < 20:
+            assert difference @ nodes**k == pytest.approx(0.0, abs=1e-15)
+
+
+def _fake_sweep(estimate, error):
+    """A _gk21_sweep stand-in that returns the given values and errors."""
+    return lambda *args: (estimate, error)
 
 
 _GATE_Q = np.array([0.0, 0.5, 1.0, 1.5])
@@ -201,11 +246,11 @@ def test_sinc_integral_gate_fails_at_the_first_failing_momentum(
         monkeypatch, estimate, error):
     # the array gate raises what the former per-momentum loop of
     # _checked raised: the same message and estimate, at the same momentum
-    res = _Converged(estimate, error)
-    monkeypatch.setattr(scipy.integrate, "cubature", lambda *args, **kw: res)
+    estimate, error = np.array(estimate), np.array(error)
+    monkeypatch.setattr(potentials, "_gk21_sweep", _fake_sweep(estimate, error))
     rel_tol, abs_tol = 1e-10, 1e-14
     with pytest.raises(NumericalError) as former:
-        for v, e in zip(res.estimate, res.error):
+        for v, e in zip(estimate, error):
             potentials._checked(v, e, rel_tol, abs_tol)
     with pytest.raises(NumericalError) as gate:
         potentials._sinc_integral(Gaussian(1.0, 1.0), _GATE_Q, 10.0, rel_tol, abs_tol)
@@ -214,10 +259,11 @@ def test_sinc_integral_gate_fails_at_the_first_failing_momentum(
 
 
 def test_sinc_integral_gate_passes_every_certified_momentum(monkeypatch):
-    res = _Converged([1.0, -2.0, np.nextafter(0.0, 1.0), 0.0], [1e-10, 2e-10, 1e-14, 0.0])
-    monkeypatch.setattr(scipy.integrate, "cubature", lambda *args, **kw: res)
+    estimate = np.array([1.0, -2.0, np.nextafter(0.0, 1.0), 0.0])
+    error = np.array([1e-10, 2e-10, 1e-14, 0.0])
+    monkeypatch.setattr(potentials, "_gk21_sweep", _fake_sweep(estimate, error))
     values = potentials._sinc_integral(Gaussian(1.0, 1.0), _GATE_Q, 10.0, 1e-10, 1e-14)
-    assert list(values) == list(res.estimate)
+    assert list(values) == list(estimate)
 
 
 def _scaled(pot, c):
@@ -248,20 +294,69 @@ def test_weak_potential_meets_its_absolute_tolerance():
     assert abs(quad - pot.analytic_ft(q)) <= 1e-14
 
 
-def test_born_total_by_quadrature_evaluates_in_batches(monkeypatch):
-    # one Born total transforms 64 + 128 momenta; the former route called
-    # evaluate 30,936 times, one radius at a time
+def _counted(monkeypatch, family):
+    """The sizes of the arrays family.evaluate is called on, as a list
+    that grows with each call."""
     calls = []
-    scalar = Yukawa.evaluate
+    scalar = family.evaluate
 
     def counted(self, r):
         calls.append(np.size(r))
         return scalar(self, r)
 
-    monkeypatch.setattr(Yukawa, "evaluate", counted)
+    monkeypatch.setattr(family, "evaluate", counted)
+    return calls
+
+
+def test_born_total_by_quadrature_evaluates_in_batches(monkeypatch):
+    # one Born total transforms 64 + 128 momenta; the former route called
+    # evaluate 30,936 times, one radius at a time
+    calls = _counted(monkeypatch, Yukawa)
     total = born_total_cross_section(Yukawa(1.0, 1.0), 1.0, 1.0, route="quadrature")
     assert len(calls) < 64 + 128
     assert total.value == pytest.approx(16.0 * np.pi / 5.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("pot,most", [
+    (Yukawa(1.0, 1.0), 3), (Gaussian(-0.5, 1.5), 4), (SquareWell(-0.5, 1.0), 1),
+], ids=["yukawa", "gaussian", "square-well"])
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_born_total_by_quadrature_evaluates_once_per_level(monkeypatch, pot, p, most):
+    # one call finds the cutoff radius, then one per refinement level of
+    # the sweep: 3, 4 and 1 calls at p = 1 and 3, where scipy's cubature
+    # made 19, 17 and 2 at p = 1 and 49, 37 and 2 at p = 3
+    calls = _counted(monkeypatch, type(pot))
+    total = born_total_cross_section(pot, p, 1.0, route="quadrature")
+    assert len(calls) <= most
+    assert total.value == pytest.approx(
+        born_total_cross_section(pot, p, 1.0).value, rel=1e-8)
+
+
+def test_born_total_by_quadrature_memory_is_bounded():
+    # 672 radii x 192 momenta at p = 5: the sinc block is taken in chunks
+    # of _SINC_BLOCK entries. The peak was 0.5 MB; sinc on the whole
+    # block at once took 4.1 MB, and scipy's cubature 0.4 MB.
+    pot = Yukawa(1.0, 1.0)
+    born_total_cross_section(pot, 5.0, 1.0, route="quadrature")
+    tracemalloc.start()
+    try:
+        born_total_cross_section(pot, 5.0, 1.0, route="quadrature")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+def test_lone_momentum_below_the_switch_evaluates_once_per_level(monkeypatch):
+    # just under 64 sine cycles over R_cut = 40: the cutoff radius, then
+    # 32 start regions and two levels of bisection; scipy's cubature made
+    # 89 calls and took 15-25 ms
+    pot = Yukawa(1.0, 1.0)
+    q = np.nextafter(potentials._OSCILLATORY_SWITCH / 40.0, 0.0)
+    calls = _counted(monkeypatch, Yukawa)
+    value = fourier_transform_quadrature(pot, q)
+    assert calls == [34, 32 * 21, 6 * 21, 6 * 21]
+    assert value == pytest.approx(pot.analytic_ft(q), rel=1e-10, abs=1e-14)
 
 
 def test_unreachable_tolerance_raises():
@@ -272,6 +367,19 @@ def test_unreachable_tolerance_raises():
             Yukawa(1.0, 1.0), np.linspace(0.1, 3.0, 10), rel_tol=1e-17, abs_tol=1e-20
         )
     assert 0.0 < info.value.estimate < np.inf
+
+
+def test_unreachable_tolerance_fails_within_the_bisection_cap(monkeypatch):
+    # the cap bounds the bisections, not the levels: the sweep stops
+    # before a level would pass _MAX_SUBDIVISIONS, after nine levels here
+    # (scipy's cubature made 300 bisections in 1,221 calls)
+    calls = _counted(monkeypatch, Yukawa)
+    with pytest.raises(NumericalError, match="^quadrature stopped after") as info:
+        fourier_transform_quadrature(
+            Yukawa(1.0, 1.0), np.linspace(0.1, 3.0, 10), rel_tol=1e-17, abs_tol=1e-20
+        )
+    assert int(str(info.value).split()[3]) <= potentials._MAX_SUBDIVISIONS
+    assert len(calls) <= 10
 
 
 def test_quadrature_route_at_zero_momentum():

@@ -170,6 +170,38 @@ def test_infinite_arguments_are_refused(call, message):
 
 
 @pytest.mark.parametrize("call,message", [
+    (lambda: born.born_amplitude(potentials.Yukawa(1, 1), HUGE, 1.0, 0.5),
+     "momentum magnitude must lie within float range, got an integer beyond it"),
+    (lambda: potentials.fourier_transform(potentials.Yukawa(1, 1), HUGE),
+     "momentum transfer must lie within float range, got an integer beyond it"),
+    (lambda: potentials.fourier_transform_quadrature(potentials.Yukawa(1, 1), HUGE),
+     "momentum transfer must lie within float range, got an integer beyond it"),
+    (lambda: potentials.fourier_transform(potentials.Yukawa(1, 1), [1.0, HUGE]),
+     "momentum transfer must lie within float range, got an integer beyond it"),
+    (lambda: born.momentum_transfer(HUGE, 0.5),
+     "momentum magnitude must lie within float range, got an integer beyond it"),
+    (lambda: propagator.free_propagator(0.0, HUGE, 0.0, 0.0, 1.0),
+     "free propagator t_b must lie within float range, got an integer beyond it"),
+    (lambda: propagator.free_propagator(HUGE, 1.0, 0.0, 0.0, 1.0),
+     "free propagator x_b must lie within float range, got an integer beyond it"),
+], ids=["born-amplitude", "transform", "transform-quadrature", "transform-array",
+        "momentum-transfer", "free-propagator-time", "free-propagator-position"])
+def test_integers_beyond_float_range_are_refused(call, message):
+    # each once raised a bare OverflowError: int too large to convert to float
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_infinite_momenta_keep_their_results():
+    # inf converts to float, so the refusal of huge integers leaves it be
+    yukawa = potentials.Yukawa(1, 1)
+    assert born.born_amplitude(yukawa, INF, 1.0, 0.5) == 0.0
+    assert potentials.fourier_transform(yukawa, INF) == 0.0
+    assert born.momentum_transfer(INF, 0.5) == INF
+    assert propagator.free_propagator(0.0, INF, 0.0, 0.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("call,message", [
     (lambda: born.born_amplitude(potentials.Yukawa(-1.0, 1.0), 1.0, 1.0, 0.5,
                                  route="closed"),
      "unknown transform route 'closed'; options: ('auto', 'quadrature')"),
